@@ -27,10 +27,8 @@ from .diophantine import (
 )
 from .dispersion import (
     DispersionParams,
-    FourierTable,
     SumReport,
     bilinear_B,
-    build_fourier_table,
     bump_fourier,
     bump_phi,
     dispersion_sums,

@@ -10,9 +10,11 @@ Exit codes: 0 success, 2 empty result, 3 budget/capacity exceeded,
 """
 
 import argparse
-import csv
 import json
+import math
+import os
 import sys
+from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -26,7 +28,15 @@ from .diophantine import (
     dist_nearest,
     parse_alpha,
 )
-from .dispersion import DispersionParams, bilinear_B, dispersion_sums, sigma_qR, type1_report, type2_report
+from .dispersion import (
+    DispersionParams,
+    SumReport,
+    bilinear_B,
+    dispersion_sums,
+    sigma_qR,
+    type1_report,
+    type2_report,
+)
 from .errors import BudgetExceededError, CapacityError, NonConvergenceError
 from .expsums import KloostermanParams, kl_smooth_average, kloos_bound_rhs, optimal_z
 from .smooth import dickman_rho, largest_prime_factor_array, psi, saddle_alpha
@@ -63,10 +73,6 @@ class SearchResult:
     pplus: np.ndarray
     within_bound: np.ndarray
     below_power: np.ndarray
-
-    @property
-    def members(self):
-        return list(zip(self.n.tolist(), self.dist.tolist(), self.n_power.tolist(), self.pplus.tolist()))
 
 
 def _convergents_in_range(alpha, qmin: int, qmax: int):
@@ -195,8 +201,16 @@ def _read_config_file(path: str) -> dict:
     return out
 
 
+def _finite_float(text) -> float:
+    """float(text), refusing nan, ±inf and values that overflow to inf."""
+    v = float(text)
+    if not math.isfinite(v):
+        raise ValueError(f"{text!r} is not a finite number")
+    return v
+
+
 def _float_list(text: str):
-    return [float(t) for t in text.split(",") if t.strip() != ""]
+    return [_finite_float(t) for t in text.split(",") if t.strip() != ""]
 
 
 def _parse_Y(text):
@@ -204,7 +218,21 @@ def _parse_Y(text):
         return None
     if str(text).lower() in ("inf", "infinity"):
         return float("inf")
-    return float(text)
+    return _finite_float(text)
+
+
+def _check_writable(path: str) -> None:
+    """Refuse an --out path that cannot be opened for writing, before any
+    compute and without creating or truncating the file."""
+    if os.path.isdir(path):
+        raise ValueError(f"--out {path!r} is a directory")
+    if os.path.exists(path):
+        writable = os.access(path, os.W_OK)
+    else:
+        parent = os.path.dirname(path) or "."
+        writable = os.path.isdir(parent) and os.access(parent, os.W_OK | os.X_OK)
+    if not writable:
+        raise ValueError(f"cannot write --out {path!r}")
 
 
 def build_config(argv) -> RunConfig:
@@ -225,17 +253,17 @@ def build_config(argv) -> RunConfig:
 
     cfg = RunConfig(command=ns.command)
     casts = {
-        "C": float,
+        "C": _finite_float,
         "qmin": int,
         "qmax": int,
-        "eta": float,
-        "delta": float,
+        "eta": _finite_float,
+        "delta": _finite_float,
         "budget": int,
-        "N": float,
+        "N": _finite_float,
         "q": int,
         "a": int,
-        "R": float,
-        "tol": float,
+        "R": _finite_float,
+        "tol": _finite_float,
     }
     for key, val in merged.items():
         setattr(cfg, key, casts.get(key, str)(val))
@@ -243,12 +271,27 @@ def build_config(argv) -> RunConfig:
         raise ValueError(f"bad format {cfg.format!r}")
     if cfg.budget <= 0:
         raise ValueError("budget must be positive")
+    if cfg.out:
+        _check_writable(cfg.out)
     return cfg
 
 
 # ---------------------------------------------------------------------------
-# command handlers: each returns (columns, rows) with rows a list of dicts
+# command handlers: each finishes its compute, then returns (columns, blocks)
 # ---------------------------------------------------------------------------
+
+
+@dataclass
+class Block:
+    """`size` output rows.  Each column is either a list of `size` values, one
+    per row, or a single value repeated on every row."""
+
+    size: int
+    columns: dict
+
+
+# the most rows formatted at once: bounds the per-row strings held in memory
+_BLOCK_ROWS = 1 << 12
 
 
 def _run_search(cfg: RunConfig):
@@ -259,93 +302,89 @@ def _run_search(cfg: RunConfig):
     if not (0 < theta < Fraction(6, 17)):
         raise ValueError("theta must lie in (0, 6/17)")
     cols = ["q", "a", "X", "R", "Y", "n", "dist", "n_power", "pplus", "within_bound", "below_power"]
-    rows = []
-    for res in search_results(alpha, theta, cfg.qmin, cfg.qmax, cfg.C, _parse_Y(cfg.Y), cfg.budget):
-        for i in range(len(res.n)):
-            rows.append(
+    # every convergent is computed before the first byte is written, so a
+    # budget or capacity error leaves no partial output
+    results = list(search_results(alpha, theta, cfg.qmin, cfg.qmax, cfg.C, _parse_Y(cfg.Y), cfg.budget))
+    return cols, _search_blocks(results)
+
+
+def _search_blocks(results):
+    """One block per convergent, split every _BLOCK_ROWS members."""
+    for res in results:
+        for lo in range(0, len(res.n), _BLOCK_ROWS):
+            rows = slice(lo, lo + _BLOCK_ROWS)
+            yield Block(
+                len(res.n[rows]),
                 {
                     "q": res.q,
                     "a": res.a,
                     "X": res.X,
                     "R": res.R,
                     "Y": res.Y,
-                    "n": int(res.n[i]),
-                    "dist": float(res.dist[i]),
-                    "n_power": float(res.n_power[i]),
-                    "pplus": int(res.pplus[i]),
-                    "within_bound": bool(res.within_bound[i]),
-                    "below_power": bool(res.below_power[i]),
-                }
+                    "n": res.n[rows].tolist(),
+                    "dist": res.dist[rows].tolist(),
+                    "n_power": res.n_power[rows].tolist(),
+                    "pplus": res.pplus[rows].tolist(),
+                    "within_bound": res.within_bound[rows].tolist(),
+                    "below_power": res.below_power[rows].tolist(),
+                },
             )
-    return cols, rows
+
+
+def _xy_grid(cfg: RunConfig):
+    """The --x by --y grid, x-major, as two parallel lists."""
+    if cfg.x is None or cfg.y is None:
+        raise ValueError(f"{cfg.command} needs --x and --y (comma lists)")
+    xs, ys = _float_list(cfg.x), _float_list(cfg.y)
+    return [x for x in xs for _ in ys], ys * len(xs)
 
 
 def _run_psi(cfg: RunConfig):
-    if cfg.x is None or cfg.y is None:
-        raise ValueError("psi needs --x and --y (comma lists)")
-    cols = ["x", "y", "psi"]
-    rows = []
-    for x in _float_list(cfg.x):
-        for y in _float_list(cfg.y):
-            rows.append({"x": x, "y": y, "psi": psi(x, y)})
-    return cols, rows
+    xs, ys = _xy_grid(cfg)
+    return ["x", "y", "psi"], [Block(len(xs), {"x": xs, "y": ys, "psi": list(map(psi, xs, ys))})]
 
 
 def _run_rho(cfg: RunConfig):
     if cfg.u is None:
         raise ValueError("rho needs --u (comma list)")
-    cols = ["u", "rho", "tol"]
-    rows = [{"u": u, "rho": dickman_rho(u, cfg.tol), "tol": cfg.tol} for u in _float_list(cfg.u)]
-    return cols, rows
+    us = _float_list(cfg.u)
+    rhos = [dickman_rho(u, cfg.tol) for u in us]
+    return ["u", "rho", "tol"], [Block(len(us), {"u": us, "rho": rhos, "tol": cfg.tol})]
 
 
 def _run_alpha(cfg: RunConfig):
-    if cfg.x is None or cfg.y is None:
-        raise ValueError("alpha needs --x and --y (comma lists)")
-    cols = ["x", "y", "alpha", "residual"]
-    rows = []
-    for x in _float_list(cfg.x):
-        for y in _float_list(cfg.y):
-            sp = saddle_alpha(x, y)
-            rows.append({"x": x, "y": y, "alpha": sp.alpha, "residual": sp.residual})
-    return cols, rows
+    xs, ys = _xy_grid(cfg)
+    sps = list(map(saddle_alpha, xs, ys))
+    columns = {"x": xs, "y": ys, "alpha": [sp.alpha for sp in sps], "residual": [sp.residual for sp in sps]}
+    return ["x", "y", "alpha", "residual"], [Block(len(xs), columns)]
 
 
 def _run_kloosterman(cfg: RunConfig):
     if cfg.M is None or cfg.x is None or cfg.a is None or cfg.q is None or cfg.y is None:
         raise ValueError("kloosterman needs --M, --x, --a, --q, --y")
     cols = ["M", "x", "a", "q", "y", "value", "z", "bound_rhs", "ratio"]
-    rows = []
     ys = _float_list(cfg.y)
     if len(ys) != 1:
         raise ValueError("kloosterman takes a single --y")
     y = ys[0]
+    Ms, xs, values, zs, rhss = [], [], [], [], []
     for M in _float_list(cfg.M):
         for x in _float_list(cfg.x):
-            value = kl_smooth_average(M, x, cfg.a, cfg.q, y, cfg.budget)
-            z = optimal_z(M, x, y)
-            rhs = kloos_bound_rhs(KloostermanParams(M, x, cfg.a, cfg.q, y, z, cfg.eta))
-            rows.append(
-                {
-                    "M": M,
-                    "x": x,
-                    "a": cfg.a,
-                    "q": cfg.q,
-                    "y": y,
-                    "value": value,
-                    "z": z,
-                    "bound_rhs": rhs,
-                    "ratio": value / rhs if rhs else None,
-                }
-            )
-    return cols, rows
+            Ms.append(M)
+            xs.append(x)
+            values.append(kl_smooth_average(M, x, cfg.a, cfg.q, y, cfg.budget))
+            zs.append(optimal_z(M, x, y))
+            rhss.append(kloos_bound_rhs(KloostermanParams(M, x, cfg.a, cfg.q, y, zs[-1], cfg.eta)))
+    ratios = [value / rhs if rhs else None for value, rhs in zip(values, rhss)]
+    columns = {"M": Ms, "x": xs, "a": cfg.a, "q": cfg.q, "y": y, "value": values, "z": zs, "bound_rhs": rhss,
+               "ratio": ratios}
+    return cols, [Block(len(Ms), columns)]
 
 
 def _run_dispersion(cfg: RunConfig):
     if cfg.q is None or cfg.a is None:
         raise ValueError("dispersion needs --q and --a")
     cols = ["kind", "value", "main_term", "ratio", "truncation_error", "runtime_ms", "params"]
-    rows = []
     kinds = ("type1", "type2", "sums", "bilinear", "sigma") if cfg.report == "all" else (cfg.report,)
     theta = Fraction(cfg.theta) if cfg.theta else None
 
@@ -358,79 +397,136 @@ def _run_dispersion(cfg: RunConfig):
         params = DispersionParams(
             Ms[0], cfg.N, cfg.q, cfg.a, cfg.R, _parse_Y(cfg.Y), theta, cfg.delta, cfg.eta
         )
+    reports = []
     for kind in kinds:
         if kind == "type1":
-            rows.append(_report_row("type1", type1_report(params, cfg.budget)))
+            reports.append(type1_report(params, cfg.budget))
         elif kind == "type2":
-            rows.append(_report_row("type2", type2_report(params, cfg.budget)))
+            reports.append(type2_report(params, cfg.budget))
         elif kind == "sums":
             S1, S2, S3, Sp = dispersion_sums(params, cfg.budget)
-            rows.append(
-                {
-                    "kind": "sums",
-                    "value": Sp,
-                    "main_term": 0.0,
-                    "ratio": None,
-                    "truncation_error": 0.0,
-                    "runtime_ms": 0.0,
-                    "params": {"S1": S1, "S2": S2, "S3": S3},
-                }
-            )
+            reports.append(SumReport(Sp, 0.0, None, 0.0, {"S1": S1, "S2": S2, "S3": S3}, 0.0))
         elif kind == "bilinear":
-            rows.append(_report_row("bilinear", bilinear_B(params, cfg.budget)))
+            reports.append(bilinear_B(params, cfg.budget))
         elif kind == "sigma":
             if theta is None:
                 raise ValueError("sigma needs --theta")
-            rows.append(_report_row("sigma", sigma_qR(cfg.q, cfg.a, theta, cfg.C, _parse_Y(cfg.Y), cfg.budget)))
+            reports.append(sigma_qR(cfg.q, cfg.a, theta, cfg.C, _parse_Y(cfg.Y), cfg.budget))
         else:
             raise ValueError(f"unknown report kind {kind!r}")
-    return cols, rows
-
-
-def _report_row(kind: str, rep) -> dict:
-    d = rep.to_json_dict(deterministic=True)
-    d["kind"] = kind
-    return d
+    columns = {c: [getattr(rep, c) for rep in reports] for c in ("value", "main_term", "ratio", "truncation_error")}
+    # runtime_ms is written as 0 so that a fixed configuration gives fixed bytes
+    columns.update(kind=list(kinds), params=[rep.params for rep in reports], runtime_ms=0.0)
+    return cols, [Block(len(reports), columns)]
 
 
 # ---------------------------------------------------------------------------
-# output
+# output: the bytes json.dumps({"command", "rows"}, sort_keys=True, indent=2)
+# and csv.writer(lineterminator="\n") would write for the same rows, built a
+# column at a time and written a block at a time
 # ---------------------------------------------------------------------------
 
+_SCALAR_TYPES = {int, float, bool, type(None)}
+# json tokens that csv output spells differently ("-Infinity" becomes "-inf")
+_CSV_SPELLING = (("null", ""), ("NaN", "nan"), ("Infinity", "inf"))
+# csv.writer quotes a field holding its delimiter, quote char or line terminator
+_CSV_QUOTED = (",", '"', "\n")
+# a json row sits at indent 4 and its keys at indent 6 inside the document
+_JSON_KEY_LINE = "\n      "
+_JSON_ROW_OPEN = "    {" + _JSON_KEY_LINE
+_JSON_ROW_SEP = "," + _JSON_KEY_LINE
+_JSON_ROW_CLOSE = "\n    }"
 
-def _emit(cfg: RunConfig, cols, rows) -> None:
-    if cfg.format == "json":
-        text = json.dumps({"command": cfg.command, "rows": rows}, sort_keys=True, indent=2) + "\n"
-        if cfg.out:
-            with open(cfg.out, "w") as fh:
-                fh.write(text)
+
+def _emit(cfg: RunConfig, cols, blocks) -> int:
+    """Write the header, then each block as soon as it is formatted, to --out
+    or stdout; return the number of rows written."""
+    as_json = cfg.format == "json"
+    # json output goes through newline translation, csv output does not
+    sink = open(cfg.out, "w", newline=None if as_json else "") if cfg.out else nullcontext(sys.stdout)
+    with sink as fh:
+        if as_json:
+            keys = sorted(cols)
+            fh.write('{\n  "command": ' + json.dumps(cfg.command) + ',\n  "rows": [')
         else:
-            sys.stdout.write(text)
-    else:
-        if cfg.out:
-            with open(cfg.out, "w", newline="") as fh:
-                _write_csv(fh, cols, rows)
+            keys = cols
+            fh.write(",".join(map(_csv_quote, cols)) + "\n")
+        total = 0
+        for block in blocks:
+            if block.size == 0:
+                continue
+            rows = map("".join, zip(*_row_parts(keys, block, as_json)))
+            if as_json:
+                fh.write(("\n" if total == 0 else ",\n") + ",\n".join(rows))
+            else:
+                fh.write("\n".join(rows) + "\n")
+            total += block.size
+        if as_json:
+            fh.write("\n  ]\n}\n" if total else "]\n}\n")
+    return total
+
+
+def _row_parts(keys, block: Block, as_json: bool) -> list:
+    """Parallel lists of strings whose concatenation across one index is one
+    row: the formatted per-row columns, and the text between them, with each
+    repeated value formatted once into it."""
+    parts, text = [], _JSON_ROW_OPEN if as_json else ""
+    for i, key in enumerate(keys):
+        if i:
+            text += _JSON_ROW_SEP if as_json else ","
+        if as_json:
+            text += json.dumps(key) + ": "
+        col = block.columns[key]
+        if isinstance(col, list):
+            if text:
+                parts.append([text] * block.size)
+            parts.append(_cells(col, as_json))
+            text = ""
         else:
-            _write_csv(sys.stdout, cols, rows)
+            text += _cells([col], as_json)[0]
+    if as_json:
+        text += _JSON_ROW_CLOSE
+    if text:
+        parts.append([text] * block.size)
+    return parts
 
 
-def _write_csv(fh, cols, rows) -> None:
-    w = csv.writer(fh, lineterminator="\n")
-    w.writerow(cols)
-    for row in rows:
-        w.writerow([_csv_cell(row.get(c)) for c in cols])
+def _cells(values: list, as_json: bool) -> list:
+    """Format one column, one string per value.
+
+    Floats by repr (NaN, Infinity and -Infinity in json, as json writes them),
+    ints by str, bools as true/false, None as null or an empty csv cell.
+    Strings and dicts go through json.dumps, dicts re-indented for their
+    nesting level in json, and csv-quoted the way csv.writer quotes them.
+    """
+    if set(map(type, values)) <= _SCALAR_TYPES:
+        return _scalar_cells(values, as_json)
+    return [_object_cell(v, as_json) for v in values]
 
 
-def _csv_cell(v):
-    if v is None:
-        return ""
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, float):
-        return repr(v)
+def _scalar_cells(values: list, as_json: bool) -> list:
+    text = json.dumps(values)[1:-1]  # the C encoder formats the whole column
+    if not as_json:
+        for token, spelling in _CSV_SPELLING:
+            if token in text:
+                text = text.replace(token, spelling)
+    return text.split(", ")
+
+
+def _object_cell(v, as_json: bool) -> str:
+    if isinstance(v, str):
+        return json.dumps(v) if as_json else _csv_quote(v)
     if isinstance(v, dict):
-        return json.dumps(v, sort_keys=True)
-    return v
+        if as_json:
+            return json.dumps(v, sort_keys=True, indent=2).replace("\n", _JSON_KEY_LINE)
+        return _csv_quote(json.dumps(v, sort_keys=True))
+    return _scalar_cells([v], as_json)[0]
+
+
+def _csv_quote(text: str) -> str:
+    if any(c in text for c in _CSV_QUOTED):
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 _HANDLERS = {
@@ -453,18 +549,24 @@ def main(argv=None) -> int:
         return EXIT_BAD_CONFIG
 
     try:
-        cols, rows = _HANDLERS[cfg.command](cfg)
+        cols, blocks = _HANDLERS[cfg.command](cfg)
     except (BudgetExceededError, CapacityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BUDGET
+    except OverflowError as exc:  # finite inputs whose derived scales leave the float range
+        print(f"error: float range exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except (ValueError, NonConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
 
     try:
-        _emit(cfg, cols, rows)
+        rows = _emit(cfg, cols, blocks)
     except BrokenPipeError:
         return EXIT_OK
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BAD_CONFIG
     return EXIT_OK if rows else EXIT_EMPTY
 
 

@@ -131,28 +131,6 @@ def bump_fourier(xi: float, tol: float = 1e-10) -> complex:
     return complex(vals[0])
 
 
-@dataclass
-class FourierTable:
-    """Cached φ̂ samples keyed by frequency rounded to 1e-12."""
-
-    samples: dict
-    tol: float
-
-    def value(self, xi: float) -> complex:
-        key = round(xi, 12)
-        v = self.samples.get(key)
-        if v is None:
-            v = bump_fourier(xi, self.tol)
-            self.samples[key] = v
-        return v
-
-
-def build_fourier_table(xis, tol: float = 1e-10) -> FourierTable:
-    xis = np.asarray(xis, dtype=np.float64)
-    vals, _ = bump_fourier_array(xis, tol)
-    return FourierTable({round(float(x), 12): complex(v) for x, v in zip(xis, vals)}, tol)
-
-
 _PHI_HAT_0 = None
 
 
@@ -190,7 +168,7 @@ def phi_weight(n: int, R: float, q: int, a: int) -> float:
 
 
 def phi_weight_poisson(
-    n: int, R: float, q: int, a: int, Kmax: int = None, tol: float = 1e-10, table: FourierTable = None
+    n: int, R: float, q: int, a: int, Kmax: int = None, tol: float = 1e-10
 ) -> float:
     """Poisson-expanded weight (R/q)·Σ_{|k| ≤ Kmax} φ̂(kR/q) e(nak/q).
 
@@ -201,10 +179,10 @@ def phi_weight_poisson(
     _check_weight_args(R, q, a)
     if Kmax is None:
         K = ceil(10 * q / R)
-        v1 = phi_weight_poisson(n, R, q, a, K, tol, table)
+        v1 = phi_weight_poisson(n, R, q, a, K, tol)
         while K <= 1 << 22:
             K *= 2
-            v2 = phi_weight_poisson(n, R, q, a, K, tol, table)
+            v2 = phi_weight_poisson(n, R, q, a, K, tol)
             if abs(v1 - v2) <= 1e-8:
                 return v2
             v1 = v2
@@ -214,10 +192,7 @@ def phi_weight_poisson(
 
     ks = np.arange(1, Kmax + 1, dtype=np.int64)
     xis = ks * (R / q)
-    if table is not None:
-        vals = np.array([table.value(float(x)) for x in xis], dtype=np.complex128)
-    else:
-        vals, _ = bump_fourier_array(xis, tol) if Kmax >= 1 else (np.zeros(0, np.complex128), 0.0)
+    vals, _ = bump_fourier_array(xis, tol) if Kmax >= 1 else (np.zeros(0, np.complex128), 0.0)
     m0 = (int(n) * int(a)) % q
     phases = np.exp(2j * pi * ((m0 * ks) % q) / q)
     terms = vals * phases
@@ -254,6 +229,8 @@ class DispersionParams:
     def __post_init__(self):
         if self.M < 2 or self.N < 2:
             raise ValueError("need M, N >= 2")
+        if not (0 < self.delta < 1):
+            raise ValueError("delta must lie in (0, 1)")
         _check_weight_args(self.R, self.q, self.a)
         X = self.q * self.R
         if not (X / 4 <= self.M * self.N <= 4 * X):
@@ -280,16 +257,6 @@ class SumReport:
     truncation_error: float
     params: dict
     runtime_ms: float
-
-    def to_json_dict(self, deterministic: bool = True) -> dict:
-        return {
-            "value": self.value,
-            "main_term": self.main_term,
-            "ratio": self.ratio,
-            "truncation_error": self.truncation_error,
-            "params": self.params,
-            "runtime_ms": 0.0 if deterministic else self.runtime_ms,
-        }
 
 
 def _report(value, main, trunc, params, t0) -> SumReport:

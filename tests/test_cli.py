@@ -1,19 +1,25 @@
+import csv
+import io
 import json
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import smoothdio.cli as cli
 from smoothdio.cli import (
     EXIT_BAD_CONFIG,
     EXIT_BUDGET,
     EXIT_EMPTY,
     EXIT_OK,
+    build_config,
     main,
     search_results,
 )
-from smoothdio.diophantine import QuadIrr, dist_nearest
+from smoothdio.diophantine import QuadIrr, dist_nearest, parse_alpha
 
 
 def run(tmp_path, args, name="out"):
@@ -168,3 +174,248 @@ def test_csv_quoting(tmp_path):
     assert rows[0] == ["kind", "value", "main_term", "ratio", "truncation_error", "runtime_ms", "params"]
     assert rows[1][0] == "sums"
     json.loads(rows[1][6])  # params column survives the quoting round trip
+
+
+def test_out_checked_before_compute(tmp_path, capsys):
+    missing = tmp_path / "no-such-dir" / "x.json"
+    # without the up-front check this search would compute for many seconds
+    code = main(["search", "--alpha", "quad:1,1,5,2", "--theta", "1/4", "--qmax", "100000", "--out", str(missing)])
+    assert code == EXIT_BAD_CONFIG
+    assert capsys.readouterr().err.startswith("error:")
+    assert not missing.parent.exists()
+    assert main(["rho", "--u", "1", "--out", str(tmp_path)]) == EXIT_BAD_CONFIG  # a directory
+    # an existing file is neither truncated by the check nor by a failed run
+    keep = tmp_path / "keep.json"
+    keep.write_text("old")
+    assert main(["rho", "--u", "1", "--tol", "nan", "--out", str(keep)]) == EXIT_BAD_CONFIG
+    assert keep.read_text() == "old"
+
+
+def test_write_error_exit_code(tmp_path, monkeypatch, capsys):
+    # an OSError raised while writing (here: the directory is gone by then)
+    # is reported on one line, not as a traceback
+    monkeypatch.setattr(cli, "_check_writable", lambda path: None)
+    assert main(["rho", "--u", "1", "--out", str(tmp_path / "gone" / "r.json")]) == EXIT_BAD_CONFIG
+    assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["psi", "--x", "1e400", "--y", "10"],
+        ["psi", "--x", "100", "--y", "nan"],
+        ["rho", "--u", "1,-inf"],
+        ["rho", "--u", "1", "--tol", "inf"],
+        ["alpha", "--x", "100,nan", "--y", "5"],
+        ["kloosterman", "--M", "5", "--x", "20", "--a", "3", "--q", "2", "--y", "7", "--eta", "1e400"],
+        ["search", "--alpha", "quad:1,1,5,2", "--theta", "1/4", "--qmax", "30", "--C", "nan"],
+        ["search", "--alpha", "quad:1,1,5,2", "--theta", "1/4", "--qmax", "30", "--Y", "1e400"],
+        ["dispersion", "--q", "101", "--a", "2", "--M", "10", "--N", "inf", "--R", "20", "--Y", "5",
+         "--report", "sums"],
+        ["dispersion", "--q", "101", "--a", "2", "--M", "10", "--N", "10", "--R", "20", "--Y", "5",
+         "--report", "sums", "--delta", "2"],
+    ],
+)
+def test_bad_numeric_inputs_rejected(args, capsys):
+    assert main(args) == EXIT_BAD_CONFIG
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_float_overflow_exit_code(capsys):
+    # finite flags whose derived scales overflow a float are a capacity error
+    assert main(["search", "--alpha", "quad:1,1,5,2", "--theta", "1/4", "--qmax", "20", "--C", "1e30"]) == EXIT_BUDGET
+    assert capsys.readouterr().err.startswith("error:")
+
+
+# ---------------------------------------------------------------------------
+# property: main() answers every argv with a documented exit code
+# ---------------------------------------------------------------------------
+
+# valid small values per command; any of them may be swapped for a bad token
+_FUZZ_BASES = {
+    "search": {"alpha": ["quad:1,1,5,2", "dec:1.41421356:8"], "theta": ["1/4", "3/10"], "qmax": ["20", "50"],
+               "qmin": ["2", "10"], "Y": ["inf", "5"], "C": ["10", "2"]},
+    "psi": {"x": ["10", "100,200"], "y": ["2", "5,7"]},
+    "rho": {"u": ["0.5,1,2", "3"], "tol": ["1e-9", "1e-3"]},
+    "alpha": {"x": ["100", "50,60"], "y": ["5", "3,10"]},
+    "kloosterman": {"M": ["5", "10,12"], "x": ["20"], "a": ["3", "1"], "q": ["2", "3"], "y": ["7"], "eta": ["0.05"]},
+    "dispersion": {"q": ["101", "13"], "a": ["2"], "M": ["5", "10"], "N": ["5", "10"], "R": ["6", "20"],
+                   "Y": ["5", "inf"], "theta": ["1/3"], "report": ["all", "sums", "sigma"]},
+}
+_FUZZ_BAD = ["1e400", "nan", "inf", "-inf", "-1", "0", "", "1e30", "1/4", "3", "20", "csv", "unknown"]
+_FUZZ_FLAGS = [f"--{name}" for name in cli._FLAG_NAMES if name != "out"] + ["--unknown"]
+# --out: stdout, a new file, a file in a missing directory, a directory
+_FUZZ_OUTS = (None, "out.txt") * 4 + ("missing/out.txt", ".")
+# --config: none, a file with an unknown key, a missing file
+_FUZZ_CONFIGS = (None,) * 8 + ("unknown.cfg", "missing.cfg")
+
+
+@st.composite
+def _argvs(draw):
+    command = draw(st.sampled_from(cli.COMMANDS))
+    argv = [command]
+    for flag, good in _FUZZ_BASES[command].items():
+        choice = draw(st.sampled_from(("good",) * 8 + ("bad", "absent")))
+        if choice != "absent":
+            argv += [f"--{flag}", draw(st.sampled_from(good if choice == "good" else _FUZZ_BAD))]
+    for flag, value in draw(st.lists(st.tuples(st.sampled_from(_FUZZ_FLAGS), st.sampled_from(_FUZZ_BAD)), max_size=1)):
+        argv += [flag, value]
+    argv += ["--format", draw(st.sampled_from(("json", "csv")))]
+    return argv, draw(st.sampled_from(_FUZZ_OUTS)), draw(st.sampled_from(_FUZZ_CONFIGS))
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz")
+    (path / "unknown.cfg").write_text("x=10\nbogus=1\n")
+    return path
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_argvs())
+def test_main_exit_codes_property(fuzz_dir, case):
+    argv, out, config = case
+    if out is not None:
+        argv = argv + ["--out", str(fuzz_dir / out)]
+    if config is not None:
+        argv = argv + ["--config", str(fuzz_dir / config)]
+    assert main(argv) in (EXIT_OK, EXIT_EMPTY, EXIT_BUDGET, EXIT_BAD_CONFIG)
+
+
+# ---------------------------------------------------------------------------
+# emitter oracle: the row-dict emission cli._emit replaces, kept as the exact
+# reference for its bytes
+# ---------------------------------------------------------------------------
+
+_SEARCH_COLS = ["q", "a", "X", "R", "Y", "n", "dist", "n_power", "pplus", "within_bound", "below_power"]
+
+
+def _oracle_csv_cell(v):
+    if v is None:
+        return ""
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, float):
+        return repr(v)
+    if isinstance(v, dict):
+        return json.dumps(v, sort_keys=True)
+    return v
+
+
+def _oracle_text(command, fmt, cols, rows):
+    if fmt == "json":
+        return json.dumps({"command": command, "rows": rows}, sort_keys=True, indent=2) + "\n"
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(cols)
+    for row in rows:
+        w.writerow([_oracle_csv_cell(row.get(c)) for c in cols])
+    return buf.getvalue()
+
+
+def _oracle_search_rows(args):
+    """Rows built member by member from search_results, one dict each."""
+    opts = dict(zip(args[1::2], args[2::2]))
+    Y = opts.get("--Y")
+    results = search_results(
+        parse_alpha(opts["--alpha"]), Fraction(opts["--theta"]), int(opts.get("--qmin", 2)), int(opts["--qmax"]),
+        Y=None if Y is None else float(Y),
+    )
+    rows = []
+    for res in results:
+        for i in range(len(res.n)):
+            rows.append(
+                {
+                    "q": res.q,
+                    "a": res.a,
+                    "X": res.X,
+                    "R": res.R,
+                    "Y": res.Y,
+                    "n": int(res.n[i]),
+                    "dist": float(res.dist[i]),
+                    "n_power": float(res.n_power[i]),
+                    "pplus": int(res.pplus[i]),
+                    "within_bound": bool(res.within_bound[i]),
+                    "below_power": bool(res.below_power[i]),
+                }
+            )
+    return _SEARCH_COLS, rows
+
+
+def _block_rows(blocks):
+    """Expand the handlers' blocks, column by column, into one dict per row."""
+    rows = []
+    for block in blocks:
+        for i in range(block.size):
+            rows.append({c: v[i] if isinstance(v, list) else v for c, v in block.columns.items()})
+    return rows
+
+
+def _oracle(args, fmt):
+    if args[0] == "search":
+        return _oracle_text("search", fmt, *_oracle_search_rows(args))
+    cfg = build_config(args + ["--format", fmt])
+    cols, blocks = cli._HANDLERS[args[0]](cfg)
+    return _oracle_text(args[0], fmt, cols, _block_rows(blocks))
+
+
+_EMIT_CASES = {
+    "search-multi-Yinf": ["search", "--alpha", "quad:1,1,5,2", "--theta", "1/4", "--qmax", "100", "--Y", "inf"],
+    "search-finite-Y": ["search", "--alpha", "quad:0,1,2,1", "--theta", "3/10", "--qmin", "100", "--qmax", "800",
+                        "--Y", "50"],
+    "search-empty": ["search", "--alpha", "quad:1,1,5,2", "--theta", "1/4", "--qmin", "90", "--qmax", "100"],
+    "psi": ["psi", "--x", "100,1000", "--y", "5,7,11"],
+    "rho": ["rho", "--u", "0.5,1,2,3,10"],
+    "alpha": ["alpha", "--x", "1000,100000", "--y", "10,100"],
+    "kloosterman": ["kloosterman", "--M", "20,40", "--x", "200", "--a", "7", "--q", "3", "--y", "11"],
+    "dispersion": ["dispersion", "--q", "101", "--a", "2", "--M", "15", "--N", "15", "--R", "20", "--Y", "5",
+                   "--theta", "1/3", "--report", "all"],
+}
+
+
+@pytest.mark.parametrize("sink", ["stdout", "out"])
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("case", sorted(_EMIT_CASES))
+def test_emit_matches_row_oracle(case, fmt, sink, tmp_path, capsys):
+    args = _EMIT_CASES[case] + ["--format", fmt]
+    path = tmp_path / f"out.{fmt}"
+    code = main(args + (["--out", str(path)] if sink == "out" else []))
+    text = path.read_text() if sink == "out" else capsys.readouterr().out
+    assert code == (EXIT_EMPTY if case == "search-empty" else EXIT_OK)
+    assert text == _oracle(_EMIT_CASES[case], fmt)
+
+
+def test_emit_special_values(tmp_path):
+    # ratio = None, nan, -inf and inf cells, plus a repeated string and a
+    # nested dict that csv must quote and json must re-indent
+    cfg = build_config(_EMIT_CASES["kloosterman"])
+    cols, blocks = cli._HANDLERS["kloosterman"](cfg)
+    (block,) = blocks
+    block.columns["ratio"][0] = None
+    block.columns["value"][1] = float("nan")
+    block.columns["z"][0] = float("-inf")
+    block.columns["y"] = float("inf")
+    block.columns["a"] = 'say "hi", then {go}'
+    block.columns["q"] = {"flags": ["a, b", "c"], "nested": {"k": 1.5, "e": {}}, "none": None}
+    rows = _block_rows([block])
+    for fmt in ("json", "csv"):
+        cfg.format, cfg.out = fmt, str(tmp_path / f"k.{fmt}")
+        assert cli._emit(cfg, cols, [block]) == 2
+        assert (tmp_path / f"k.{fmt}").read_text() == _oracle_text("kloosterman", fmt, cols, rows)
+
+
+def test_emit_inf_spelling(capsys):
+    args = _EMIT_CASES["search-multi-Yinf"]
+    assert main(args) == EXIT_OK
+    assert '"Y": Infinity,' in capsys.readouterr().out
+    assert main(args + ["--format", "csv"]) == EXIT_OK
+    assert capsys.readouterr().out.splitlines()[1].split(",")[4] == "inf"
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_emit_splits_convergents_into_blocks(fmt, monkeypatch, capsys):
+    # blocks of 7 rows: every convergent spans several blocks, most with a remainder
+    monkeypatch.setattr(cli, "_BLOCK_ROWS", 7)
+    args = _EMIT_CASES["search-multi-Yinf"] + ["--format", fmt]
+    assert main(args) == EXIT_OK
+    assert capsys.readouterr().out == _oracle(_EMIT_CASES["search-multi-Yinf"], fmt)

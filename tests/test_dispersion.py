@@ -10,7 +10,6 @@ from smoothdio.arith import largest_prime_factor
 from smoothdio.dispersion import (
     DispersionParams,
     bilinear_B,
-    build_fourier_table,
     bump_fourier,
     bump_fourier_array,
     bump_phi,
@@ -90,14 +89,6 @@ def test_bump_fourier_decay():
     assert err <= 1e-10
     assert float(np.max(np.abs(vals))) <= 1e-3
     assert float(np.abs(vals[-1])) <= abs(bump_fourier(0.0))  # |phihat| <= phihat(0)
-
-
-def test_fourier_table_cache():
-    tab = build_fourier_table([0.0, 0.5, 1.0], 1e-10)
-    assert tab.value(0.5) == pytest.approx(bump_fourier(0.5), abs=1e-10)
-    v = tab.value(7.25)  # cache miss computes and stores
-    assert round(7.25, 12) in tab.samples
-    assert v == pytest.approx(bump_fourier(7.25), abs=1e-10)
 
 
 # ---------------------------------------------------------------------------
