@@ -1,9 +1,10 @@
 """Integer-arithmetic substrate: primes, factorization, P⁺, modular inverses.
 
-Everything here is exact.  Factorization is plain trial division against a
-prime table (desk scale), and the pair-correlation gcd sum is evaluated by a
-literal double loop (vectorized in blocks), since it serves as an oracle for
-the analytic bound it mirrors, not as a hot path.
+Everything here is exact.  One cached sieve of Eratosthenes is the only prime
+source, factorization is plain trial division against it (desk scale), and
+the pair-correlation gcd sum is evaluated by a literal double loop
+(vectorized in blocks), since it serves as an oracle for the analytic bound
+it mirrors, not as a hot path.
 """
 
 from dataclasses import dataclass
@@ -14,6 +15,8 @@ import numpy as np
 from .errors import CapacityError
 
 GCD_SUM_MAX_U = 100_000
+# the default factor table's reach: every n < 1e14 factors without CapacityError
+FACTOR_PRIME_LIMIT = 10_000_000
 
 
 @dataclass
@@ -39,41 +42,55 @@ class Factorization:
 
 
 def sieve_primes(limit: int) -> PrimeTable:
-    """Classic sieve of Eratosthenes; limit < 2 yields an empty table."""
+    """All primes ≤ limit; limit < 2 yields an empty table."""
     if limit < 0:
         raise ValueError("limit must be >= 0")
-    if limit < 2:
-        return PrimeTable(limit, [])
-    flags = bytearray(b"\x01") * (limit + 1)
-    flags[0:2] = b"\x00\x00"
-    for p in range(2, isqrt(limit) + 1):
-        if flags[p]:
-            start = p * p
-            flags[start :: p] = b"\x00" * ((limit - start) // p + 1)
-    return PrimeTable(limit, [i for i, v in enumerate(flags) if v])
+    return PrimeTable(limit, prime_array(limit).tolist())
+
+
+_PRIMES = np.zeros(0, dtype=np.int64)  # every prime <= _PRIMES_LIMIT, read-only
+_PRIMES_LIMIT = 1
 
 
 def prime_array(limit: int) -> np.ndarray:
-    """Primes ≤ limit as an int64 array (for vectorized prime sums)."""
-    if limit < 2:
-        return np.zeros(0, dtype=np.int64)
-    flags = np.ones(limit + 1, dtype=bool)
-    flags[:2] = False
-    for p in range(2, isqrt(limit) + 1):
-        if flags[p]:
-            flags[p * p :: p] = False
-    return np.nonzero(flags)[0].astype(np.int64)
+    """Primes ≤ limit as a read-only int64 array.
+
+    The only sieve of Eratosthenes: one cached table, grown (at least
+    doubling) when a larger limit is asked for, and served as slices.
+    """
+    global _PRIMES, _PRIMES_LIMIT
+    if limit > _PRIMES_LIMIT:
+        top = max(limit, 2 * _PRIMES_LIMIT, 1 << 16)
+        flags = np.ones(top + 1, dtype=bool)
+        flags[:2] = False
+        for p in range(2, isqrt(top) + 1):
+            if flags[p]:
+                flags[p * p :: p] = False
+        _PRIMES = np.flatnonzero(flags).astype(np.int64)
+        _PRIMES.flags.writeable = False
+        _PRIMES_LIMIT = top
+    return _PRIMES[: np.searchsorted(_PRIMES, limit, side="right")]
 
 
-def factorize(n: int, table: PrimeTable) -> Factorization:
+_FACTOR_TABLE = PrimeTable(1, [])  # the cached primes as a list, for factorize
+
+
+def factorize(n: int, table: PrimeTable = None) -> Factorization:
     """Trial division of n against the table.
 
-    Requires table.limit² ≥ n (or that the table covers every prime factor);
-    a leftover cofactor that the table cannot certify prime raises
-    CapacityError.
+    The default table is the cached primes, grown (at least doubling) to
+    cover min(√n, FACTOR_PRIME_LIMIT).  A leftover cofactor with no prime
+    factor ≤ table.limit is prime when it is below (table.limit + 1)²; one
+    the table cannot certify raises CapacityError.
     """
+    global _FACTOR_TABLE
     if n < 1:
         raise ValueError("n must be >= 1")
+    if table is None:
+        limit = min(isqrt(n), FACTOR_PRIME_LIMIT)
+        if limit > _FACTOR_TABLE.limit:
+            _FACTOR_TABLE = sieve_primes(max(limit, 2 * _FACTOR_TABLE.limit))
+        table = _FACTOR_TABLE
     factors = []
     rem = n
     exhausted = True
@@ -90,8 +107,8 @@ def factorize(n: int, table: PrimeTable) -> Factorization:
     if rem > 1:
         # If the loop broke on p² > rem the cofactor is certified prime;
         # otherwise it has no factor <= table.limit and is prime only when
-        # rem <= limit².
-        if exhausted and rem > table.limit * table.limit:
+        # rem < (table.limit + 1)².
+        if exhausted and rem > table.limit * (table.limit + 2):
             raise CapacityError(f"prime table (limit {table.limit}) cannot certify cofactor {rem}")
         factors.append((rem, 1))
     return Factorization(n, factors)
@@ -99,42 +116,13 @@ def factorize(n: int, table: PrimeTable) -> Factorization:
 
 def largest_prime_factor(n: int) -> int:
     """P⁺(n), with P⁺(1) = 1."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if n == 1:
-        return 1
-    best = 1
-    while n % 2 == 0:
-        best = 2
-        n //= 2
-    d = 3
-    while d * d <= n:
-        while n % d == 0:
-            best = d
-            n //= d
-        d += 2
-    return max(best, n) if n > 1 else best
+    factors = factorize(n).factors
+    return factors[-1][0] if factors else 1
 
 
 def distinct_prime_factors(n: int) -> list:
-    """Distinct prime divisors of n, increasing (trial division)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    out = []
-    if n % 2 == 0:
-        out.append(2)
-        while n % 2 == 0:
-            n //= 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 2
-    if n > 1:
-        out.append(n)
-    return out
+    """Distinct prime divisors of n, increasing."""
+    return [p for p, _ in factorize(n).factors]
 
 
 def euler_phi(n: int) -> int:

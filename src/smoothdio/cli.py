@@ -23,6 +23,7 @@ import numpy as np
 from .diophantine import (
     build_target_set,
     cf_convergents,
+    check_target_set,
     connection_bound,
     derive_params,
     dist_nearest,
@@ -102,11 +103,15 @@ def _convergents_in_range(alpha, qmin: int, qmax: int):
 def search_results(alpha, theta, qmin: int, qmax: int, C: float = 10.0, Y: float = None, budget: int = 10**9):
     """Yield one SearchResult per continued-fraction convergent a/q with
     q in [qmin, qmax]: derive scales, build the target set, and verify every
-    member with exact surd arithmetic."""
+    member with exact surd arithmetic.  Every convergent is checked against
+    capacity and budget before the first target set is built."""
     theta = Fraction(theta)
     tf = float(theta)
-    for conv in _convergents_in_range(alpha, max(qmin, 2), qmax):
-        params = derive_params(conv.q, theta, C, Y)
+    convs = _convergents_in_range(alpha, max(qmin, 2), qmax)
+    scales = [derive_params(conv.q, theta, C, Y) for conv in convs]
+    for params in scales:
+        check_target_set(params, budget)
+    for conv, params in zip(convs, scales):
         ns = build_target_set(params, conv.a)
         if len(ns) > budget:
             raise BudgetExceededError(f"{len(ns)} members at q = {conv.q} exceed budget")

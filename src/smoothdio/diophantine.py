@@ -14,8 +14,8 @@ from math import ceil, exp, floor, gcd, isqrt, log, sqrt
 
 import numpy as np
 
-from .arith import mod_inverse
-from .errors import CapacityError
+from .arith import distinct_prime_factors, mod_inverse
+from .errors import BudgetExceededError, CapacityError
 
 THETA_MAX = Fraction(6, 17)
 
@@ -284,6 +284,38 @@ def derive_params(q: int, theta, C: float = 10.0, Y: float = None) -> ApproxPara
 TARGET_SIEVE_CAPACITY = 20_000_000
 
 
+def _target_window(params: ApproxParams):
+    """(lo, hi, r_top) of the target set, or None when it is empty; raises
+    CapacityError for a window build_target_set cannot hold."""
+    lo = ceil(params.X / 4)
+    hi = floor(4 * params.X)
+    if hi > 2**62:
+        raise CapacityError(f"interval top {hi} beyond integer capacity")
+    r_top = min(floor(params.R), params.q - 1)
+    if r_top < 1 or hi < lo:
+        return None
+    if params.Y >= hi or hi - lo + 1 <= TARGET_SIEVE_CAPACITY:
+        return lo, hi, r_top
+    raise CapacityError(f"interval [{lo}, {hi}] exceeds sieve capacity with finite Y")
+
+
+def check_target_set(params: ApproxParams, budget: int) -> None:
+    """Refuse, before any member is built, a target set that build_target_set
+    cannot hold, or one with vacuous Y that must exceed `budget` members:
+    each of its #{r ≤ r_top : gcd(r, q) = 1} residue classes (inclusion–
+    exclusion over the primes of q) holds ⌊(hi − lo + 1)/q⌋ members or more."""
+    window = _target_window(params)
+    if window is None or not params.Y >= window[1]:
+        return  # empty, or sieved within capacity
+    lo, hi, r_top = window
+    terms = [(1, 1)]  # (squarefree d | q, μ(d))
+    for p in distinct_prime_factors(params.q):
+        terms += [(d * p, -mu) for d, mu in terms]
+    least = sum(mu * (r_top // d) for d, mu in terms) * ((hi - lo + 1) // params.q)
+    if least > budget:
+        raise BudgetExceededError(f"at least {least} members at q = {params.q} exceed budget")
+
+
 def build_target_set(params: ApproxParams, a: int) -> np.ndarray:
     """All n in [X/4, 4X] with P⁺(n) ≤ Y, gcd(n, q) = 1 and (na mod q) in
     [1, ⌊R⌋], ascending.
@@ -295,39 +327,24 @@ def build_target_set(params: ApproxParams, a: int) -> np.ndarray:
     q = params.q
     if gcd(a, q) != 1:
         raise ValueError("a must be coprime to q")
-    lo = ceil(params.X / 4)
-    hi = floor(4 * params.X)
-    if hi > 2**62:
-        raise CapacityError(f"interval top {hi} beyond integer capacity")
-    r_top = min(floor(params.R), q - 1)
-    if r_top < 1 or hi < lo:
+    window = _target_window(params)
+    if window is None:
         return np.zeros(0, dtype=np.int64)
+    lo, hi, r_top = window
 
     if params.Y >= hi:
         abar = mod_inverse(a, q)
-        chunks = []
+        chunks = [np.zeros(0, dtype=np.int64)]
         for r in range(1, r_top + 1):
-            if gcd(r, q) != 1:
-                continue
-            base = (abar * r) % q
-            n0 = lo + ((base - lo) % q)
-            if n0 <= hi:
-                chunks.append(np.arange(n0, hi + 1, q, dtype=np.int64))
-        if not chunks:
-            return np.zeros(0, dtype=np.int64)
-        out = np.concatenate(chunks)
-        out.sort()
-        return out
+            if gcd(r, q) == 1:  # the class n ≡ ā·r (mod q), from its first n >= lo
+                chunks.append(np.arange(lo + (abar * r - lo) % q, hi + 1, q, dtype=np.int64))
+        return np.sort(np.concatenate(chunks))
 
-    if hi - lo + 1 > TARGET_SIEVE_CAPACITY:
-        raise CapacityError(f"interval [{lo}, {hi}] exceeds sieve capacity with finite Y")
     from .smooth import smooth_sieve
 
-    sv = smooth_sieve(lo, hi, params.Y, q)
-    ns = np.arange(lo, hi + 1, dtype=np.int64)
+    ns = smooth_sieve(lo, hi, params.Y, q).members()
     res = ((ns % q) * (a % q)) % q  # reduce before multiplying: no int64 overflow
-    keep = sv.smooth & sv.coprime & (res >= 1) & (res <= r_top)
-    return ns[keep]
+    return ns[(res >= 1) & (res <= r_top)]
 
 
 def connection_bound(params: ApproxParams) -> float:

@@ -16,11 +16,13 @@ requested tolerance.
 
 import time
 from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 from fractions import Fraction
 from math import ceil, exp, floor, gcd, log, pi
 
 import numpy as np
 
+from .arith import mod_inverse
 from .diophantine import derive_params
 from .errors import BudgetExceededError, NonConvergenceError
 from .smooth import local_density, smooth_sieve
@@ -273,32 +275,71 @@ def _window_ints(lo: float, hi: float) -> np.ndarray:
     return np.arange(a, b + 1, dtype=np.int64)
 
 
-def _smooth_members(lo: float, hi: float, Y: float, q: int) -> np.ndarray:
-    ns = _window_ints(lo, hi)
+def _in_S(ns: np.ndarray, Y: float, q: int) -> np.ndarray:
+    """1_{S_q(Y)}(n) over the consecutive integers ns."""
     if len(ns) == 0:
-        return ns
+        return np.zeros(0, dtype=bool)
     sv = smooth_sieve(int(ns[0]), int(ns[-1]), Y, q)
-    return ns[sv.smooth & sv.coprime]
+    return sv.smooth & sv.coprime
 
 
-def _inner_sums(ms: np.ndarray, n_all: np.ndarray, ind: np.ndarray, R: float, q: int, a: int, budget: int):
-    """A_m = Σ_n ind(n)·Φ_a(mn, R) and B_m = Σ_n Φ_a(mn, R), blocked."""
-    if len(ms) * len(n_all) > budget:
-        raise BudgetExceededError(f"{len(ms)} x {len(n_all)} pair loop exceeds budget")
-    A = np.zeros(len(ms))
-    B = np.zeros(len(ms))
-    if len(ms) == 0 or len(n_all) == 0:
-        return A, B
-    n_mod = n_all % q
-    amodq = a % q
-    block = max(1, 4_000_000 // len(n_all))
-    for i in range(0, len(ms), block):
-        mb = ms[i : i + block]
-        res = (((mb * amodq) % q)[:, None] * n_mod[None, :]) % q
-        W = bump_phi_array(res / R)
-        B[i : i + block] = W.sum(axis=1)
-        A[i : i + block] = W @ ind
-    return A, B
+class _Context:
+    """What the Type I, bilinear and Type II reports share for one set of
+    ranges: the n-window (N, 2N] with its 1_{S_q(Y)} flags, K(N, Y), and for
+    each m-window the inner sums A_m, B_m.  K and the m-windows are built on
+    first use, so a report never sieves or sums a window it does not read."""
+
+    def __init__(self, M: float, N: float, q: int, a: int, R: float, Y: float):
+        self.M, self.N, self.q, self.a, self.R, self.Y = M, N, q, a, R, Y
+        self.n_all = _window_ints(N, 2 * N)
+        self.ind = _in_S(self.n_all, Y, q).astype(np.float64)
+        self._sums = {}
+
+    @cached_property
+    def K(self) -> float:
+        return local_density(self.N, self.Y, self.q)
+
+    @cached_property
+    def m_smooth(self) -> np.ndarray:
+        """m ∼ M in S_q(Y)."""
+        ms = _window_ints(self.M, 2 * self.M)
+        return ms[_in_S(ms, self.Y, self.q)]
+
+    @cached_property
+    def m_phi(self):
+        """The m with φ(m/3M) > 0, and those weights."""
+        ms = _window_ints(3 * self.M / 4 - 1, 9 * self.M / 4 + 1)
+        w = bump_phi_array(ms / (3.0 * self.M))
+        return ms[w > 0.0], w[w > 0.0]
+
+    def inner_sums(self, window: str, budget: int):
+        """A_m = Σ_n 1_{S_q(Y)}(n)·Φ_a(mn, R) and B_m = Σ_n Φ_a(mn, R) over
+        the m-window "smooth" (m_smooth) or "phi" (m_phi), blocked; the m×n
+        pair count is checked against the budget on every call."""
+        ms = self.m_smooth if window == "smooth" else self.m_phi[0]
+        n_all, q = self.n_all, self.q
+        if len(ms) * len(n_all) > budget:
+            raise BudgetExceededError(f"{len(ms)} x {len(n_all)} pair loop exceeds budget")
+        if window not in self._sums:
+            A, B = np.zeros(len(ms)), np.zeros(len(ms))
+            if len(n_all):
+                n_mod = n_all % q
+                block = max(1, 4_000_000 // len(n_all))
+                for i in range(0, len(ms), block):
+                    res = (((ms[i : i + block] * (self.a % q)) % q)[:, None] * n_mod[None, :]) % q
+                    W = bump_phi_array(res / self.R)
+                    B[i : i + block] = W.sum(axis=1)
+                    A[i : i + block] = W @ self.ind
+            self._sums[window] = A, B
+        return self._sums[window]
+
+
+# the reports of one run share a context: the last one built is kept
+_shared_context = lru_cache(maxsize=1)(_Context)
+
+
+def _context(params: DispersionParams) -> _Context:
+    return _shared_context(params.M, params.N, params.q, params.a, params.R, params.Y)
 
 
 def sigma_qR(q: int, a: int, theta, C: float = 10.0, Y: float = None, budget: int = 10**9) -> SumReport:
@@ -317,8 +358,6 @@ def sigma_qR(q: int, a: int, theta, C: float = 10.0, Y: float = None, budget: in
         if R / 2 > budget:
             raise BudgetExceededError("residue walk exceeds budget")
         value = 0.0
-        from .arith import mod_inverse
-
         abar = mod_inverse(a, q)
         for r in range(max(1, floor(R / 4)), min(q - 1, ceil(3 * R / 4)) + 1):
             if gcd(r, q) != 1:
@@ -332,10 +371,8 @@ def sigma_qR(q: int, a: int, theta, C: float = 10.0, Y: float = None, budget: in
     else:
         if hi - lo + 1 > budget:
             raise BudgetExceededError("interval exceeds budget")
-        sv = smooth_sieve(lo, hi, pr.Y, q)
-        ns = np.arange(lo, hi + 1, dtype=np.int64)
-        keep = sv.smooth & sv.coprime
-        res = ((ns[keep] % q) * (a % q)) % q
+        ns = smooth_sieve(lo, hi, pr.Y, q).members()
+        res = ((ns % q) * (a % q)) % q
         value = float(np.sum(bump_phi_array(res / R)))
 
     theta_f = Fraction(theta)
@@ -357,16 +394,10 @@ def bilinear_B(params: DispersionParams, budget: int = 10**9) -> SumReport:
     Benchmark main term: φ̂(0)·(R/q)·#{m} ·#{n} (the mean-window heuristic).
     """
     t0 = time.perf_counter()
-    ms = _smooth_members(params.M, 2 * params.M, params.Y, params.q)
-    n_all = _window_ints(params.N, 2 * params.N)
-    if len(n_all):
-        sv = smooth_sieve(int(n_all[0]), int(n_all[-1]), params.Y, params.q)
-        ind = (sv.smooth & sv.coprime).astype(np.float64)
-    else:
-        ind = np.zeros(0)
-    A, _ = _inner_sums(ms, n_all, ind, params.R, params.q, params.a, budget)
+    ctx = _context(params)
+    A, _ = ctx.inner_sums("smooth", budget)
     value = float(A.sum())
-    main = phi_hat_zero() * (params.R / params.q) * len(ms) * float(ind.sum())
+    main = phi_hat_zero() * (params.R / params.q) * len(ctx.m_smooth) * float(ctx.ind.sum())
     return _report(value, main, 0.0, _params_dict(params), t0)
 
 
@@ -374,12 +405,10 @@ def type1_report(params: DispersionParams, budget: int = 10**9) -> SumReport:
     """Σ_{m∼M} 1_{S_q(Y)}(m) Σ_{n∼N} Φ_a(mn, R) against the Type I main term
     φ̂(0)·(NR/q)·Σ_{m∼M} 1_{S_q(Y)}(m)."""
     t0 = time.perf_counter()
-    ms = _smooth_members(params.M, 2 * params.M, params.Y, params.q)
-    n_all = _window_ints(params.N, 2 * params.N)
-    ind = np.zeros(len(n_all))
-    A, B = _inner_sums(ms, n_all, ind, params.R, params.q, params.a, budget)
+    ctx = _context(params)
+    _, B = ctx.inner_sums("smooth", budget)
     value = float(B.sum())
-    main = phi_hat_zero() * params.N * params.R / params.q * len(ms)
+    main = phi_hat_zero() * params.N * params.R / params.q * len(ctx.m_smooth)
     return _report(value, main, 0.0, _params_dict(params), t0)
 
 
@@ -392,18 +421,9 @@ def dispersion_sums(params: DispersionParams, budget: int = 10**9):
     where A_m, B_m are the smooth-restricted and unrestricted inner sums and
     K = K(N, Y) is the local density.
     """
-    ms = _window_ints(3 * params.M / 4 - 1, 9 * params.M / 4 + 1)
-    w = bump_phi_array(ms / (3.0 * params.M))
-    keep = w > 0.0
-    ms, w = ms[keep], w[keep]
-    n_all = _window_ints(params.N, 2 * params.N)
-    if len(n_all):
-        sv = smooth_sieve(int(n_all[0]), int(n_all[-1]), params.Y, params.q)
-        ind = (sv.smooth & sv.coprime).astype(np.float64)
-    else:
-        ind = np.zeros(0)
-    K = local_density(params.N, params.Y, params.q)
-    A, B = _inner_sums(ms, n_all, ind, params.R, params.q, params.a, budget)
+    ctx = _context(params)
+    A, B = ctx.inner_sums("phi", budget)
+    K, w = ctx.K, ctx.m_phi[1]
     S1 = float(np.sum(w * A * A))
     S2 = float(K * np.sum(w * A * B))
     S3 = float(K * K * np.sum(w * B * B))
@@ -415,16 +435,9 @@ def type2_report(params: DispersionParams, budget: int = 10**9) -> SumReport:
     against the benchmark R^{2−η}, with the exact dispersion Cauchy–Schwarz
     check D² ≤ M·S′ attached."""
     t0 = time.perf_counter()
-    ms = _smooth_members(params.M, 2 * params.M, params.Y, params.q)
-    n_all = _window_ints(params.N, 2 * params.N)
-    if len(n_all):
-        sv = smooth_sieve(int(n_all[0]), int(n_all[-1]), params.Y, params.q)
-        ind = (sv.smooth & sv.coprime).astype(np.float64)
-    else:
-        ind = np.zeros(0)
-    K = local_density(params.N, params.Y, params.q)
-    A, B = _inner_sums(ms, n_all, ind, params.R, params.q, params.a, budget)
-    D = float(np.sum(A - K * B))
+    ctx = _context(params)
+    A, B = ctx.inner_sums("smooth", budget)
+    D = float(np.sum(A - ctx.K * B))
     S1, S2, S3, Sp = dispersion_sums(params, budget)
     cs_ok = D * D <= params.M * Sp * (1.0 + 1e-9) + 1e-12
     main = params.R ** (2.0 - params.eta)

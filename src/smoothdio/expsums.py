@@ -12,6 +12,7 @@ from math import ceil, floor, gcd, hypot, pi
 
 import numpy as np
 
+from .arith import factorize
 from .errors import BudgetExceededError, CapacityError
 from .smooth import smooth_sieve
 
@@ -20,19 +21,6 @@ _TWO_PI = 2.0 * pi
 
 _INV_CACHE = {}
 _INV_CACHE_MAX = 64
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
 
 
 def inverse_table(c: int) -> np.ndarray:
@@ -46,7 +34,7 @@ def inverse_table(c: int) -> np.ndarray:
         return tab
     if c == 1:
         tab = np.zeros(1, dtype=np.int64)  # 0 is the unit mod 1
-    elif _is_prime(c):
+    elif factorize(c).factors == [(c, 1)]:  # c prime
         inv = [0] * c
         inv[1] = 1
         for n in range(2, c):
@@ -95,13 +83,14 @@ def incomplete_inverse_sum(b: int, c: int, Z1: float, Z2: float) -> complex:
         return 0j
     if n_hi - n_lo + 1 > 10**8:
         raise BudgetExceededError("interval too long")
-    tab = inverse_table(c)
-    ns = np.arange(n_lo, n_hi + 1, dtype=np.int64)
-    inv = tab[ns % c]
-    keep = inv >= 0
-    phases = ((b % c) * inv[keep]) % c
-    ang = phases * (_TWO_PI / c)
-    return complex(np.sum(np.cos(ang)), np.sum(np.sin(ang)))
+    return complex(*_inverse_sum(np.arange(n_lo, n_hi + 1, dtype=np.int64), b, c))
+
+
+def _inverse_sum(ns: np.ndarray, b: int, c: int):
+    """(Re, Im) of Σ_{n ∈ ns, (n,c)=1} e(b·n̄/c)."""
+    inv = inverse_table(c)[ns % c]
+    ang = ((b % c) * inv[inv >= 0]) % c * (_TWO_PI / c)
+    return float(np.sum(np.cos(ang))), float(np.sum(np.sin(ang)))
 
 
 def kl_smooth_average(M: float, x: float, a: int, q: int, y: float, budget: int = 10**9) -> float:
@@ -120,22 +109,11 @@ def kl_smooth_average(M: float, x: float, a: int, q: int, y: float, budget: int 
     n_max = int(ceil(x)) - 1  # n < x
     if n_max < 1 or m_hi < m_lo:
         return 0.0
-    sv = smooth_sieve(1, n_max, y, 1)
-    ns_all = np.arange(1, n_max + 1, dtype=np.int64)
-    ns_all = ns_all[sv.smooth[: n_max]]
-    ns_all = ns_all[np.gcd(ns_all, q) == 1]
+    ns_all = smooth_sieve(1, n_max, y, q).members()
     if (m_hi - m_lo + 1) * len(ns_all) > budget:
         raise BudgetExceededError("m x n loop exceeds budget")
 
-    total = 0.0
-    for m in range(m_lo, m_hi + 1):
-        tab = inverse_table(m)
-        inv = tab[ns_all % m]
-        keep = inv >= 0
-        phases = ((a % m) * inv[keep]) % m
-        ang = phases * (_TWO_PI / m)
-        total += hypot(float(np.sum(np.cos(ang))), float(np.sum(np.sin(ang))))
-    return total
+    return sum((hypot(*_inverse_sum(ns_all, a, m)) for m in range(m_lo, m_hi + 1)), 0.0)
 
 
 @dataclass

@@ -1,4 +1,4 @@
-"""Smooth-number engine: interval sieves, exact Ψ(x,y) and Ψ_q(x,y), the
+"""Smooth-number engine: the P⁺ interval sieve, exact Ψ(x,y) and Ψ_q(x,y), the
 local density K, Dickman ρ, the saddle point α(x,y), product-formula
 estimates, and the unique largest-factors-first decomposition.
 
@@ -14,12 +14,13 @@ from math import exp, floor, isqrt, log
 
 import numpy as np
 
-from .arith import distinct_prime_factors, largest_prime_factor, prime_array
+from .arith import distinct_prime_factors, factorize, prime_array
 from .errors import CapacityError, NonConvergenceError
 
 SIEVE_CAPACITY = 20_000_000
 PSI_CAPACITY = 20_000_000
 SADDLE_PRIME_CAPACITY = 10_000_000
+_PPLUS_SEGMENT = 1 << 18  # integers sieved at once: 1 MB of int32 stays in cache
 
 
 class EstimateRangeWarning(UserWarning):
@@ -31,6 +32,31 @@ class EstimateRangeWarning(UserWarning):
 # ---------------------------------------------------------------------------
 # interval sieve
 # ---------------------------------------------------------------------------
+
+
+def pplus_sieve(lo: int, hi: int, pmax: int) -> np.ndarray:
+    """For each n in [lo, hi]: the larger of the largest prime p ≤ pmax
+    dividing n and the cofactor left once every such prime is divided out.
+
+    That is P⁺(n) when pmax ≥ √hi.  For a smaller pmax it still decides
+    P⁺(n) ≤ y exactly for every y ≤ pmax: a cofactor above 1 exceeds pmax.
+    Works in int32 when hi < 2³¹, one cache-sized segment at a time.
+    """
+    dtype = np.int32 if hi < 2**31 else np.int64
+    out = np.empty(hi - lo + 1, dtype=dtype)
+    primes = prime_array(pmax).tolist()
+    for a in range(lo, hi + 1, _PPLUS_SEGMENT):
+        b = min(a + _PPLUS_SEGMENT - 1, hi)
+        rem = np.arange(a, b + 1, dtype=dtype)
+        big = np.ones_like(rem)  # largest sieved prime so far (primes ascend)
+        for p in primes:
+            big[-a % p :: p] = p
+            pk = p
+            while pk <= b:
+                rem[-a % pk :: pk] //= p
+                pk *= p
+        np.maximum(big, rem, out=out[a - lo : b - lo + 1])
+    return out
 
 
 @dataclass
@@ -55,16 +81,15 @@ class SmoothSieve:
 
     def members(self) -> np.ndarray:
         """All n in [lo, hi] that are y-smooth and coprime to q, ascending."""
-        ns = np.arange(self.lo, self.hi + 1, dtype=np.int64)
-        return ns[self.smooth & self.coprime]
+        return np.flatnonzero(self.smooth & self.coprime) + self.lo
 
     def count(self) -> int:
         return int(np.count_nonzero(self.smooth & self.coprime))
 
 
 def smooth_sieve(lo: int, hi: int, y: float, q: int = 1) -> SmoothSieve:
-    """Sieve [lo, hi]: divide out every prime p ≤ min(y, √hi); an entry is
-    y-smooth exactly when its remaining cofactor is ≤ y."""
+    """Sieve [lo, hi] by pplus_sieve with pmax = min(y, √hi); coprimality to
+    q strikes the multiples of each prime of q."""
     if not (1 <= lo <= hi):
         raise ValueError("need 1 <= lo <= hi")
     if q < 1:
@@ -75,19 +100,10 @@ def smooth_sieve(lo: int, hi: int, y: float, q: int = 1) -> SmoothSieve:
         raise CapacityError("interval top beyond int64 sieve range")
 
     root = isqrt(hi)
-    bound = root if y >= root else int(floor(y))
-    rem = np.arange(lo, hi + 1, dtype=np.int64)
-    for p in prime_array(bound):
-        p = int(p)
-        pk = p
-        while pk <= hi:
-            start = ((lo + pk - 1) // pk) * pk
-            if start <= hi:
-                rem[start - lo :: pk] //= p
-            pk *= p
-    smooth = rem <= y
-    ns = np.arange(lo, hi + 1, dtype=np.int64)
-    coprime = np.gcd(ns, q) == 1
+    smooth = pplus_sieve(lo, hi, root if y >= root else int(floor(y))) <= y
+    coprime = np.ones(hi - lo + 1, dtype=bool)
+    for p in distinct_prime_factors(q):
+        coprime[-lo % p :: p] = False
     return SmoothSieve(lo, hi, y, q, smooth, coprime)
 
 
@@ -95,16 +111,16 @@ def smooth_sieve(lo: int, hi: int, y: float, q: int = 1) -> SmoothSieve:
 # exact counts
 # ---------------------------------------------------------------------------
 
-_PSI_CACHE = {}  # y -> cumulative counts of y-smooth n on [0, built]
-_PSI_CACHE_KEYS_MAX = 8
+_PPLUS = np.zeros(0, dtype=np.int32)  # P⁺(n) at index n − 1, for every y
 
 
 def psi(x: float, y: float) -> int:
     """Ψ(x, y) = #{n ≤ x : P⁺(n) ≤ y}, exact.
 
-    Counts are served from a per-y cumulative table grown geometrically, so
-    sweeping x is cheap.
+    Counts are read from one P⁺ table shared by every y, extended (at least
+    doubling) to the largest x asked, so sweeping x or y is cheap.
     """
+    global _PPLUS
     if x < 0:
         raise ValueError("x must be >= 0")
     xi = int(floor(x))
@@ -119,18 +135,11 @@ def psi(x: float, y: float) -> int:
     if xi > PSI_CAPACITY:
         raise CapacityError(f"x = {x} exceeds exact-count capacity {PSI_CAPACITY}")
 
-    key = float(y)
-    cum = _PSI_CACHE.get(key)
-    if cum is None or len(cum) <= xi:
-        built = max(xi, 1024, 2 * (len(cum) - 1) if cum is not None else 0)
-        built = min(built, PSI_CAPACITY)
-        sv = smooth_sieve(1, built, y, 1)
-        cum = np.zeros(built + 1, dtype=np.int64)
-        np.cumsum(sv.smooth, out=cum[1:])
-        if len(_PSI_CACHE) >= _PSI_CACHE_KEYS_MAX:
-            _PSI_CACHE.pop(next(iter(_PSI_CACHE)))
-        _PSI_CACHE[key] = cum
-    return int(cum[xi])
+    built = len(_PPLUS)
+    if built < xi:
+        top = min(max(xi, 1024, 2 * built), PSI_CAPACITY)
+        _PPLUS = np.concatenate((_PPLUS, pplus_sieve(built + 1, top, isqrt(top))))
+    return int(np.count_nonzero(_PPLUS[:xi] <= y))
 
 
 def psi_q(x: float, y: float, q: int) -> int:
@@ -142,8 +151,7 @@ def psi_q(x: float, y: float, q: int) -> int:
     xi = int(floor(x))
     if xi < 1:
         return 0
-    sv = smooth_sieve(1, xi, y, q)
-    return sv.count()
+    return smooth_sieve(1, xi, y, q).count()
 
 
 def local_density(N: float, Y: float, q: int) -> float:
@@ -154,8 +162,7 @@ def local_density(N: float, Y: float, q: int) -> float:
     hi = int(floor(2 * N))
     if hi < lo:
         return 0.0
-    sv = smooth_sieve(lo, hi, Y, q)
-    return sv.count() / N
+    return smooth_sieve(lo, hi, Y, q).count() / N
 
 
 # ---------------------------------------------------------------------------
@@ -430,8 +437,7 @@ def largest_prime_factor_array(ns: np.ndarray) -> np.ndarray:
         raise ValueError("entries must be >= 1")
     rem = ns.copy()
     lpf = np.ones(len(ns), dtype=np.int64)
-    for p in prime_array(isqrt(int(ns.max()))):
-        p = int(p)
+    for p in prime_array(isqrt(int(ns.max()))).tolist():
         mask = rem % p == 0
         if mask.any():
             lpf[mask] = p
@@ -460,20 +466,10 @@ def smooth_decompose(n: int, x: int, y: float, z: float):
     """
     if not (2 <= y <= z < n <= x):
         raise ValueError("need 2 <= y <= z < n <= x")
-    if largest_prime_factor(n) > y:
+    factors = factorize(n).factors
+    if factors[-1][0] > y:
         raise ValueError(f"n = {n} is not {y}-smooth")
-
-    desc = []
-    rem = n
-    d = 2
-    while d * d <= rem:
-        while rem % d == 0:
-            desc.append(d)
-            rem //= d
-        d += 1
-    if rem > 1:
-        desc.append(rem)
-    desc.sort(reverse=True)
+    desc = [p for p, e in reversed(factors) for _ in range(e)]
 
     v = 1
     p = None

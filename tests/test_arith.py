@@ -4,6 +4,7 @@ from math import gcd
 import pytest
 
 from smoothdio.arith import (
+    distinct_prime_factors,
     euler_phi,
     factorize,
     gcd_sum,
@@ -12,6 +13,7 @@ from smoothdio.arith import (
     sieve_primes,
 )
 from smoothdio.errors import CapacityError
+from smoothdio.expsums import inverse_table
 
 random.seed(1001)
 
@@ -54,6 +56,51 @@ def test_factorize_insufficient_table():
     t = sieve_primes(10)
     with pytest.raises(CapacityError):
         factorize(10007 * 10009, t)
+
+
+def test_factorize_certifies_cofactors_below_next_square():
+    # no prime factor <= 10 and below 11²: prime; 11² itself is not certified
+    assert factorize(113, sieve_primes(10)).factors == [(113, 1)]
+    with pytest.raises(CapacityError):
+        factorize(121, sieve_primes(10))
+
+
+def oracle_factors(n):
+    """Trial division by every d >= 2, independent of any prime table."""
+    out, d = [], 2
+    while d * d <= n:
+        e = 0
+        while n % d == 0:
+            n //= d
+            e += 1
+        if e:
+            out.append((d, e))
+        d += 1
+    if n > 1:
+        out.append((n, 1))
+    return out
+
+
+def test_factorize_default_table_against_trial_division():
+    rng = random.Random(7)
+    ns = list(range(1, 3001)) + [rng.randint(3001, 10**5) for _ in range(3000)] + [10**5]
+    for n in ns:
+        assert factorize(n).factors == oracle_factors(n), n
+    # near 10^12: a prime square, a product of two primes near 10^6, a power
+    # of two and neighbours of 10^12
+    for n in (1000003**2, 999983 * 1000003, 2**40, 10**12 - 1, 10**12 + 39):
+        assert factorize(n).factors == oracle_factors(n), n
+
+
+def test_largest_prime_factor_against_trial_division():
+    for n in range(1, 5001):
+        expected = oracle_factors(n)
+        assert largest_prime_factor(n) == (expected[-1][0] if expected else 1)
+        phi = n
+        for p, _ in expected:
+            phi = phi // p * (p - 1)
+        assert euler_phi(n) == phi
+        assert distinct_prime_factors(n) == [p for p, _ in expected]
 
 
 def test_factorize_reconstruct_identity_to_1e6():
@@ -137,3 +184,14 @@ def test_gcd_sum_growth_diagnostic():
 
 def test_euler_phi():
     assert [euler_phi(n) for n in (1, 2, 6, 12, 97)] == [1, 1, 2, 4, 96]
+
+
+def test_inverse_table_against_pow():
+    for c in (1, 2, 3, 4, 12, 97, 100, 101, 1001, 7919, 7921, 65536):
+        tab = inverse_table(c)
+        assert len(tab) == c
+        if c == 1:
+            assert tab.tolist() == [0]
+            continue
+        for n in range(c):
+            assert tab[n] == (pow(n, -1, c) if gcd(n, c) == 1 else -1), (c, n)

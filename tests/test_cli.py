@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -227,13 +228,33 @@ def test_float_overflow_exit_code(capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_search_refuses_over_budget_before_building_members(capsys):
+    # the first convergent past ~1e7 must hold over 1e9 members; no member
+    # array is built before the refusal
+    t0 = time.perf_counter()
+    code = main(["search", "--alpha", "quad:1,1,5,2", "--theta", "1/4", "--qmax", "1000000000000"])
+    assert code == EXIT_BUDGET
+    assert time.perf_counter() - t0 < 2.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+
+
+def test_search_member_floor_never_refuses_a_run_within_budget():
+    # the smallest budget each sweep completes with is its largest target set
+    args = ["search", "--alpha", "quad:1,1,5,2", "--theta", "1/4", "--qmax", "3000", "--Y", "inf", "--format", "csv"]
+    sizes = [len(r.n) for r in search_results(QuadIrr(1, 1, 5, 2), Fraction(1, 4), 2, 3000, Y=float("inf"))]
+    assert main(args + ["--budget", str(max(sizes))]) == EXIT_OK
+    assert main(args + ["--budget", str(max(sizes) - 1)]) == EXIT_BUDGET
+
+
 # ---------------------------------------------------------------------------
 # property: main() answers every argv with a documented exit code
 # ---------------------------------------------------------------------------
 
 # valid small values per command; any of them may be swapped for a bad token
 _FUZZ_BASES = {
-    "search": {"alpha": ["quad:1,1,5,2", "dec:1.41421356:8"], "theta": ["1/4", "3/10"], "qmax": ["20", "50"],
+    "search": {"alpha": ["quad:1,1,5,2", "dec:1.41421356:8"], "theta": ["1/4", "3/10"], "qmax": ["20", "50", "1000000000000"],
                "qmin": ["2", "10"], "Y": ["inf", "5"], "C": ["10", "2"]},
     "psi": {"x": ["10", "100,200"], "y": ["2", "5,7"]},
     "rho": {"u": ["0.5,1,2", "3"], "tol": ["1e-9", "1e-3"]},

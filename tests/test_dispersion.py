@@ -22,7 +22,8 @@ from smoothdio.dispersion import (
     type1_report,
     type2_report,
 )
-from smoothdio.smooth import local_density
+from smoothdio.errors import BudgetExceededError
+from smoothdio.smooth import local_density, smooth_sieve
 
 random.seed(5005)
 
@@ -390,3 +391,138 @@ def test_type1_ratio_trend_report():
         rows.append((conv.q, rep.ratio))
     print("type1 ratio trend:", rows)
     assert 0.2 < rows[-1][1] < 5.0
+
+
+# ---------------------------------------------------------------------------
+# the shared dispersion context against the per-report bodies it replaced
+# (each report built its own windows, flags, K and inner sums), kept here as
+# the exact reference: every float must match bit for bit
+# ---------------------------------------------------------------------------
+
+
+def _oracle_window_ints(lo, hi):
+    a = int(math.floor(lo)) + 1
+    b = int(math.floor(hi))
+    if b < a:
+        return np.zeros(0, dtype=np.int64)
+    return np.arange(a, b + 1, dtype=np.int64)
+
+
+def _oracle_smooth_members(lo, hi, Y, q):
+    ns = _oracle_window_ints(lo, hi)
+    if len(ns) == 0:
+        return ns
+    sv = smooth_sieve(int(ns[0]), int(ns[-1]), Y, q)
+    return ns[sv.smooth & sv.coprime]
+
+
+def _oracle_n_flags(params):
+    n_all = _oracle_window_ints(params.N, 2 * params.N)
+    if len(n_all):
+        sv = smooth_sieve(int(n_all[0]), int(n_all[-1]), params.Y, params.q)
+        return n_all, (sv.smooth & sv.coprime).astype(np.float64)
+    return n_all, np.zeros(0)
+
+
+def _oracle_inner_sums(ms, n_all, ind, R, q, a, budget):
+    if len(ms) * len(n_all) > budget:
+        raise BudgetExceededError("pair loop exceeds budget")
+    A = np.zeros(len(ms))
+    B = np.zeros(len(ms))
+    if len(ms) == 0 or len(n_all) == 0:
+        return A, B
+    n_mod = n_all % q
+    amodq = a % q
+    block = max(1, 4_000_000 // len(n_all))
+    for i in range(0, len(ms), block):
+        mb = ms[i : i + block]
+        res = (((mb * amodq) % q)[:, None] * n_mod[None, :]) % q
+        W = bump_phi_array(res / R)
+        B[i : i + block] = W.sum(axis=1)
+        A[i : i + block] = W @ ind
+    return A, B
+
+
+def _oracle_bilinear(p, budget):
+    ms = _oracle_smooth_members(p.M, 2 * p.M, p.Y, p.q)
+    n_all, ind = _oracle_n_flags(p)
+    A, _ = _oracle_inner_sums(ms, n_all, ind, p.R, p.q, p.a, budget)
+    return float(A.sum()), phi_hat_zero() * (p.R / p.q) * len(ms) * float(ind.sum())
+
+
+def _oracle_type1(p, budget):
+    ms = _oracle_smooth_members(p.M, 2 * p.M, p.Y, p.q)
+    n_all = _oracle_window_ints(p.N, 2 * p.N)
+    A, B = _oracle_inner_sums(ms, n_all, np.zeros(len(n_all)), p.R, p.q, p.a, budget)
+    return float(B.sum()), phi_hat_zero() * p.N * p.R / p.q * len(ms)
+
+
+def _oracle_sums(p, budget):
+    ms = _oracle_window_ints(3 * p.M / 4 - 1, 9 * p.M / 4 + 1)
+    w = bump_phi_array(ms / (3.0 * p.M))
+    keep = w > 0.0
+    ms, w = ms[keep], w[keep]
+    n_all, ind = _oracle_n_flags(p)
+    K = local_density(p.N, p.Y, p.q)
+    A, B = _oracle_inner_sums(ms, n_all, ind, p.R, p.q, p.a, budget)
+    S1 = float(np.sum(w * A * A))
+    S2 = float(K * np.sum(w * A * B))
+    S3 = float(K * K * np.sum(w * B * B))
+    return S1, S2, S3, S1 - 2.0 * S2 + S3
+
+
+def _oracle_type2(p, budget):
+    ms = _oracle_smooth_members(p.M, 2 * p.M, p.Y, p.q)
+    n_all, ind = _oracle_n_flags(p)
+    K = local_density(p.N, p.Y, p.q)
+    A, B = _oracle_inner_sums(ms, n_all, ind, p.R, p.q, p.a, budget)
+    D = float(np.sum(A - K * B))
+    S1, S2, S3, Sp = _oracle_sums(p, budget)
+    return D, p.R ** (2.0 - p.eta), {"S1": S1, "S2": S2, "S3": S3, "Sprime": Sp}, D * D, p.M * Sp
+
+
+def _random_dispersion_params(rng):
+    q = rng.choice([2, 13, 30, 97, 101, 210, 331])
+    a = rng.randrange(1, q)
+    while gcd(a, q) != 1:
+        a = rng.randrange(1, q)
+    R = rng.uniform(1.5, q - 0.5)
+    Y = rng.choice([2, 3.5, 5, 11, 40, float("inf")])
+    return DispersionParams(rng.uniform(2, 80), rng.uniform(2, 60), q, a, R, Y, Fraction(1, 3))
+
+
+def test_reports_match_per_report_bodies_bit_for_bit():
+    rng = random.Random(17)
+    cases = [_random_dispersion_params(rng) for _ in range(40)]
+    # Y = 2 with q even leaves no smooth m in (M, 2M]
+    cases.append(DispersionParams(9.0, 7.0, 2, 1, 1.5, 2.0, Fraction(1, 3)))
+    assert any(p.Y == float("inf") for p in cases)
+    for p in cases:
+        budget = 10**9
+        rep = type1_report(p, budget)
+        assert (rep.value, rep.main_term) == _oracle_type1(p, budget)
+        rep = bilinear_B(p, budget)
+        assert (rep.value, rep.main_term) == _oracle_bilinear(p, budget)
+        assert dispersion_sums(p, budget) == _oracle_sums(p, budget)
+        rep = type2_report(p, budget)
+        D, main, sums, D_sq, M_Sp = _oracle_type2(p, budget)
+        assert (rep.value, rep.main_term, rep.params["sums"]) == (D, main, sums)
+        assert (rep.params["cauchy_schwarz"]["D_sq"], rep.params["cauchy_schwarz"]["M_Sprime"]) == (D_sq, M_Sp)
+    empty = cases[-1]
+    assert len(_oracle_smooth_members(empty.M, 2 * empty.M, empty.Y, empty.q)) == 0
+    assert type1_report(empty).value == 0.0
+
+
+def test_type1_budget_excludes_the_phi_window():
+    p = DispersionParams(40.0, 30.0, 101, 2, 20.0, 5.0, Fraction(1, 3))
+    ms = _oracle_smooth_members(p.M, 2 * p.M, p.Y, p.q)
+    n_all = _oracle_window_ints(p.N, 2 * p.N)
+    budget = len(ms) * len(n_all)  # admits (M, 2M] but not the ~1.5M-wide phi window
+    assert type1_report(p, budget).value == _oracle_type1(p, budget)[0]
+    with pytest.raises(BudgetExceededError):
+        dispersion_sums(p, budget)
+    with pytest.raises(BudgetExceededError):
+        type2_report(p, budget)
+    assert dispersion_sums(p) == _oracle_sums(p, 10**9)
+    with pytest.raises(BudgetExceededError):  # a cached window is checked again
+        dispersion_sums(p, budget)

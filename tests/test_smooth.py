@@ -1,11 +1,12 @@
 import math
 import random
 import warnings
-from math import gcd, log
+from math import gcd, isqrt, log
 
 import numpy as np
 import pytest
 
+from smoothdio import smooth
 from smoothdio.arith import largest_prime_factor
 from smoothdio.errors import NonConvergenceError
 from smoothdio.smooth import (
@@ -15,6 +16,7 @@ from smoothdio.smooth import (
     hildebrand_estimate,
     largest_prime_factor_array,
     local_density,
+    pplus_sieve,
     psi,
     psi_q,
     psi_q_estimate,
@@ -63,6 +65,55 @@ def test_smooth_sieve_coprime_flags():
     for n in range(1, 51):
         assert sv.coprime_to_q(n) == (gcd(n, 6) == 1)
         assert sv.is_smooth(n) == (largest_prime_factor(n) <= 10)
+
+
+def test_smooth_sieve_against_scalar_oracle():
+    rng = random.Random(8)
+    cases = [
+        (1, 600, 7.5, 12),  # non-integer y below sqrt(hi), q with a repeated prime
+        (1000, 1400, 40, 2 * 7**2),  # lo > 1, y above sqrt(hi)
+        (500, 900, 13, 101),  # prime q > y
+        (3, 800, 11, 1009),  # prime q > hi: no multiple in the window
+        (50, 60, 2, 1),
+        (7, 7, 1.5, 7),
+    ]
+    for _ in range(25):
+        lo = rng.randint(1, 5000)
+        hi = lo + rng.randint(0, 700)
+        cases.append((lo, hi, rng.choice([rng.uniform(1, 90), rng.randint(2, 200)]), rng.randint(1, 4000)))
+    for lo, hi, y, q in cases:
+        sv = smooth_sieve(lo, hi, y, q)
+        expected = []
+        for n in range(lo, hi + 1):
+            assert sv.is_smooth(n) == (largest_prime_factor(n) <= y), (lo, hi, y, q, n)
+            assert sv.coprime_to_q(n) == (gcd(n, q) == 1), (lo, hi, y, q, n)
+            if sv.is_smooth(n) and sv.coprime_to_q(n):
+                expected.append(n)
+        assert sv.members().tolist() == expected
+        assert sv.count() == len(expected)
+
+
+@pytest.mark.parametrize("segment", [smooth._PPLUS_SEGMENT, 97])
+def test_pplus_sieve_against_scalar_oracle(monkeypatch, segment):
+    monkeypatch.setattr(smooth, "_PPLUS_SEGMENT", segment)  # 97: many segments per window
+    for lo, hi in ((1, 3000), (10**6, 10**6 + 500), (2**31 - 300, 2**31 + 300)):
+        full = pplus_sieve(lo, hi, isqrt(hi))
+        assert full.tolist() == [largest_prime_factor(n) for n in range(lo, hi + 1)]
+        # below sqrt(hi) the value still decides P+ <= y exactly for y <= pmax
+        part = pplus_sieve(lo, hi, 23)
+        for y in (2, 5, 10, 23):
+            assert ((part <= y) == (full <= y)).all()
+
+
+def test_psi_across_table_growth(monkeypatch):
+    import bisect
+
+    monkeypatch.setattr(smooth, "_PPLUS", np.zeros(0, dtype=np.int32))
+    members = {y: smooth_members_oracle(30000, y) for y in (2, 3, 10, 97, 150)}
+    for x in (9000, 2500, 30000, 17, 29999.5):  # large, smaller, beyond the table
+        for y, ms in members.items():
+            assert psi(x, y) == bisect.bisect_right(ms, x), (x, y)
+        assert psi(x, x) == psi(x, x + 1) == math.floor(x)  # y >= x
 
 
 def test_psi_examples():
