@@ -147,6 +147,26 @@ def mod_inverse(a: int, q: int) -> int:
     return inv if inv != 0 else q  # q = 1 gives pow(...) = 0; report 1
 
 
+def inverse_mod(ns, c: int) -> np.ndarray:
+    """n̄ mod c for every entry of ns, as int64: the inverse in [0, c) for a
+    unit, −1 for a non-unit, and 0 for every n when c = 1.
+
+    The extended Euclidean algorithm runs on all entries at once; a finished
+    lane is frozen by np.where until the slowest one ends (O(log c) rounds).
+    """
+    if c < 1:
+        raise ValueError("c must be >= 1")
+    r1 = np.asarray(ns, dtype=np.int64) % c
+    r0 = np.full_like(r1, c)
+    t0, t1 = np.zeros_like(r1), np.ones_like(r1)  # invariant: t·n ≡ r (mod c)
+    while np.count_nonzero(r1):
+        live = r1 != 0
+        quo, rem = np.divmod(r0, np.where(live, r1, 1))  # a finished lane divides by 1: rem stays 0
+        r0, r1 = np.where(live, r1, r0), rem
+        t0, t1 = np.where(live, t1, t0), np.where(live, t0 - quo * t1, t1)
+    return np.where(r0 == 1, t0 % c, -1)
+
+
 def gcd_sum(U: int, k: int, q: int) -> int:
     """Σ gcd(u₁−u₂, k·u₁·u₂) over u₁ ≠ u₂ in (U, 2U] with gcd(u₁u₂, q) = 1.
 

@@ -15,7 +15,7 @@ import math
 import os
 import sys
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 import numpy as np
@@ -138,31 +138,6 @@ def search_results(alpha, theta, qmin: int, qmax: int, C: float = 10.0, Y: float
 # configuration
 # ---------------------------------------------------------------------------
 
-_FLAG_NAMES = (
-    "alpha",
-    "theta",
-    "C",
-    "qmin",
-    "qmax",
-    "Y",
-    "eta",
-    "delta",
-    "budget",
-    "out",
-    "format",
-    "x",
-    "y",
-    "u",
-    "M",
-    "N",
-    "q",
-    "a",
-    "R",
-    "tol",
-    "report",
-)
-
-
 @dataclass
 class RunConfig:
     command: str
@@ -200,7 +175,7 @@ def _read_config_file(path: str) -> dict:
                 raise ValueError(f"bad config line {raw!r}")
             key, val = line.split("=", 1)
             key = key.strip()
-            if key not in _FLAG_NAMES:
+            if key not in _FLAGS:
                 raise ValueError(f"unknown config key {key!r}")
             out[key] = val.strip()
     return out
@@ -226,6 +201,10 @@ def _parse_Y(text):
     return _finite_float(text)
 
 
+# every RunConfig field but `command` is a flag and a config-file key, cast by its annotation
+_FLAGS = {f.name: {float: _finite_float, int: int}.get(f.type, str) for f in fields(RunConfig) if f.name != "command"}
+
+
 def _check_writable(path: str) -> None:
     """Refuse an --out path that cannot be opened for writing, before any
     compute and without creating or truncating the file."""
@@ -244,34 +223,21 @@ def build_config(argv) -> RunConfig:
     ap = argparse.ArgumentParser(prog="smoothdio", description=__doc__)
     ap.add_argument("command", choices=COMMANDS)
     ap.add_argument("--config", default=None)
-    for name in _FLAG_NAMES:
+    for name in _FLAGS:
         ap.add_argument(f"--{name}", default=None)
     ns = ap.parse_args(argv)
 
     merged = {}
     if ns.config:
         merged.update(_read_config_file(ns.config))
-    for name in _FLAG_NAMES:
+    for name in _FLAGS:
         val = getattr(ns, name)
         if val is not None:
             merged[name] = val
 
     cfg = RunConfig(command=ns.command)
-    casts = {
-        "C": _finite_float,
-        "qmin": int,
-        "qmax": int,
-        "eta": _finite_float,
-        "delta": _finite_float,
-        "budget": int,
-        "N": _finite_float,
-        "q": int,
-        "a": int,
-        "R": _finite_float,
-        "tol": _finite_float,
-    }
     for key, val in merged.items():
-        setattr(cfg, key, casts.get(key, str)(val))
+        setattr(cfg, key, _FLAGS[key](val))
     if cfg.format not in ("json", "csv"):
         raise ValueError(f"bad format {cfg.format!r}")
     if cfg.budget <= 0:

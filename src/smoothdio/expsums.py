@@ -3,53 +3,33 @@ sums over an interval, the smooth-number Kloosterman average, and the proved
 upper bound as a comparator.
 
 All sums are evaluated directly (no Salié/stationary-phase tricks) in double
-precision; modular inverses come from per-modulus tables so that averaging
-over many residues costs one table build per modulus.
+precision; modular inverses come from one vectorized extended Euclid
+(`arith.inverse_mod`), over the summed n's themselves or over a whole residue
+table that complete and interval sums share per modulus.
 """
 
 from dataclasses import dataclass
-from math import ceil, floor, gcd, hypot, pi
+from functools import lru_cache
+from math import ceil, floor, hypot, pi
 
 import numpy as np
 
-from .arith import factorize
+from .arith import inverse_mod
 from .errors import BudgetExceededError, CapacityError
 from .smooth import smooth_sieve
 
 INVERSE_TABLE_CAPACITY = 2_000_000
 _TWO_PI = 2.0 * pi
 
-_INV_CACHE = {}
-_INV_CACHE_MAX = 64
 
-
+@lru_cache(maxsize=64)
 def inverse_table(c: int) -> np.ndarray:
-    """inv[n] = n̄ mod c for units, −1 for non-units (cached per modulus)."""
-    if c < 1:
-        raise ValueError("c must be >= 1")
+    """inv[n] = n̄ mod c for units, −1 for non-units; read-only, memoized per
+    modulus."""
     if c > INVERSE_TABLE_CAPACITY:
         raise CapacityError(f"modulus {c} exceeds inverse-table capacity")
-    tab = _INV_CACHE.get(c)
-    if tab is not None:
-        return tab
-    if c == 1:
-        tab = np.zeros(1, dtype=np.int64)  # 0 is the unit mod 1
-    elif factorize(c).factors == [(c, 1)]:  # c prime
-        inv = [0] * c
-        inv[1] = 1
-        for n in range(2, c):
-            inv[n] = (-(c // n) * inv[c % n]) % c
-        tab = np.array(inv, dtype=np.int64)
-        tab[0] = -1
-    else:
-        inv = [-1] * c
-        for n in range(1 if c > 1 else 0, c):
-            if gcd(n, c) == 1:
-                inv[n] = pow(n, -1, c)
-        tab = np.array(inv, dtype=np.int64)
-    if len(_INV_CACHE) >= _INV_CACHE_MAX:
-        _INV_CACHE.pop(next(iter(_INV_CACHE)))
-    _INV_CACHE[c] = tab
+    tab = inverse_mod(np.arange(c), c)
+    tab.flags.writeable = False
     return tab
 
 
@@ -83,12 +63,13 @@ def incomplete_inverse_sum(b: int, c: int, Z1: float, Z2: float) -> complex:
         return 0j
     if n_hi - n_lo + 1 > 10**8:
         raise BudgetExceededError("interval too long")
-    return complex(*_inverse_sum(np.arange(n_lo, n_hi + 1, dtype=np.int64), b, c))
+    ns = np.arange(n_lo, n_hi + 1, dtype=np.int64)
+    return complex(*_inverse_sum(inverse_table(c)[ns % c], b, c))
 
 
-def _inverse_sum(ns: np.ndarray, b: int, c: int):
-    """(Re, Im) of Σ_{n ∈ ns, (n,c)=1} e(b·n̄/c)."""
-    inv = inverse_table(c)[ns % c]
+def _inverse_sum(inv: np.ndarray, b: int, c: int):
+    """(Re, Im) of Σ e(b·n̄/c) over the inverses n̄ in inv; −1 marks a
+    non-unit and is skipped."""
     ang = ((b % c) * inv[inv >= 0]) % c * (_TWO_PI / c)
     return float(np.sum(np.cos(ang))), float(np.sum(np.sin(ang)))
 
@@ -106,6 +87,8 @@ def kl_smooth_average(M: float, x: float, a: int, q: int, y: float, budget: int 
         raise ValueError("q must be >= 1")
     m_lo = int(floor(M)) + 1
     m_hi = int(floor(2 * M))
+    if m_hi > INVERSE_TABLE_CAPACITY:
+        raise CapacityError(f"modulus {m_hi} exceeds inverse-table capacity")
     n_max = int(ceil(x)) - 1  # n < x
     if n_max < 1 or m_hi < m_lo:
         return 0.0
@@ -113,7 +96,7 @@ def kl_smooth_average(M: float, x: float, a: int, q: int, y: float, budget: int 
     if (m_hi - m_lo + 1) * len(ns_all) > budget:
         raise BudgetExceededError("m x n loop exceeds budget")
 
-    return sum((hypot(*_inverse_sum(ns_all, a, m)) for m in range(m_lo, m_hi + 1)), 0.0)
+    return sum((hypot(*_inverse_sum(inverse_mod(ns_all, m), a, m)) for m in range(m_lo, m_hi + 1)), 0.0)
 
 
 @dataclass

@@ -1,6 +1,7 @@
 import random
 from math import gcd
 
+import numpy as np
 import pytest
 
 from smoothdio.arith import (
@@ -8,6 +9,7 @@ from smoothdio.arith import (
     euler_phi,
     factorize,
     gcd_sum,
+    inverse_mod,
     largest_prime_factor,
     mod_inverse,
     sieve_primes,
@@ -195,3 +197,39 @@ def test_inverse_table_against_pow():
             continue
         for n in range(c):
             assert tab[n] == (pow(n, -1, c) if gcd(n, c) == 1 else -1), (c, n)
+
+
+def _pow_inverses(ns, c):
+    """The oracle: pow(n, -1, c) for units, −1 for non-units, 0 mod 1."""
+    return [0 if c == 1 else pow(n, -1, c) if gcd(n, c) == 1 else -1 for n in ns]
+
+
+def test_inverse_mod_against_pow():
+    rng = random.Random(1002)
+    cases = [(c, range(c)) for c in (1, 2, 3, 4, 12, 30, 97, 100, 101, 1001, 7919, 7921)]
+    cases.append((1, [0, 1, 5, 10**12]))
+    cases.append((2, [0, 1, 2, 3, 10**12 + 1]))
+    cases.append((12, [12, 13, 24, 35, 10**15 + 7]))  # n >= c reduces mod c
+    cases += [(c, [rng.randrange(3 * c) for _ in range(500)]) for c in (rng.randint(2, 10**6) for _ in range(20))]
+    cases.append((2_000_000, [0, 1, 2, 3, 1_999_999, 2_000_001] + [rng.randrange(2_000_000) for _ in range(3000)]))
+    for c, ns in cases:
+        got = inverse_mod(np.array(list(ns), dtype=np.int64), c)
+        assert got.dtype == np.int64
+        assert got.tolist() == _pow_inverses(ns, c), c
+
+
+def test_inverse_mod_edges():
+    assert inverse_mod(np.zeros(0, dtype=np.int64), 7).tolist() == []
+    with pytest.raises(ValueError):
+        inverse_mod(np.arange(3), 0)
+
+
+def test_inverse_table_is_read_only():
+    tab = inverse_table(101)
+    with pytest.raises(ValueError):
+        tab[5] = 0
+    assert inverse_table(101)[5] == pow(5, -1, 101)
+    with pytest.raises(CapacityError):
+        inverse_table(2_000_001)
+    with pytest.raises(ValueError):
+        inverse_table(0)

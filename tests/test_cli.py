@@ -240,6 +240,22 @@ def test_search_refuses_over_budget_before_building_members(capsys):
     assert captured.err.startswith("error:")
 
 
+def test_kloosterman_refuses_moduli_over_capacity_before_any_work(capsys):
+    # m runs to 2000002 > INVERSE_TABLE_CAPACITY; only 2e6 pairs, inside the budget
+    t0 = time.perf_counter()
+    code = main(["kloosterman", "--M", "1000001", "--x", "3", "--a", "1", "--q", "1", "--y", "2"])
+    assert code == EXIT_BUDGET
+    assert time.perf_counter() - t0 < 2.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+
+
+def test_kloosterman_many_moduli_completes(capsys):
+    assert main(["kloosterman", "--M", "20000", "--x", "3", "--a", "1", "--q", "1", "--y", "2"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["rows"][0]["M"] == 20000.0
+
+
 def test_search_member_floor_never_refuses_a_run_within_budget():
     # the smallest budget each sweep completes with is its largest target set
     args = ["search", "--alpha", "quad:1,1,5,2", "--theta", "1/4", "--qmax", "3000", "--Y", "inf", "--format", "csv"]
@@ -264,7 +280,7 @@ _FUZZ_BASES = {
                    "Y": ["5", "inf"], "theta": ["1/3"], "report": ["all", "sums", "sigma"]},
 }
 _FUZZ_BAD = ["1e400", "nan", "inf", "-inf", "-1", "0", "", "1e30", "1/4", "3", "20", "csv", "unknown"]
-_FUZZ_FLAGS = [f"--{name}" for name in cli._FLAG_NAMES if name != "out"] + ["--unknown"]
+_FUZZ_FLAGS = [f"--{name}" for name in cli._FLAGS if name != "out"] + ["--unknown"]
 # --out: stdout, a new file, a file in a missing directory, a directory
 _FUZZ_OUTS = (None, "out.txt") * 4 + ("missing/out.txt", ".")
 # --config: none, a file with an unknown key, a missing file

@@ -1,7 +1,7 @@
 import math
 import random
 import warnings
-from math import gcd, isqrt, log
+from math import floor, gcd, isqrt, log
 
 import numpy as np
 import pytest
@@ -154,11 +154,16 @@ def test_psi_q():
 def test_local_density():
     assert local_density(10, 25, 1) == 1.0  # Y >= 2N
     assert local_density(10, 3, 1) == pytest.approx(0.3)  # {12, 16, 18}
-    for _ in range(40):
-        N = random.uniform(1, 500)
-        Y = random.uniform(2, 50)
-        q = random.randint(1, 50)
-        assert 0.0 <= local_density(N, Y, q) <= 1.0
+    # K can exceed 1 for non-integer N < 2: (1.79, 3.58] holds 2 and 3
+    assert local_density(1.7897640541948885, 10.957532337231838, 11) == 2 / 1.7897640541948885
+    rng = random.Random(3004)
+    for N in [rng.uniform(1, 2) for _ in range(10)] + [rng.uniform(1, 500) for _ in range(40)]:
+        Y = rng.uniform(2, 50)
+        q = rng.randint(1, 50)
+        count = sum(
+            1 for n in range(floor(N) + 1, floor(2 * N) + 1) if gcd(n, q) == 1 and largest_prime_factor(n) <= Y
+        )
+        assert local_density(N, Y, q) == count / N, (N, Y, q)
 
 
 # ---------------------------------------------------------------------------
