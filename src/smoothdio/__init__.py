@@ -21,6 +21,7 @@ from .diophantine import (
     build_target_set,
     cf_convergents,
     connection_bound,
+    convergents,
     derive_params,
     dist_nearest,
     parse_alpha,

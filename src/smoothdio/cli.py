@@ -17,14 +17,17 @@ import sys
 from contextlib import nullcontext
 from dataclasses import dataclass, fields
 from fractions import Fraction
+from itertools import islice
 
 import numpy as np
 
 from .diophantine import (
+    THETA_MAX,
+    DecimalAlpha,
     build_target_set,
-    cf_convergents,
     check_target_set,
     connection_bound,
+    convergents,
     derive_params,
     dist_nearest,
     parse_alpha,
@@ -60,7 +63,8 @@ class SearchResult:
     """Verified approximants for one convergent a/q.
 
     Member columns are parallel arrays: n, ‖nα‖, n^{−θ}, P⁺(n), plus the
-    connection-bound and strict-power flags for each member.
+    connection-bound and strict-power flags for each member.  The fields, in
+    this order, are the columns `search` writes.
     """
 
     q: int
@@ -76,38 +80,48 @@ class SearchResult:
     below_power: np.ndarray
 
 
+# the most convergents a search walks, whatever --qmax allows
+_MAX_CONVERGENTS = 192
+
+
 def _convergents_in_range(alpha, qmin: int, qmax: int):
+    """The convergents with max(qmin, 2) ≤ q ≤ qmax among the first
+    _MAX_CONVERGENTS; a decimal α contributes its certified prefix."""
     out = []
-    count = 12
-    while True:
-        try:
-            convs = cf_convergents(alpha, count)
-        except CapacityError:
-            # decimal fallback ran out of certified precision: walk up one
-            # convergent at a time and keep what certifies
-            convs = []
-            for k in range(1, count):
-                try:
-                    convs = cf_convergents(alpha, k)
-                except CapacityError:
-                    break
-            out = convs
-            break
-        out = convs
-        if convs[-1].q > qmax or count >= 192:
-            break
-        count *= 2
-    return [c for c in out if qmin <= c.q <= qmax and c.q >= 2]
+    try:
+        for conv in islice(convergents(alpha), _MAX_CONVERGENTS):
+            if conv.q > qmax:
+                break
+            if conv.q >= max(qmin, 2):
+                out.append(conv)
+    except CapacityError:
+        pass  # decimal α: the precision ends the walk
+    return out
+
+
+# relative margin for the float rounding of ‖nα‖, n^{−θ}, the bound and the slack
+_ROUNDING = 1e-12
+
+
+def _certify_decimal_flags(alpha: DecimalAlpha, q: int, ns, dist, refs) -> None:
+    """Raise CapacityError unless every comparison of dist with each ref comes
+    out the same for every α within the stored width: ‖·‖ is 1-Lipschitz, so
+    the true ‖nα‖ lies within n·10^(−prec) of the emitted dist."""
+    slack = ns * float(alpha.width)
+    for ref in refs:
+        if np.any(np.abs(dist - ref) <= slack + _ROUNDING * (slack + dist + ref)):
+            raise CapacityError(f"decimal precision 1e-{alpha.prec} cannot certify the flags at q = {q}")
 
 
 def search_results(alpha, theta, qmin: int, qmax: int, C: float = 10.0, Y: float = None, budget: int = 10**9):
     """Yield one SearchResult per continued-fraction convergent a/q with
     q in [qmin, qmax]: derive scales, build the target set, and verify every
     member with exact surd arithmetic.  Every convergent is checked against
-    capacity and budget before the first target set is built."""
+    capacity and budget before the first target set is built.  For a decimal
+    α, a flag its precision cannot decide raises CapacityError."""
     theta = Fraction(theta)
     tf = float(theta)
-    convs = _convergents_in_range(alpha, max(qmin, 2), qmax)
+    convs = _convergents_in_range(alpha, qmin, qmax)
     scales = [derive_params(conv.q, theta, C, Y) for conv in convs]
     for params in scales:
         check_target_set(params, budget)
@@ -117,8 +131,10 @@ def search_results(alpha, theta, qmin: int, qmax: int, C: float = 10.0, Y: float
             raise BudgetExceededError(f"{len(ns)} members at q = {conv.q} exceed budget")
         dist = np.array([dist_nearest(int(n), alpha) for n in ns])
         n_power = ns.astype(np.float64) ** (-tf)
-        pplus = largest_prime_factor_array(ns)
         bound = connection_bound(params)
+        if isinstance(alpha, DecimalAlpha):
+            _certify_decimal_flags(alpha, conv.q, ns, dist, (bound, n_power))
+        pplus = largest_prime_factor_array(ns)
         yield SearchResult(
             conv.q,
             conv.a,
@@ -270,13 +286,12 @@ def _run_search(cfg: RunConfig):
         raise ValueError("search needs --alpha, --theta, --qmax")
     alpha = parse_alpha(cfg.alpha)
     theta = Fraction(cfg.theta)
-    if not (0 < theta < Fraction(6, 17)):
-        raise ValueError("theta must lie in (0, 6/17)")
-    cols = ["q", "a", "X", "R", "Y", "n", "dist", "n_power", "pplus", "within_bound", "below_power"]
+    if not (0 < theta < THETA_MAX):
+        raise ValueError(f"theta must lie in (0, {THETA_MAX})")
     # every convergent is computed before the first byte is written, so a
     # budget or capacity error leaves no partial output
     results = list(search_results(alpha, theta, cfg.qmin, cfg.qmax, cfg.C, _parse_Y(cfg.Y), cfg.budget))
-    return cols, _search_blocks(results)
+    return [f.name for f in fields(SearchResult)], _search_blocks(results)
 
 
 def _search_blocks(results):
@@ -284,22 +299,8 @@ def _search_blocks(results):
     for res in results:
         for lo in range(0, len(res.n), _BLOCK_ROWS):
             rows = slice(lo, lo + _BLOCK_ROWS)
-            yield Block(
-                len(res.n[rows]),
-                {
-                    "q": res.q,
-                    "a": res.a,
-                    "X": res.X,
-                    "R": res.R,
-                    "Y": res.Y,
-                    "n": res.n[rows].tolist(),
-                    "dist": res.dist[rows].tolist(),
-                    "n_power": res.n_power[rows].tolist(),
-                    "pplus": res.pplus[rows].tolist(),
-                    "within_bound": res.within_bound[rows].tolist(),
-                    "below_power": res.below_power[rows].tolist(),
-                },
-            )
+            columns = {k: v[rows].tolist() if isinstance(v, np.ndarray) else v for k, v in vars(res).items()}
+            yield Block(len(res.n[rows]), columns)
 
 
 def _xy_grid(cfg: RunConfig):

@@ -10,12 +10,14 @@ error interval is propagated instead of ignored.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from math import ceil, exp, floor, gcd, isqrt, log, sqrt
 
 import numpy as np
 
 from .arith import distinct_prime_factors, mod_inverse
 from .errors import BudgetExceededError, CapacityError
+from .smooth import SIEVE_CAPACITY, smooth_sieve
 
 THETA_MAX = Fraction(6, 17)
 
@@ -134,70 +136,55 @@ class Convergent:
         return self.err_num / self.err_den
 
 
-def _cf_terms(alpha: QuadIrr, count: int):
-    """First `count` partial quotients of α, by the integer surd recurrence."""
-    # Normalize to (P + √D)/Q with Q | D − P².
-    if alpha.s > 0:
-        P, Q, D = alpha.p, alpha.r, alpha.s * alpha.s * alpha.d
+def convergents(alpha):
+    """The continued-fraction convergents of α, in order.
+
+    For QuadIrr the walk is exact and endless (the integer surd recurrence).
+    For DecimalAlpha it ends with the expansion of the stored value, and a
+    CapacityError is raised at the first convergent whose |α − a/q| ≤ 1/q²
+    the stored precision cannot certify.
+    """
+    exact = isinstance(alpha, QuadIrr)
+    if exact:
+        # normalize to (P + √D)/Q with Q | D − P²
+        if alpha.s > 0:
+            P, Q, D = alpha.p, alpha.r, alpha.s * alpha.s * alpha.d
+        else:
+            P, Q, D = -alpha.p, -alpha.r, alpha.s * alpha.s * alpha.d
+        if (D - P * P) % Q != 0:
+            P, D, Q = P * abs(Q), D * Q * Q, Q * abs(Q)
+    elif isinstance(alpha, DecimalAlpha):
+        v = alpha.value
     else:
-        P, Q, D = -alpha.p, -alpha.r, alpha.s * alpha.s * alpha.d
-    if (D - P * P) % Q != 0:
-        P, D, Q = P * abs(Q), D * Q * Q, Q * abs(Q)
-    terms = []
-    for _ in range(count):
-        a = floor_surd(P, 1, D, Q)
-        terms.append(a)
-        P = a * Q - P
-        Q = (D - P * P) // Q
-    return terms
+        raise TypeError("alpha must be QuadIrr or DecimalAlpha")
+    h_prev, h, k_prev, k = 0, 1, 1, 0
+    while True:
+        if exact:
+            term = floor_surd(P, 1, D, Q)
+            P = term * Q - P
+            Q = (D - P * P) // Q
+        else:
+            term = floor(v)
+        h_prev, h = h, term * h + h_prev
+        k_prev, k = k, term * k + k_prev
+        if exact:
+            yield _make_convergent_quad(alpha, h, k)
+            continue
+        conv = _make_convergent_dec(alpha.value, alpha.width, h, k)
+        if conv is None:
+            raise CapacityError(f"decimal precision 1e-{alpha.prec} cannot certify convergent {h}/{k}")
+        yield conv
+        if v == term:
+            return  # the expansion of the stored value ends here
+        v = 1 / (v - term)
 
 
 def cf_convergents(alpha, count: int):
-    """First `count` continued-fraction convergents of α.
-
-    For QuadIrr the computation is exact at any depth.  For DecimalAlpha,
-    convergents are emitted only while |α − a/q| ≤ 1/q² is certified by the
-    stored precision; past that a CapacityError is raised.
-    """
+    """The first `count` convergents of α (fewer when a decimal expansion
+    ends sooner); a CapacityError when a decimal cannot certify one of them."""
     if count < 1:
         raise ValueError("count must be >= 1")
-
-    if isinstance(alpha, QuadIrr):
-        terms = _cf_terms(alpha, count)
-        width = Fraction(0)
-        value = None  # exact surd handled separately below
-    elif isinstance(alpha, DecimalAlpha):
-        value = alpha.value
-        width = alpha.width
-        terms = []
-        v = value
-        for _ in range(count):
-            a = floor(v)
-            terms.append(a)
-            frac = v - a
-            if frac == 0:
-                break
-            v = 1 / frac
-    else:
-        raise TypeError("alpha must be QuadIrr or DecimalAlpha")
-
-    out = []
-    h_prev, h = 1, terms[0]
-    k_prev, k = 0, 1
-    for i, _ in enumerate(terms):
-        if i > 0:
-            h_prev, h = h, terms[i] * h + h_prev
-            k_prev, k = k, terms[i] * k + k_prev
-        if isinstance(alpha, QuadIrr):
-            out.append(_make_convergent_quad(alpha, h, k))
-        else:
-            conv = _make_convergent_dec(value, width, h, k)
-            if conv is None:
-                raise CapacityError(
-                    f"decimal precision 1e-{alpha.prec} cannot certify convergent #{i + 1}"
-                )
-            out.append(conv)
-    return out
+    return list(islice(convergents(alpha), count))
 
 
 def _make_convergent_quad(alpha: QuadIrr, a: int, q: int) -> Convergent:
@@ -281,9 +268,6 @@ def derive_params(q: int, theta, C: float = 10.0, Y: float = None) -> ApproxPara
     return ApproxParams(theta, q, X, R, Y, C)
 
 
-TARGET_SIEVE_CAPACITY = 20_000_000
-
-
 def _target_window(params: ApproxParams):
     """(lo, hi, r_top) of the target set, or None when it is empty; raises
     CapacityError for a window build_target_set cannot hold."""
@@ -294,7 +278,7 @@ def _target_window(params: ApproxParams):
     r_top = min(floor(params.R), params.q - 1)
     if r_top < 1 or hi < lo:
         return None
-    if params.Y >= hi or hi - lo + 1 <= TARGET_SIEVE_CAPACITY:
+    if params.Y >= hi or hi - lo + 1 <= SIEVE_CAPACITY:
         return lo, hi, r_top
     raise CapacityError(f"interval [{lo}, {hi}] exceeds sieve capacity with finite Y")
 
@@ -339,8 +323,6 @@ def build_target_set(params: ApproxParams, a: int) -> np.ndarray:
             if gcd(r, q) == 1:  # the class n ≡ ā·r (mod q), from its first n >= lo
                 chunks.append(np.arange(lo + (abar * r - lo) % q, hi + 1, q, dtype=np.int64))
         return np.sort(np.concatenate(chunks))
-
-    from .smooth import smooth_sieve
 
     ns = smooth_sieve(lo, hi, params.Y, q).members()
     res = ((ns % q) * (a % q)) % q  # reduce before multiplying: no int64 overflow

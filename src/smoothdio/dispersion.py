@@ -15,7 +15,7 @@ requested tolerance.
 """
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cached_property, lru_cache
 from fractions import Fraction
 from math import ceil, exp, floor, gcd, log, pi
@@ -261,9 +261,9 @@ class SumReport:
     runtime_ms: float
 
 
-def _report(value, main, trunc, params, t0) -> SumReport:
+def _report(value, main, params, t0) -> SumReport:
     ratio = value / main if main != 0.0 else None
-    return SumReport(value, main, ratio, trunc, params, 1000.0 * (time.perf_counter() - t0))
+    return SumReport(value, main, ratio, 0.0, params, 1000.0 * (time.perf_counter() - t0))
 
 
 def _window_ints(lo: float, hi: float) -> np.ndarray:
@@ -385,7 +385,7 @@ def sigma_qR(q: int, a: int, theta, C: float = 10.0, Y: float = None, budget: in
     expo = 2.0 - float(1 - theta_f) / (2.0 * c_eff) if c_eff != float("inf") else 2.0
     main = R**expo
     params = {"q": q, "a": a, "theta": str(Fraction(theta)), "C": C, "Y": pr.Y, "X": X, "R": R}
-    return _report(value, main, 0.0, params, t0)
+    return _report(value, main, params, t0)
 
 
 def bilinear_B(params: DispersionParams, budget: int = 10**9) -> SumReport:
@@ -398,7 +398,7 @@ def bilinear_B(params: DispersionParams, budget: int = 10**9) -> SumReport:
     A, _ = ctx.inner_sums("smooth", budget)
     value = float(A.sum())
     main = phi_hat_zero() * (params.R / params.q) * len(ctx.m_smooth) * float(ctx.ind.sum())
-    return _report(value, main, 0.0, _params_dict(params), t0)
+    return _report(value, main, _params_dict(params), t0)
 
 
 def type1_report(params: DispersionParams, budget: int = 10**9) -> SumReport:
@@ -409,7 +409,7 @@ def type1_report(params: DispersionParams, budget: int = 10**9) -> SumReport:
     _, B = ctx.inner_sums("smooth", budget)
     value = float(B.sum())
     main = phi_hat_zero() * params.N * params.R / params.q * len(ctx.m_smooth)
-    return _report(value, main, 0.0, _params_dict(params), t0)
+    return _report(value, main, _params_dict(params), t0)
 
 
 def dispersion_sums(params: DispersionParams, budget: int = 10**9):
@@ -444,19 +444,8 @@ def type2_report(params: DispersionParams, budget: int = 10**9) -> SumReport:
     pd = _params_dict(params)
     pd["cauchy_schwarz"] = {"D_sq": D * D, "M_Sprime": params.M * Sp, "ok": bool(cs_ok)}
     pd["sums"] = {"S1": S1, "S2": S2, "S3": S3, "Sprime": Sp}
-    return _report(D, main, 0.0, pd, t0)
+    return _report(D, main, pd, t0)
 
 
 def _params_dict(params: DispersionParams) -> dict:
-    return {
-        "M": params.M,
-        "N": params.N,
-        "q": params.q,
-        "a": params.a,
-        "R": params.R,
-        "Y": params.Y,
-        "theta": str(params.theta) if params.theta is not None else None,
-        "delta": params.delta,
-        "eta": params.eta,
-        "flags": list(params.flags),
-    }
+    return dict(asdict(params), theta=str(params.theta) if params.theta is not None else None)

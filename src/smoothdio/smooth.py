@@ -340,11 +340,8 @@ def saddle_alpha(x: float, y: float) -> SaddlePoint:
         raise NonConvergenceError(f"saddle point for (x={x}, y={y}) outside (0.01, 1.5)")
 
     u = target / log(y)
-    if u * log(max(u, 1.0 + 1e-12)) > 0:
-        a = 1.0 - log(u * log(u)) / log(y) if u > 1 else 1.0
-    else:
-        a = 1.0
-    if not (lo_a < a < hi_a) or a != a:
+    a = 1.0 - log(u * log(u)) / log(y) if u > 1 else 1.0
+    if not (lo_a < a < hi_a):
         a = 0.5 * (lo_a + hi_a)
 
     for _ in range(200):

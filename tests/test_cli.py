@@ -21,6 +21,7 @@ from smoothdio.cli import (
     search_results,
 )
 from smoothdio.diophantine import QuadIrr, dist_nearest, parse_alpha
+from smoothdio.errors import CapacityError
 
 
 def run(tmp_path, args, name="out"):
@@ -262,6 +263,86 @@ def test_search_member_floor_never_refuses_a_run_within_budget():
     sizes = [len(r.n) for r in search_results(QuadIrr(1, 1, 5, 2), Fraction(1, 4), 2, 3000, Y=float("inf"))]
     assert main(args + ["--budget", str(max(sizes))]) == EXIT_OK
     assert main(args + ["--budget", str(max(sizes) - 1)]) == EXIT_BUDGET
+
+
+def decimal_walk_oracle(spec, qmax):
+    """(a, q, err_num, err_den) of each certified convergent of a decimal α
+    with 2 ≤ q ≤ qmax, straight from the definitions: the partial quotients of
+    the stored value, the certificate |value − a/q| + width ≤ 1/q², and the
+    slot value − a/q ≈ err_num/err_den at the finest scale ⌊2^64 q²/2^j⌋ whose
+    half-width covers the width."""
+    alpha = parse_alpha(spec)
+    value, width = alpha.value, alpha.width
+    out, v = [], value
+    h_prev, h, k_prev, k = 0, 1, 1, 0
+    while True:
+        term = math.floor(v)
+        h_prev, h = h, term * h + h_prev
+        k_prev, k = k, term * k + k_prev
+        mid = value - Fraction(h, k)
+        if k > qmax or abs(mid) + width > Fraction(1, k * k):
+            return out
+        j = 0
+        while (2**64 * k * k >> j) > 1 and width * (2**64 * k * k >> j) > Fraction(1, 2):
+            j += 1
+        den = 2**64 * k * k >> j
+        if k >= 2:
+            out.append((h, k, math.floor(mid * den + Fraction(1, 2)), den))
+        if v == term:
+            return out
+        v = 1 / (v - term)
+
+
+@pytest.mark.parametrize(
+    "spec, qmax, count, last",
+    [
+        ("dec:1.4142135623731:13", 10**15, 16, (1607521, 1136689, 1, 2584123765442)),
+        ("dec:1.41421356:8", 10**15, 10, (8119, 5741, 0, 32959081)),
+        ("dec:1.41421356237309504880168872421:30", 10**60, 39,
+         (1023286908188737, 723573111879672, 0, 261779024117616166586503413792)),
+    ],
+)
+def test_convergents_in_range_keeps_the_certified_decimal_prefix(spec, qmax, count, last):
+    got = [(c.a, c.q, c.err_num, c.err_den) for c in cli._convergents_in_range(parse_alpha(spec), 2, qmax)]
+    assert len(got) == count
+    assert got[-1] == last
+    assert got == decimal_walk_oracle(spec, qmax)
+    # a narrower range is the same walk, filtered
+    mid_q = got[len(got) // 2][1]
+    narrow = cli._convergents_in_range(parse_alpha(spec), mid_q, got[-2][1])
+    assert [(c.a, c.q, c.err_num, c.err_den) for c in narrow] == [t for t in got[:-1] if t[1] >= mid_q]
+
+
+def test_convergents_in_range_stops_at_192_convergents():
+    golden = QuadIrr(1, 1, 5, 2)
+    convs = cli._convergents_in_range(golden, 2, 10**60)
+    # the first 192 convergents of the golden ratio, less the two with q = 1
+    assert len(convs) == 190
+    assert convs[-1].q == 5972304273877744135569338397692020533504
+    assert [c.q for c in convs[:5]] == [2, 3, 5, 8, 13]
+
+
+def test_search_refuses_decimal_flags_its_precision_cannot_decide(capsys):
+    d = parse_alpha("dec:1.4142135623731:13")
+    with pytest.raises(CapacityError):
+        list(search_results(d, Fraction(1, 4), 5741, 5741))
+    t0 = time.perf_counter()
+    code = main(["search", "--alpha", "dec:1.4142135623731:13", "--theta", "1/4", "--qmax", "100000"])
+    assert code == EXIT_BUDGET
+    assert time.perf_counter() - t0 < 10.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+
+
+def test_search_decimal_flags_match_the_exact_surd(capsys):
+    rows = {}
+    for spec in ("dec:1.41421356237309504880168872421:30", "quad:0,1,2,1"):
+        assert main(["search", "--alpha", spec, "--theta", "3/10", "--qmax", "500"]) == EXIT_OK
+        doc = json.loads(capsys.readouterr().out)
+        rows[spec] = [(r["q"], r["n"], r["within_bound"], r["below_power"]) for r in doc["rows"]]
+    assert len(rows["quad:0,1,2,1"]) > 0
+    assert rows["dec:1.41421356237309504880168872421:30"] == rows["quad:0,1,2,1"]
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import islice
 from math import gcd, isqrt, log, sqrt
 
 import numpy as np
@@ -12,11 +13,13 @@ from smoothdio.diophantine import (
     build_target_set,
     cf_convergents,
     connection_bound,
+    convergents,
     derive_params,
     dist_nearest,
     floor_surd,
     parse_alpha,
 )
+from smoothdio.errors import CapacityError
 
 random.seed(2002)
 
@@ -85,6 +88,7 @@ def test_sqrt2_convergents():
 @pytest.mark.parametrize("alpha", [GOLDEN, SQRT2, QuadIrr(3, -2, 7, 5), QuadIrr(-4, 3, 13, 6)])
 def test_convergent_invariants(alpha):
     convs = cf_convergents(alpha, 14)
+    assert list(islice(convergents(alpha), 14)) == convs
     for c in convs:
         assert gcd(c.a, c.q) == 1
         lo, hi = c.error_bounds()
@@ -99,6 +103,24 @@ def test_convergent_invariants(alpha):
     # nested errors: |alpha - a_k/q_k| strictly decreasing
     errs = [abs(c.error_float()) for c in convs]
     assert all(e0 > e1 for e0, e1 in zip(errs, errs[1:]))
+
+
+def test_decimal_convergents_end_with_the_expansion():
+    # 3/2 has the partial quotients [1, 2]: the walk ends there, whatever count asks
+    convs = cf_convergents(parse_alpha("dec:1.5:10"), 5)
+    assert [(c.a, c.q) for c in convs] == [(1, 1), (3, 2)]
+
+
+def test_decimal_convergents_refuse_past_the_precision():
+    d = parse_alpha("dec:1.41421356:8")
+    certified = cf_convergents(d, 11)  # up to 8119/5741
+    assert [(c.a, c.q) for c in certified] == [(c.a, c.q) for c in cf_convergents(SQRT2, 11)]
+    with pytest.raises(CapacityError):
+        cf_convergents(d, 12)
+    walk = convergents(d)
+    assert list(islice(walk, 11)) == certified
+    with pytest.raises(CapacityError):
+        next(walk)
 
 
 def surd_reference(A, B, d, C):
