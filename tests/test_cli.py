@@ -90,6 +90,31 @@ def test_rho_grid_values(tmp_path):
     assert vals[3] == pytest.approx(0.048608, abs=1e-6)
 
 
+def test_rho_benchmark_shape(tmp_path):
+    # the sieve benchmark's rho job, with the checks its output must pass:
+    # the closed form on [1, 3], non-increasing, and rho(u) <= 1/Gamma(u + 1)
+    us = (1.25, 1.5, 1.75, 2.25, 2.5, 2.75, 5.0, 10.0, 20.0, 50.0, 100.0, 200.0, 350.0, 495.0)
+    args = ["rho", "--u", ",".join(map(repr, us)), "--tol", "1e-12", "--format", "json"]
+    code, text = run(tmp_path, args, "r.json")
+    assert code == EXIT_OK
+    rows = json.loads(text)["rows"]
+    assert [r["u"] for r in rows] == list(us)
+    tol, prev = 1e-12, 1.0
+    for r in rows:
+        u, v = r["u"], r["rho"]
+        assert 0.0 <= v <= prev + tol, u
+        if u <= 2.0:
+            assert abs(v - (1.0 - math.log(u))) <= tol, u
+        elif u <= 3.0:
+            w = (u - 1.0) / u  # Landen's identity: Li2(1 - u) from the series at w
+            li2 = -sum(w**k / (k * k) for k in range(1, 200)) - 0.5 * math.log(u) ** 2
+            closed = 1.0 - (1.0 - math.log(u - 1.0)) * math.log(u) + li2 + math.pi**2 / 12.0
+            assert abs(v - closed) <= tol, u
+        else:
+            assert v <= math.exp(-math.lgamma(u + 1.0)) + tol, u
+        prev = v
+
+
 def test_psi_grid(tmp_path):
     code, text = run(tmp_path, ["psi", "--x", "100", "--y", "5", "--format", "csv"], "p.csv")
     assert code == EXIT_OK

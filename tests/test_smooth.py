@@ -10,6 +10,7 @@ from smoothdio import smooth
 from smoothdio.arith import largest_prime_factor
 from smoothdio.errors import NonConvergenceError
 from smoothdio.smooth import (
+    RHO_U_MAX,
     EstimateRangeWarning,
     dickman_rho,
     doubling_factor,
@@ -188,10 +189,41 @@ def test_rho_deeper_values():
     assert dickman_rho(2.0) == pytest.approx(1 - log(2), abs=1e-9)
 
 
+def rho_2_3(u: float) -> float:
+    """ρ on [2, 3] in closed form; Landen's identity maps Li₂(1 − u) to the
+    fast series at w = (u − 1)/u ∈ [1/2, 2/3]."""
+    w = (u - 1.0) / u
+    li2 = -sum(w**k / (k * k) for k in range(1, 200)) - 0.5 * log(u) ** 2
+    return 1.0 - (1.0 - log(u - 1.0)) * log(u) + li2 + math.pi**2 / 12.0
+
+
+def test_rho_published_values():
+    published = {
+        3: 0.0486083882911316,
+        4: 4.91092564776083e-3,
+        5: 3.54724700456040e-4,
+        6: 1.96496963539553e-5,
+        7: 8.74566995329392e-7,
+        8: 3.23206930422610e-8,
+        9: 1.01624828273784e-9,
+        10: 2.77017183772596e-11,
+    }
+    for k, want in published.items():
+        assert abs(dickman_rho(k, 1e-12) - want) <= 1e-14 * want, k
+    for i in range(129):
+        u = 2.0 + i / 128
+        assert abs(dickman_rho(u, 1e-12) - rho_2_3(u)) <= 1e-14, u
+
+
 def test_rho_nonincreasing_and_nonnegative():
-    vals = [dickman_rho(u) for u in np.arange(0, 30.01, 0.125)]
+    us = [j / 64 for j in range(120 * 64 + 1)]
+    vals = [dickman_rho(u) for u in us]
     assert all(v >= 0.0 for v in vals)
     assert all(a >= b - 1e-15 for a, b in zip(vals, vals[1:]))
+    # strictly decreasing and positive on (1, 120]: no clamp to 0, no upturn
+    tail = vals[64:]
+    assert all(v > 0.0 for v in tail[1:])
+    assert all(a > b for a, b in zip(tail, tail[1:]))
 
 
 def test_rho_domain_and_tol():
@@ -201,6 +233,8 @@ def test_rho_domain_and_tol():
         dickman_rho(501.0)
     with pytest.raises(ValueError):
         dickman_rho(2.0, 1e-13)
+    with pytest.raises(ValueError):
+        rho_table(3.0, 1e-13)
 
 
 def test_rho_table_csv(tmp_path):
@@ -216,6 +250,12 @@ def test_rho_table_csv(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "u,rho,tol"
     assert len(lines) == len(tab.values) + 1
+    # the certified bound over all of [0, RHO_U_MAX] meets the 1e-12 floor
+    for t in (tab, rho_table(RHO_U_MAX, 1e-12)):
+        assert t.tol <= 1e-12
+        per_unit = int(round(1.0 / t.step))
+        for k in range(int(t.u_grid()[-1]) + 1):
+            assert t.values[k * per_unit] == dickman_rho(k), k
 
 
 # ---------------------------------------------------------------------------
@@ -265,6 +305,10 @@ def test_hildebrand():
         warnings.simplefilter("ignore", EstimateRangeWarning)
         assert hildebrand_estimate(1e4, 100) == pytest.approx(1e4 * (1 - log(2)), rel=1e-9)
         assert hildebrand_estimate(1e6, 100) == pytest.approx(1e6 * 0.0486083882911, rel=1e-6)
+        # u = 13: ρ(13) ≈ 2.7e-16, so the estimate must stay positive
+        est = hildebrand_estimate(1e13, 10)
+        assert est > 0.0
+        assert est == pytest.approx(1e13 * dickman_rho(13), rel=1e-13)
 
 
 def test_hildebrand_warns_out_of_range():
