@@ -43,7 +43,7 @@ from .dispersion import (
 )
 from .errors import BudgetExceededError, CapacityError, NonConvergenceError
 from .expsums import KloostermanParams, kl_smooth_average, kloos_bound_rhs, optimal_z
-from .smooth import dickman_rho, largest_prime_factor_array, psi, saddle_alpha
+from .smooth import dickman_rho, psi, saddle_alpha
 
 EXIT_OK = 0
 EXIT_EMPTY = 2
@@ -126,7 +126,7 @@ def search_results(alpha, theta, qmin: int, qmax: int, C: float = 10.0, Y: float
     for params in scales:
         check_target_set(params, budget)
     for conv, params in zip(convs, scales):
-        ns = build_target_set(params, conv.a)
+        ns, pplus = build_target_set(params, conv.a)
         if len(ns) > budget:
             raise BudgetExceededError(f"{len(ns)} members at q = {conv.q} exceed budget")
         dist = np.array([dist_nearest(int(n), alpha) for n in ns])
@@ -134,20 +134,8 @@ def search_results(alpha, theta, qmin: int, qmax: int, C: float = 10.0, Y: float
         bound = connection_bound(params)
         if isinstance(alpha, DecimalAlpha):
             _certify_decimal_flags(alpha, conv.q, ns, dist, (bound, n_power))
-        pplus = largest_prime_factor_array(ns)
-        yield SearchResult(
-            conv.q,
-            conv.a,
-            params.X,
-            params.R,
-            params.Y,
-            ns,
-            dist,
-            n_power,
-            pplus,
-            dist <= bound,
-            dist < n_power,
-        )
+        yield SearchResult(conv.q, conv.a, params.X, params.R, params.Y, ns, dist, n_power, pplus,
+                           dist <= bound, dist < n_power)
 
 
 # ---------------------------------------------------------------------------
@@ -528,7 +516,7 @@ def main(argv=None) -> int:
     except OverflowError as exc:  # finite inputs whose derived scales leave the float range
         print(f"error: float range exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (ValueError, NonConvergenceError) as exc:
+    except (ValueError, ZeroDivisionError, NonConvergenceError) as exc:  # ZeroDivisionError: --theta 1/0 and the like
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
 

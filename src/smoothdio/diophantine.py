@@ -5,7 +5,8 @@ entries and d a positive nonsquare, so continued-fraction convergents, the
 nearest integer to nα, and the distance ‖nα‖ can all be decided by integer
 comparisons — no floating point in any decision path.  A decimal literal with
 an explicit precision exponent is accepted as a fallback representation; its
-error interval is propagated instead of ignored.
+error interval is propagated instead of ignored.  The target set is built
+with P⁺ of each member by one sieve over its residue classes mod q.
 """
 
 from dataclasses import dataclass
@@ -17,7 +18,7 @@ import numpy as np
 
 from .arith import distinct_prime_factors, mod_inverse
 from .errors import BudgetExceededError, CapacityError
-from .smooth import SIEVE_CAPACITY, smooth_sieve
+from .smooth import SIEVE_CAPACITY, largest_prime_factor_array
 
 THETA_MAX = Fraction(6, 17)
 
@@ -112,7 +113,10 @@ def parse_alpha(text: str):
         parts = text[4:].rsplit(":", 1)
         if len(parts) != 2:
             raise ValueError(f"bad dec spec {text!r}")
-        return DecimalAlpha(Fraction(parts[0]), int(parts[1]))
+        prec = int(parts[1])
+        if not 0 <= prec <= 4300:  # 4300: the most digits Python parses into an int
+            raise ValueError(f"precision exponent {prec} outside [0, 4300]")
+        return DecimalAlpha(Fraction(parts[0]), prec)
     raise ValueError(f"unrecognized alpha spec {text!r}")
 
 
@@ -300,33 +304,31 @@ def check_target_set(params: ApproxParams, budget: int) -> None:
         raise BudgetExceededError(f"at least {least} members at q = {params.q} exceed budget")
 
 
-def build_target_set(params: ApproxParams, a: int) -> np.ndarray:
-    """All n in [X/4, 4X] with P⁺(n) ≤ Y, gcd(n, q) = 1 and (na mod q) in
-    [1, ⌊R⌋], ascending.
+def build_target_set(params: ApproxParams, a: int):
+    """(n, P⁺(n)) for all n in [X/4, 4X] with P⁺(n) ≤ Y, gcd(n, q) = 1 and
+    (na mod q) in [1, ⌊R⌋], n ascending.
 
-    When Y exceeds the interval top the smoothness constraint is vacuous and
-    members are enumerated residue class by residue class; otherwise the
-    interval is sieved (capacity permitting).
+    The candidates are the residue classes n ≡ ā·r (mod q), r ≤ ⌊R⌋ coprime
+    to q: progressions of step q, sieved together by
+    largest_prime_factor_array with the primes up to min(⌊Y⌋, √n).  That
+    decides P⁺(n) ≤ Y exactly and gives P⁺ of every member.
     """
     q = params.q
     if gcd(a, q) != 1:
         raise ValueError("a must be coprime to q")
     window = _target_window(params)
     if window is None:
-        return np.zeros(0, dtype=np.int64)
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
     lo, hi, r_top = window
-
-    if params.Y >= hi:
-        abar = mod_inverse(a, q)
-        chunks = [np.zeros(0, dtype=np.int64)]
-        for r in range(1, r_top + 1):
-            if gcd(r, q) == 1:  # the class n ≡ ā·r (mod q), from its first n >= lo
-                chunks.append(np.arange(lo + (abar * r - lo) % q, hi + 1, q, dtype=np.int64))
-        return np.sort(np.concatenate(chunks))
-
-    ns = smooth_sieve(lo, hi, params.Y, q).members()
-    res = ((ns % q) * (a % q)) % q  # reduce before multiplying: no int64 overflow
-    return ns[(res >= 1) & (res <= r_top)]
+    abar = mod_inverse(a, q)
+    # each class from its first n >= lo, in that order: the (rows, classes) layout ascends
+    starts = np.array(sorted(lo + (abar * r - lo) % q for r in range(1, r_top + 1) if gcd(r, q) == 1), dtype=np.int64)
+    rows = (hi - lo) // q + 1
+    ns = (starts + q * np.arange(rows, dtype=np.int64)[:, None]).ravel()
+    size = int(np.searchsorted(ns, hi, side="right"))  # the last row may pass hi
+    pplus = largest_prime_factor_array(starts, q, rows, int(min(params.Y, hi))).ravel()[:size]
+    keep = pplus <= params.Y
+    return ns[:size][keep], pplus[keep]
 
 
 def connection_bound(params: ApproxParams) -> float:

@@ -1,11 +1,12 @@
-"""Smooth-number engine: the P⁺ interval sieve, exact Ψ(x,y) and Ψ_q(x,y), the
-local density K, Dickman ρ, the saddle point α(x,y), product-formula
-estimates, and the unique largest-factors-first decomposition.
+"""Smooth-number engine: the P⁺ sieve over an interval and over progressions,
+exact Ψ(x,y) and Ψ_q(x,y), the local density K, Dickman ρ, the saddle point
+α(x,y), product-formula estimates, and the unique largest-factors-first
+decomposition.
 
-Exact counting is always done by sieving an explicit interval (nothing
-asymptotically cleverer); the analytic objects (ρ, α) carry certified or
-residual-checked accuracy so they can serve as diagnostics against the exact
-counts.
+Exact counting is always done by sieving an explicit interval or set of
+progressions (nothing asymptotically cleverer); the analytic objects (ρ, α)
+carry certified or residual-checked accuracy so they can serve as diagnostics
+against the exact counts.
 """
 
 import warnings
@@ -30,7 +31,7 @@ class EstimateRangeWarning(UserWarning):
 
 
 # ---------------------------------------------------------------------------
-# interval sieve
+# P⁺ sieves
 # ---------------------------------------------------------------------------
 
 
@@ -57,6 +58,38 @@ def pplus_sieve(lo: int, hi: int, pmax: int) -> np.ndarray:
                 pk *= p
         np.maximum(big, rem, out=out[a - lo : b - lo + 1])
     return out
+
+
+def largest_prime_factor_array(starts, step: int, count: int, pmax: int) -> np.ndarray:
+    """pplus_sieve over progressions: entry [k, i] is what pplus_sieve gives
+    for n = starts[i] + k·step, k < count.
+
+    Every start must be positive and coprime to step.  For p ∤ step, p
+    divides starts[i] + k·step exactly when k ≡ −starts[i]·step⁻¹ (mod p), so
+    one gather per prime serves every progression, and p divides out of its
+    hits as often as it goes.  Only p ≤ √n enter, so no product overflows.
+    """
+    starts = np.asarray(starts, dtype=np.int64)
+    if len(starts) and (int(starts.min()) < 1 or int(np.gcd(starts, step).max()) > 1):
+        raise ValueError("starts must be positive and coprime to step")
+    top = int(starts.max()) + (count - 1) * step if len(starts) and count else 0
+    dtype = np.int32 if top < 2**31 else np.int64
+    rem = starts.astype(dtype) + np.arange(0, count * step, step, dtype=dtype)[:, None]
+    big = np.ones_like(rem)  # largest sieved prime so far (primes ascend)
+    flat_rem, flat_big, cols = rem.reshape(-1), big.reshape(-1), np.arange(len(starts))
+    for p in prime_array(min(pmax, isqrt(top))).tolist():
+        if step % p:  # a p dividing step divides no entry
+            k0 = -starts % p * pow(step, -1, p) % p
+            hits = ((k0 + np.arange(0, count, p)[:, None]) * len(starts) + cols).ravel()
+            hits = hits[hits < rem.size]  # row k0 + j·p < count
+            flat_big[hits] = p
+            v = flat_rem[hits] // p
+            more = np.flatnonzero(v % p == 0)
+            while len(more):
+                v[more] //= p
+                more = more[v[more] % p == 0]
+            flat_rem[hits] = v
+    return np.maximum(big, rem, out=big)
 
 
 @dataclass
@@ -236,7 +269,7 @@ class RhoTable:
     def to_csv(self, path: str) -> None:
         with open(path, "w") as fh:
             fh.write("u,rho,tol\n")
-            for u, r in zip(self.u_grid(), self.values):
+            for u, r in zip(self.u_grid().tolist(), self.values.tolist()):
                 fh.write(f"{u!r},{r!r},{self.tol!r}\n")
 
 
@@ -372,30 +405,6 @@ def doubling_factor(x: float, y: float, alpha: float = None) -> float:
     if alpha is None:
         alpha = saddle_alpha(x, y).alpha
     return 2.0**alpha
-
-
-def largest_prime_factor_array(ns: np.ndarray) -> np.ndarray:
-    """P⁺ for every entry of ns (batched trial division; P⁺(1) = 1)."""
-    ns = np.asarray(ns, dtype=np.int64)
-    if len(ns) == 0:
-        return ns.copy()
-    if int(ns.min()) < 1:
-        raise ValueError("entries must be >= 1")
-    rem = ns.copy()
-    lpf = np.ones(len(ns), dtype=np.int64)
-    for p in prime_array(isqrt(int(ns.max()))).tolist():
-        mask = rem % p == 0
-        if mask.any():
-            lpf[mask] = p
-            sub = rem[mask] // p
-            while True:
-                m2 = sub % p == 0
-                if not m2.any():
-                    break
-                sub[m2] //= p
-            rem[mask] = sub
-    # leftover cofactors have no factor <= sqrt(max), hence are prime
-    return np.maximum(lpf, np.where(rem > 1, rem, 1))
 
 
 # ---------------------------------------------------------------------------

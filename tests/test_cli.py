@@ -20,7 +20,8 @@ from smoothdio.cli import (
     main,
     search_results,
 )
-from smoothdio.diophantine import QuadIrr, dist_nearest, parse_alpha
+from smoothdio.arith import largest_prime_factor
+from smoothdio.diophantine import QuadIrr, cf_convergents, derive_params, dist_nearest, parse_alpha
 from smoothdio.errors import CapacityError
 
 
@@ -56,6 +57,35 @@ def test_search_cli_json(tmp_path):
     assert all(row["within_bound"] for row in doc["rows"])
     qs = sorted({row["q"] for row in doc["rows"]})
     assert qs == [2, 3, 5, 8, 13, 21]
+
+
+def window_rows(alpha, theta, qmin, qmax, Y=None):
+    """(q, a, n, P⁺(n)) of every target-set member of each convergent with q
+    in [qmin, qmax], by testing every n of its window [X/4, 4X]."""
+    rows = []
+    for conv in cf_convergents(alpha, 20):
+        if qmin <= conv.q <= qmax:
+            p = derive_params(conv.q, theta, Y=Y)
+            r_top = min(math.floor(p.R), conv.q - 1)
+            for n in range(math.ceil(p.X / 4), math.floor(4 * p.X) + 1):
+                if math.gcd(n, conv.q) == 1 and 1 <= n * conv.a % conv.q <= r_top:
+                    pplus = largest_prime_factor(n)
+                    if pplus <= p.Y:
+                        rows.append((conv.q, conv.a, n, pplus))
+    return rows
+
+
+# the shapes of the benchmark's search jobs: a vacuous-Y sweep over several
+# convergents, and a finite Y (below √(4X) ≈ 157) at one q
+@pytest.mark.parametrize("qmin, qmax, Y", [(89, 233, None), (233, 233, 50.0)])
+def test_search_rows_match_a_window_scan(capsys, qmin, qmax, Y):
+    argv = ["search", "--alpha", "quad:1,1,5,2", "--theta", "1/4", "--qmin", str(qmin), "--qmax", str(qmax),
+            "--format", "csv"] + ([] if Y is None else ["--Y", repr(Y)])
+    assert main(argv) == EXIT_OK
+    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    assert all(int(r["pplus"]) == largest_prime_factor(int(r["n"])) for r in rows)
+    got = [tuple(int(r[k]) for k in ("q", "a", "n", "pplus")) for r in rows]
+    assert got == window_rows(QuadIrr(1, 1, 5, 2), Fraction(1, 4), qmin, qmax, Y)
 
 
 def test_search_cli_empty_range(tmp_path):
@@ -241,6 +271,12 @@ def test_write_error_exit_code(tmp_path, monkeypatch, capsys):
          "--report", "sums"],
         ["dispersion", "--q", "101", "--a", "2", "--M", "10", "--N", "10", "--R", "20", "--Y", "5",
          "--report", "sums", "--delta", "2"],
+        ["search", "--alpha", "quad:1,1,5,2", "--theta", "1/0", "--qmax", "30"],
+        ["dispersion", "--q", "101", "--a", "2", "--report", "sigma", "--theta", "1/0"],
+        ["search", "--alpha", "dec:1/0:5", "--theta", "1/4", "--qmax", "30"],
+        ["search", "--alpha", "dec:1.5:-5", "--theta", "1/4", "--qmax", "30"],
+        # refused before 10^prec is formed: building it would not end
+        ["search", "--alpha", "dec:1.5:99999999999", "--theta", "1/4", "--qmax", "30"],
     ],
 )
 def test_bad_numeric_inputs_rejected(args, capsys):
@@ -385,7 +421,7 @@ _FUZZ_BASES = {
     "dispersion": {"q": ["101", "13"], "a": ["2"], "M": ["5", "10"], "N": ["5", "10"], "R": ["6", "20"],
                    "Y": ["5", "inf"], "theta": ["1/3"], "report": ["all", "sums", "sigma"]},
 }
-_FUZZ_BAD = ["1e400", "nan", "inf", "-inf", "-1", "0", "", "1e30", "1/4", "3", "20", "csv", "unknown"]
+_FUZZ_BAD = ["1e400", "nan", "inf", "-inf", "-1", "0", "", "1e30", "1/4", "1/0", "3", "20", "csv", "unknown"]
 _FUZZ_FLAGS = [f"--{name}" for name in cli._FLAGS if name != "out"] + ["--unknown"]
 # --out: stdout, a new file, a file in a missing directory, a directory
 _FUZZ_OUTS = (None, "out.txt") * 4 + ("missing/out.txt", ".")

@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import islice
-from math import gcd, isqrt, log, sqrt
+from math import ceil, floor, gcd, isqrt, log, sqrt
 
 import numpy as np
 import pytest
@@ -19,6 +19,7 @@ from smoothdio.diophantine import (
     floor_surd,
     parse_alpha,
 )
+from smoothdio.arith import largest_prime_factor
 from smoothdio.errors import CapacityError
 
 random.seed(2002)
@@ -194,7 +195,7 @@ def test_derive_params_near_boundary_exponents():
 
 def test_build_target_set_q13():
     p = derive_params(13, Fraction(1, 3), Y=float("inf"))
-    ns = build_target_set(p, 8)
+    ns, pplus = build_target_set(p, 8)
     assert list(ns[:5]) == [15, 18, 23, 28, 31]
     # exhaustive scan oracle
     expect = [
@@ -203,12 +204,13 @@ def test_build_target_set_q13():
         if gcd(n, 13) == 1 and 1 <= (8 * n) % 13 <= 3
     ]
     assert list(ns) == expect
+    assert pplus.tolist() == [largest_prime_factor(n) for n in expect]
 
 
 def test_build_target_set_vacuous_constraints():
     # Y >= 4X and R >= q: all integers coprime to q in the window
     params = ApproxParams(Fraction(1, 4), 12, 100.0, 50.0, 10**9, 10.0)
-    ns = build_target_set(params, 5)
+    ns, _ = build_target_set(params, 5)
     expect = [n for n in range(25, 401) if gcd(n, 12) == 1]
     assert list(ns) == expect
 
@@ -217,9 +219,41 @@ def test_build_target_set_monotone_in_Y():
     base = derive_params(13, Fraction(1, 3))
     smaller = ApproxParams(base.theta, base.q, base.X, base.R, 5.0, base.C)
     larger = ApproxParams(base.theta, base.q, base.X, base.R, 11.0, base.C)
-    s1 = set(build_target_set(smaller, 8).tolist())
-    s2 = set(build_target_set(larger, 8).tolist())
+    s1 = set(build_target_set(smaller, 8)[0].tolist())
+    s2 = set(build_target_set(larger, 8)[0].tolist())
     assert s1 <= s2
+
+
+def target_set_scan(params, a):
+    """(members, P⁺ of each) by testing every n of the window [X/4, 4X]."""
+    q, r_top = params.q, min(floor(params.R), params.q - 1)
+    ns = [
+        n
+        for n in range(ceil(params.X / 4), floor(4 * params.X) + 1)
+        if gcd(n, q) == 1 and 1 <= n * a % q <= r_top and largest_prime_factor(n) <= params.Y
+    ]
+    return ns, [largest_prime_factor(n) for n in ns]
+
+
+_Q101 = derive_params(101, Fraction(1, 4))  # X ≈ 1608: √(4X) ≈ 80, 4X ≈ 6433
+
+
+@pytest.mark.parametrize(
+    "params, a",
+    [
+        (ApproxParams(Fraction(1, 4), 7, 3.0, 5.0, 1.5, 10.0), 3),  # Y < 2: only n = 1, P⁺(1) = 1
+        (ApproxParams(_Q101.theta, 101, _Q101.X, _Q101.R, 1.5, 10.0), 37),  # Y < 2, no member
+        (ApproxParams(_Q101.theta, 101, _Q101.X, _Q101.R, 40.0, 10.0), 37),  # Y < √(4X)
+        (ApproxParams(_Q101.theta, 101, _Q101.X, _Q101.R, 200.0, 10.0), 37),  # √(4X) <= Y < 4X
+        (ApproxParams(_Q101.theta, 101, _Q101.X, _Q101.R, float("inf"), 10.0), 37),
+        (ApproxParams(Fraction(1, 4), 101, 10.0, 50.0, float("inf"), 10.0), 12),  # most classes empty
+        (ApproxParams(Fraction(1, 4), 30030, 60000.0, 600.0, 300.0, 10.0), 17),  # q with six primes
+    ],
+)
+def test_build_target_set_matches_window_scan(params, a):
+    ns, pplus = build_target_set(params, a)
+    assert ns.dtype == np.int64
+    assert (ns.tolist(), pplus.tolist()) == target_set_scan(params, a)
 
 
 def test_connection_bound_membership():
@@ -229,7 +263,7 @@ def test_connection_bound_membership():
     assert conv.a == 21
     p = derive_params(13, Fraction(1, 3), Y=float("inf"))
     bound = connection_bound(p)
-    for n in build_target_set(p, conv.a):
+    for n in build_target_set(p, conv.a)[0]:
         assert dist_nearest(int(n), GOLDEN) <= bound
 
 

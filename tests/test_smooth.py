@@ -250,6 +250,11 @@ def test_rho_table_csv(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "u,rho,tol"
     assert len(lines) == len(tab.values) + 1
+    # every cell is a plain float literal that reads back to the table's value
+    rows = [tuple(map(float, line.split(","))) for line in lines[1:]]
+    assert [u for u, _, _ in rows] == g.tolist()
+    assert [r for _, r, _ in rows] == tab.values.tolist()
+    assert {t for _, _, t in rows} == {tab.tol}
     # the certified bound over all of [0, RHO_U_MAX] meets the 1e-12 floor
     for t in (tab, rho_table(RHO_U_MAX, 1e-12)):
         assert t.tol <= 1e-12
@@ -408,7 +413,40 @@ def test_smooth_decompose_preconditions():
         smooth_decompose(14, 100, 3, 4)  # not 3-smooth
 
 
+def progression_oracle(starts, step, count):
+    return [[largest_prime_factor(s + k * step) for s in starts] for k in range(count)]
+
+
 def test_largest_prime_factor_array():
-    ns = np.array([1, 2, 12, 97, 1024, 9991, 999983], dtype=np.int64)
-    out = largest_prime_factor_array(ns)
-    assert out.tolist() == [largest_prime_factor(int(n)) for n in ns]
+    starts, step = [1, 2, 12, 97, 1024, 9991, 999984], 999983  # a prime step
+    out = largest_prime_factor_array(starts, step, 30, isqrt(999984 + 29 * step))
+    assert out.tolist() == progression_oracle(starts, step, 30)
+
+
+@pytest.mark.parametrize(
+    "starts, step, count",
+    [
+        ([1, 17, 30029, 1 + 30030 * 7, 30030 * 40 - 1], 30030, 400),  # q = 2·3·5·7·11·13
+        # above 2³²: 2³⁴ (k = 3), 3²³ (k = 5) and 5¹⁴ need prime powers past 2³¹;
+        # −start·step⁻¹ mod 3²² and mod 3²³ multiply residues whose product passes 2⁶³
+        ([2**32 + 1, 5**14, 3**23 - 5 * (2**31 - 1), 2**34 - 3 * (2**31 - 1), 2**33 + 3], 2**31 - 1, 6),
+    ],
+)
+def test_largest_prime_factor_array_against_scalar_oracle(starts, step, count):
+    out = largest_prime_factor_array(starts, step, count, isqrt(max(starts) + (count - 1) * step))
+    assert out.tolist() == progression_oracle(starts, step, count)
+
+
+def test_largest_prime_factor_array_capped_and_empty():
+    starts, step = [1, 29, 30031, 2**20 + 1], 30030
+    full = np.array(progression_oracle(starts, step, 500))
+    part = largest_prime_factor_array(starts, step, 500, 23)
+    # below √max the value still decides P⁺ <= y exactly for every y <= pmax
+    for y in range(1, 24):
+        assert ((part <= y) == (full <= y)).all(), y
+    # step 1 is the interval pplus_sieve walks
+    assert largest_prime_factor_array([10**6], 1, 500, 23)[:, 0].tolist() == pplus_sieve(10**6, 10**6 + 499, 23).tolist()
+    assert largest_prime_factor_array(starts, step, 0, 1000).shape == (0, 4)
+    assert largest_prime_factor_array([], step, 7, 1000).shape == (7, 0)
+    with pytest.raises(ValueError):
+        largest_prime_factor_array([1, 14], 7, 3, 10)  # 14 shares 7 with the step
