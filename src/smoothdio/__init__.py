@@ -23,6 +23,7 @@ from .diophantine import (
     connection_bound,
     convergents,
     derive_params,
+    dist_from_convergent,
     dist_nearest,
     parse_alpha,
 )

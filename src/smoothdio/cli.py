@@ -24,11 +24,13 @@ import numpy as np
 from .diophantine import (
     THETA_MAX,
     DecimalAlpha,
+    QuadIrr,
     build_target_set,
     check_target_set,
     connection_bound,
     convergents,
     derive_params,
+    dist_from_convergent,
     dist_nearest,
     parse_alpha,
 )
@@ -63,7 +65,9 @@ class SearchResult:
     """Verified approximants for one convergent a/q.
 
     Member columns are parallel arrays: n, ‖nα‖, n^{−θ}, P⁺(n), plus the
-    connection-bound and strict-power flags for each member.  The fields, in
+    connection-bound and strict-power flags for each member.  ‖nα‖ has the
+    bits of dist_nearest: its nearest integer is decided exactly, from the
+    convergent's certified error slot or by surd arithmetic.  The fields, in
     this order, are the columns `search` writes.
     """
 
@@ -113,12 +117,31 @@ def _certify_decimal_flags(alpha: DecimalAlpha, q: int, ns, dist, refs) -> None:
             raise CapacityError(f"decimal precision 1e-{alpha.prec} cannot certify the flags at q = {q}")
 
 
+# the most members whose ‖nα‖ is evaluated at once: bounds the kernel's temporaries
+_DIST_CHUNK = 1 << 14
+
+
+def _member_dists(alpha, conv, ns) -> np.ndarray:
+    """‖nα‖ of every member, a chunk at a time: from the convergent by
+    dist_from_convergent for a QuadIrr, and by the scalar dist_nearest for a
+    chunk the convergent cannot certify and for a decimal α."""
+    dist = np.empty(len(ns))
+    for lo in range(0, len(ns), _DIST_CHUNK):
+        chunk = ns[lo:lo + _DIST_CHUNK]
+        fast = dist_from_convergent(chunk, alpha, conv) if isinstance(alpha, QuadIrr) else None
+        dist[lo:lo + len(chunk)] = fast if fast is not None else [dist_nearest(int(n), alpha) for n in chunk]
+    return dist
+
+
 def search_results(alpha, theta, qmin: int, qmax: int, C: float = 10.0, Y: float = None, budget: int = 10**9):
     """Yield one SearchResult per continued-fraction convergent a/q with
-    q in [qmin, qmax]: derive scales, build the target set, and verify every
-    member with exact surd arithmetic.  Every convergent is checked against
-    capacity and budget before the first target set is built.  For a decimal
-    α, a flag its precision cannot decide raises CapacityError."""
+    q in [qmin, qmax]: derive scales, build the target set, and compute
+    every member's ‖nα‖ (_member_dists).  For a QuadIrr the nearest integer
+    to nα is certified from a/q and its exact error slot, and the residual is
+    wrap-exact in int64; a chunk that fails either check goes through the
+    exact surd arithmetic of dist_nearest.  Every convergent is checked
+    against capacity and budget before the first target set is built.  For a
+    decimal α, a flag its precision cannot decide raises CapacityError."""
     theta = Fraction(theta)
     tf = float(theta)
     convs = _convergents_in_range(alpha, qmin, qmax)
@@ -129,7 +152,7 @@ def search_results(alpha, theta, qmin: int, qmax: int, C: float = 10.0, Y: float
         ns, pplus = build_target_set(params, conv.a)
         if len(ns) > budget:
             raise BudgetExceededError(f"{len(ns)} members at q = {conv.q} exceed budget")
-        dist = np.array([dist_nearest(int(n), alpha) for n in ns])
+        dist = _member_dists(alpha, conv, ns)
         n_power = ns.astype(np.float64) ** (-tf)
         bound = connection_bound(params)
         if isinstance(alpha, DecimalAlpha):

@@ -7,6 +7,14 @@ comparisons — no floating point in any decision path.  A decimal literal with
 an explicit precision exponent is accepted as a fallback representation; its
 error interval is propagated instead of ignored.  The target set is built
 with P⁺ of each member by one sieve over its residue classes mod q.
+
+‖nα‖ of a whole member array comes from the convergent a/q that built it
+(dist_from_convergent): the nearest integer to na/q is certified to be the
+nearest integer to nα by the convergent's exact error slot, and the residual
+is evaluated in int64/float64 with the bits of the scalar dist_nearest.
+A² − B²d is formed in wrapping int64, which is exact while the certified bound
+r(r + 4|B|(⌊√d⌋ + 1))/4 on its size stays below 2⁶³.  Arrays the certificate
+or that bound refuses go to dist_nearest, which stays the exact oracle.
 """
 
 from dataclasses import dataclass
@@ -23,7 +31,7 @@ from .smooth import SIEVE_CAPACITY, largest_prime_factor_array
 THETA_MAX = Fraction(6, 17)
 
 # Denominator scale for the exact error interval attached to a convergent:
-# the slot [err_num, err_num + 1] / (2^64 q²) containing α − a/q.
+# the slot [err_num − 1, err_num + 1] / (2^64 q²) containing α − a/q.
 _ERR_SCALE = 1 << 64
 
 
@@ -240,6 +248,42 @@ def dist_nearest(n: int, alpha) -> float:
     return abs(num / den)
 
 
+_INT64_TOP = 1 << 63
+
+
+def dist_from_convergent(ns: np.ndarray, alpha: QuadIrr, conv: Convergent):
+    """‖nα‖ for every n ≥ 1 of the int64 array `ns`, bit for bit as
+    dist_nearest gives it, from the convergent a/q; None when the convergent
+    cannot certify every nearest integer or int64 cannot hold the arithmetic.
+
+    With t = na − jq, |t| ≤ q/2, and |α − a/q| ≤ |ε|₊ = (|err_num| + 1)/err_den,
+    j is the nearest integer to nα when |t|/q + n·|ε|₊ < 1/2, checked in
+    integers on the largest n and |t|.  Then A = np − jr and B = ns give
+    nα − j = (A + B√d)/r with |A + B√d| ≤ r/2 and |A − B√d| ≤ r/2 + 2|B|√d,
+    so |A² − B²d| < r(r + 4|B|(⌊√d⌋ + 1))/4.  When that bound is below 2⁶³,
+    the wrapping int64 A² − B²d is exact even where A² or B²d are not.  The
+    floats are then formed as in dist_nearest, in its order.
+    """
+    if len(ns) == 0:
+        return np.zeros(0)
+    n_top = int(ns.max())
+    a, q, p, s, d, r = conv.a, conv.q, alpha.p, alpha.s, alpha.d, alpha.r
+    if (int(ns.min()) < 1 or n_top * abs(a) + q >= _INT64_TOP or abs(p) >= _INT64_TOP or d >= _INT64_TOP
+            or r * (r + 4 * n_top * abs(s) * (isqrt(d) + 1)) >= _INT64_TOP):
+        return None
+    na = ns * a
+    t = na % q
+    t[2 * t > q] -= q
+    if 2 * (int(np.abs(t).max()) * conv.err_den + n_top * (abs(conv.err_num) + 1) * q) >= q * conv.err_den:
+        return None
+    j = (na - t) // q
+    A = ns * p - j * r  # n·p and j·r may wrap; A itself fits
+    B = ns * s
+    num = A * A - B * B * d
+    den = r * (A - B * sqrt(d))
+    return np.abs(num / den)
+
+
 @dataclass
 class ApproxParams:
     """Derived scales: X = q^{2/(1+θ)}, R = q^{(1−θ)/(1+θ)}, Y = (log X)^C."""
@@ -273,8 +317,10 @@ def derive_params(q: int, theta, C: float = 10.0, Y: float = None) -> ApproxPara
 
 
 def _target_window(params: ApproxParams):
-    """(lo, hi, r_top) of the target set, or None when it is empty; raises
-    CapacityError for a window build_target_set cannot hold."""
+    """(lo, hi, r_top, classes) of the target set, classes = #{r ≤ r_top :
+    gcd(r, q) = 1} by inclusion–exclusion over the primes of q, or None when
+    it is empty; raises CapacityError for a window past integer range or,
+    with finite Y, a class layout (rows × classes) past SIEVE_CAPACITY."""
     lo = ceil(params.X / 4)
     hi = floor(4 * params.X)
     if hi > 2**62:
@@ -282,24 +328,25 @@ def _target_window(params: ApproxParams):
     r_top = min(floor(params.R), params.q - 1)
     if r_top < 1 or hi < lo:
         return None
-    if params.Y >= hi or hi - lo + 1 <= SIEVE_CAPACITY:
-        return lo, hi, r_top
-    raise CapacityError(f"interval [{lo}, {hi}] exceeds sieve capacity with finite Y")
+    terms = [(1, 1)]  # (squarefree d | q, μ(d))
+    for p in distinct_prime_factors(params.q):
+        terms += [(d * p, -mu) for d, mu in terms]
+    classes = sum(mu * (r_top // d) for d, mu in terms)
+    rows = (hi - lo) // params.q + 1
+    if params.Y < hi and rows * classes > SIEVE_CAPACITY:
+        raise CapacityError(f"{rows} rows × {classes} classes at q = {params.q} exceed sieve capacity with finite Y")
+    return lo, hi, r_top, classes
 
 
 def check_target_set(params: ApproxParams, budget: int) -> None:
     """Refuse, before any member is built, a target set that build_target_set
     cannot hold, or one with vacuous Y that must exceed `budget` members:
-    each of its #{r ≤ r_top : gcd(r, q) = 1} residue classes (inclusion–
-    exclusion over the primes of q) holds ⌊(hi − lo + 1)/q⌋ members or more."""
+    each of its residue classes holds ⌊(hi − lo + 1)/q⌋ members or more."""
     window = _target_window(params)
     if window is None or not params.Y >= window[1]:
-        return  # empty, or sieved within capacity
-    lo, hi, r_top = window
-    terms = [(1, 1)]  # (squarefree d | q, μ(d))
-    for p in distinct_prime_factors(params.q):
-        terms += [(d * p, -mu) for d, mu in terms]
-    least = sum(mu * (r_top // d) for d, mu in terms) * ((hi - lo + 1) // params.q)
+        return  # empty, or a finite-Y layout within capacity
+    lo, hi, _, classes = window
+    least = classes * ((hi - lo + 1) // params.q)
     if least > budget:
         raise BudgetExceededError(f"at least {least} members at q = {params.q} exceed budget")
 
@@ -319,7 +366,7 @@ def build_target_set(params: ApproxParams, a: int):
     window = _target_window(params)
     if window is None:
         return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-    lo, hi, r_top = window
+    lo, hi, r_top, _ = window
     abar = mod_inverse(a, q)
     # each class from its first n >= lo, in that order: the (rows, classes) layout ascends
     starts = np.array(sorted(lo + (abar * r - lo) % q for r in range(1, r_top + 1) if gcd(r, q) == 1), dtype=np.int64)

@@ -21,8 +21,18 @@ from smoothdio.cli import (
     search_results,
 )
 from smoothdio.arith import largest_prime_factor
-from smoothdio.diophantine import QuadIrr, cf_convergents, derive_params, dist_nearest, parse_alpha
+from smoothdio.diophantine import (
+    QuadIrr,
+    build_target_set,
+    cf_convergents,
+    connection_bound,
+    convergents,
+    derive_params,
+    dist_nearest,
+    parse_alpha,
+)
 from smoothdio.errors import CapacityError
+from smoothdio.smooth import SIEVE_CAPACITY
 
 
 def run(tmp_path, args, name="out"):
@@ -324,6 +334,56 @@ def test_search_member_floor_never_refuses_a_run_within_budget():
     sizes = [len(r.n) for r in search_results(QuadIrr(1, 1, 5, 2), Fraction(1, 4), 2, 3000, Y=float("inf"))]
     assert main(args + ["--budget", str(max(sizes))]) == EXIT_OK
     assert main(args + ["--budget", str(max(sizes) - 1)]) == EXIT_BUDGET
+
+
+def test_search_finite_Y_bounds_the_class_layout_not_the_window(capsys):
+    # the window [X/4, 4X] holds over 1e8 integers, its 172 classes mod q only 2365 rows
+    args = ["search", "--alpha", "quad:1,1,5,2", "--theta", "1/4", "--qmin", "46368", "--qmax", "46368", "--Y", "1000",
+            "--format", "csv"]
+    p = derive_params(46368, Fraction(1, 4))
+    assert math.floor(4 * p.X) - math.ceil(p.X / 4) + 1 > SIEVE_CAPACITY
+    assert main(args) == EXIT_OK
+    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    assert len(rows) == 22124
+    assert all(int(r["pplus"]) <= 1000 for r in rows)
+    # q = 514229 is prime: 10017 rows × 2671 classes is past capacity, refused before any member
+    args[6:9:2] = ["514229", "514229"]
+    assert main(args) == EXIT_BUDGET
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "exceed sieve capacity" in captured.err
+
+
+def _scalar_search_text(alpha_spec, theta, qmin, qmax):
+    """The csv bytes of `search` with every ‖nα‖ from the scalar dist_nearest."""
+    alpha = parse_alpha(alpha_spec)
+    rows = []
+    for conv in convergents(alpha):
+        if conv.q > qmax:
+            break
+        if conv.q < max(qmin, 2):
+            continue
+        p = derive_params(conv.q, theta)
+        ns, pplus = build_target_set(p, conv.a)
+        n_power = ns.astype(np.float64) ** (-float(theta))
+        bound = connection_bound(p)
+        for i, n in enumerate(ns.tolist()):
+            dist = dist_nearest(n, alpha)
+            rows.append({"q": conv.q, "a": conv.a, "X": p.X, "R": p.R, "Y": p.Y, "n": n, "dist": dist,
+                         "n_power": float(n_power[i]), "pplus": int(pplus[i]), "within_bound": dist <= bound,
+                         "below_power": bool(dist < n_power[i])})
+    return _oracle_text("search", "csv", _SEARCH_COLS, rows)
+
+
+def test_search_bytes_match_the_scalar_path(monkeypatch, capsys):
+    # θ = 1/5 from q = 2: the golden convergents up to q = 144 cannot certify
+    # their nearest integers and go through dist_nearest, the rest do not
+    calls = []
+    monkeypatch.setattr(cli, "dist_nearest", lambda n, alpha: calls.append(n) or dist_nearest(n, alpha))
+    assert main(["search", "--alpha", "quad:1,1,5,2", "--theta", "1/5", "--qmax", "400", "--format", "csv"]) == EXIT_OK
+    text = capsys.readouterr().out
+    assert text == _scalar_search_text("quad:1,1,5,2", Fraction(1, 5), 2, 400)
+    assert 0 < len(calls) < text.count("\n") - 1
 
 
 def decimal_walk_oracle(spec, qmax):

@@ -15,6 +15,7 @@ from smoothdio.diophantine import (
     connection_bound,
     convergents,
     derive_params,
+    dist_from_convergent,
     dist_nearest,
     floor_surd,
     parse_alpha,
@@ -265,6 +266,74 @@ def test_connection_bound_membership():
     bound = connection_bound(p)
     for n in build_target_set(p, conv.a)[0]:
         assert dist_nearest(int(n), GOLDEN) <= bound
+
+
+def convergent_of(alpha, q):
+    return next(c for c in convergents(alpha) if c.q == q)
+
+
+def assert_kernel_bits(ns, alpha, conv):
+    """dist_from_convergent takes the fast path on `ns`, with the bits of
+    dist_nearest on every member."""
+    fast = dist_from_convergent(ns, alpha, conv)
+    assert fast is not None
+    scalar = np.array([dist_nearest(int(n), alpha) for n in ns])
+    assert fast.dtype == np.float64
+    assert np.array_equal(fast.view(np.int64), scalar.view(np.int64))
+
+
+@pytest.mark.parametrize(
+    "alpha, q, theta, Y",
+    [
+        (GOLDEN, 233, Fraction(1, 4), 50.0),  # finite Y, below √(4X)
+        (GOLDEN, 1597, Fraction(1, 4), None),  # prime q
+        (QuadIrr(3, -2, 7, 5), 1259, Fraction(1, 4), None),  # s < 0, r > 1
+        (QuadIrr(3, -2, 7, 5), 2542, Fraction(3, 10), None),
+        (SQRT2, 985, Fraction(1, 5), float("inf")),
+    ],
+)
+def test_dist_from_convergent_matches_dist_nearest(alpha, q, theta, Y):
+    conv = convergent_of(alpha, q)
+    ns, _ = build_target_set(derive_params(q, theta, Y=Y), conv.a)
+    assert len(ns) > 0
+    assert_kernel_bits(ns, alpha, conv)
+
+
+def test_dist_from_convergent_past_int64_squares():
+    # d = 120 at q = 222201, θ = 1/4: n reaches 4X ≈ 1.4e9, so A² and B²d
+    # leave int64 while A² − B²d does not; the classes r ≤ 4 suffice
+    alpha = QuadIrr(0, 1, 120, 1)
+    conv = convergent_of(alpha, 222201)
+    p = derive_params(conv.q, Fraction(1, 4))
+    ns, _ = build_target_set(ApproxParams(p.theta, p.q, p.X, 4.0, float("inf"), p.C), conv.a)
+    assert int(ns.max()) ** 2 * alpha.d >= 2**63
+    assert_kernel_bits(ns, alpha, conv)
+
+
+def test_dist_from_convergent_empty_member_array():
+    # Y < 2 leaves the q = 89 target set empty
+    conv = convergent_of(GOLDEN, 89)
+    params = ApproxParams(Fraction(1, 4), 89, 1000.0, 30.0, 1.5, 10.0)
+    ns, _ = build_target_set(params, conv.a)
+    assert len(ns) == 0
+    assert_kernel_bits(ns, GOLDEN, conv)
+
+
+@pytest.mark.parametrize(
+    "alpha, index, ns",
+    [
+        (GOLDEN, 2, None),  # the q = 2 target set: |t|/q + n·|ε|₊ reaches 1/2
+        (GOLDEN, 5, np.array([4], dtype=np.int64)),  # q = 8, 4·13 ≡ q/2: na/q halfway between integers
+        (QuadIrr(0, 1, 2**64 + 1, 1), 1, np.array([3], dtype=np.int64)),  # d past int64
+        (QuadIrr(0, 1, 2, 1), 1, np.array([2**60], dtype=np.int64)),  # r(r + 4|B|(⌊√d⌋ + 1)) past 2⁶³
+        (GOLDEN, 9, np.array([0, 100], dtype=np.int64)),  # n = 0
+    ],
+)
+def test_dist_from_convergent_refuses_what_it_cannot_certify(alpha, index, ns):
+    conv = next(islice(convergents(alpha), index, None))
+    if ns is None:
+        ns, _ = build_target_set(derive_params(conv.q, Fraction(1, 4), Y=float("inf")), conv.a)
+    assert dist_from_convergent(ns, alpha, conv) is None
 
 
 def test_decimal_convergents_certified():
