@@ -133,6 +133,15 @@ def euler_phi(n: int) -> int:
     return out
 
 
+def coprime_count(n: int, q: int) -> int:
+    """#{1 ≤ r ≤ n : gcd(r, q) = 1}, by inclusion–exclusion over the primes
+    of q."""
+    terms = [(1, 1)]  # (squarefree d | q, μ(d))
+    for p in distinct_prime_factors(q):
+        terms += [(d * p, -mu) for d, mu in terms]
+    return sum(mu * (n // d) for d, mu in terms)
+
+
 def mod_inverse(a: int, q: int) -> int:
     """ā with a·ā ≡ 1 (mod q), normalized into [1, q].
 
@@ -147,17 +156,20 @@ def mod_inverse(a: int, q: int) -> int:
     return inv if inv != 0 else q  # q = 1 gives pow(...) = 0; report 1
 
 
-def inverse_mod(ns, c: int) -> np.ndarray:
+def inverse_mod(ns, c) -> np.ndarray:
     """n̄ mod c for every entry of ns, as int64: the inverse in [0, c) for a
     unit, −1 for a non-unit, and 0 for every n when c = 1.
 
-    The extended Euclidean algorithm runs on all entries at once; a finished
+    c is one modulus or an array of moduli that broadcasts against ns (say
+    a column of moduli against a row of n's); every entry must be ≥ 1.  The
+    extended Euclidean algorithm runs on all entries at once; a finished
     lane is frozen by np.where until the slowest one ends (O(log c) rounds).
     """
-    if c < 1:
+    c = np.asarray(c, dtype=np.int64)
+    if c.size and int(c.min()) < 1:
         raise ValueError("c must be >= 1")
     r1 = np.asarray(ns, dtype=np.int64) % c
-    r0 = np.full_like(r1, c)
+    r0 = np.broadcast_to(c, r1.shape)
     t0, t1 = np.zeros_like(r1), np.ones_like(r1)  # invariant: t·n ≡ r (mod c)
     while np.count_nonzero(r1):
         live = r1 != 0

@@ -24,7 +24,7 @@ from math import ceil, exp, floor, gcd, isqrt, log, sqrt
 
 import numpy as np
 
-from .arith import distinct_prime_factors, mod_inverse
+from .arith import coprime_count, mod_inverse
 from .errors import BudgetExceededError, CapacityError
 from .smooth import SIEVE_CAPACITY, largest_prime_factor_array
 
@@ -318,9 +318,9 @@ def derive_params(q: int, theta, C: float = 10.0, Y: float = None) -> ApproxPara
 
 def _target_window(params: ApproxParams):
     """(lo, hi, r_top, classes) of the target set, classes = #{r ≤ r_top :
-    gcd(r, q) = 1} by inclusion–exclusion over the primes of q, or None when
-    it is empty; raises CapacityError for a window past integer range or,
-    with finite Y, a class layout (rows × classes) past SIEVE_CAPACITY."""
+    gcd(r, q) = 1}, or None when it is empty; raises CapacityError for a
+    window past integer range or, with finite Y, a class layout (rows ×
+    classes) past SIEVE_CAPACITY."""
     lo = ceil(params.X / 4)
     hi = floor(4 * params.X)
     if hi > 2**62:
@@ -328,10 +328,7 @@ def _target_window(params: ApproxParams):
     r_top = min(floor(params.R), params.q - 1)
     if r_top < 1 or hi < lo:
         return None
-    terms = [(1, 1)]  # (squarefree d | q, μ(d))
-    for p in distinct_prime_factors(params.q):
-        terms += [(d * p, -mu) for d, mu in terms]
-    classes = sum(mu * (r_top // d) for d, mu in terms)
+    classes = coprime_count(r_top, params.q)
     rows = (hi - lo) // params.q + 1
     if params.Y < hi and rows * classes > SIEVE_CAPACITY:
         raise CapacityError(f"{rows} rows × {classes} classes at q = {params.q} exceed sieve capacity with finite Y")

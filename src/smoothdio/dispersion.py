@@ -12,6 +12,10 @@ exactly (transition symmetry g(s) + g(1−s) = 1).  Its transform is computed
 as a closed-form plateau term plus Gauss–Legendre panels over the two
 transitions, with the panel count doubled until the change certifies the
 requested tolerance.
+
+Σ(q, R) is counted over residue classes: only n with na mod q in
+(R/4, 3R/4) carry weight, so each such class mod q adds its weight times its
+member count, and the total is formed exactly and rounded once.
 """
 
 import time
@@ -22,10 +26,10 @@ from math import ceil, exp, floor, gcd, log, pi
 
 import numpy as np
 
-from .arith import mod_inverse
+from .arith import coprime_count, mod_inverse
 from .diophantine import derive_params
-from .errors import BudgetExceededError, NonConvergenceError
-from .smooth import local_density, smooth_sieve
+from .errors import BudgetExceededError, CapacityError, NonConvergenceError
+from .smooth import SIEVE_CAPACITY, largest_prime_factor_array, local_density, smooth_sieve
 
 _TWO_PI = 2.0 * pi
 
@@ -344,36 +348,46 @@ def _context(params: DispersionParams) -> _Context:
 
 def sigma_qR(q: int, a: int, theta, C: float = 10.0, Y: float = None, budget: int = 10**9) -> SumReport:
     """Σ(q, R) = Σ_{X/4 ≤ n ≤ 4X} 1_{S_q(Y)}(n) Φ_a(n, R), exact, with the
-    benchmark main term R^{2 − (1−θ)/(2C)} for the diagnostic ratio."""
+    benchmark main term R^{2 − (1−θ)/(2C)} for the diagnostic ratio.
+
+    The sum is Σ_r φ(r/R)·#{members n ≡ ā·r (mod q)} over the r in
+    (R/4, 3R/4) coprime to q, added exactly and rounded once.  With Y ≥ 4X a
+    class counts all its n in the window; with finite Y its rows are sieved
+    by largest_prime_factor_array, and the layout (rows × classes) must stay
+    within SIEVE_CAPACITY.
+    """
     t0 = time.perf_counter()
     pr = derive_params(q, theta, C, Y)
     R, X = pr.R, pr.X
     lo = ceil(X / 4)
     hi = floor(4 * X)
     _check_weight_args(R, q, a)
-
-    if pr.Y >= hi:
-        # smoothness vacuous on the interval: walk the residues in the
-        # support of the window
-        if R / 2 > budget:
-            raise BudgetExceededError("residue walk exceeds budget")
-        value = 0.0
-        abar = mod_inverse(a, q)
-        for r in range(max(1, floor(R / 4)), min(q - 1, ceil(3 * R / 4)) + 1):
-            if gcd(r, q) != 1:
-                continue
-            w = bump_phi(r / R)
-            if w == 0.0:
-                continue
-            n0 = lo + ((abar * r - lo) % q)
-            if n0 <= hi:
-                value += w * ((hi - n0) // q + 1)
+    vacuous = pr.Y >= hi
+    if (R / 2 if vacuous else hi - lo + 1) > budget:
+        raise BudgetExceededError("residue walk exceeds budget" if vacuous else "interval exceeds budget")
+    r_lo, r_hi = max(1, floor(R / 4)), min(q - 1, ceil(3 * R / 4))
+    rows = (hi - lo) // q + 1
+    # the candidate residues, or with finite Y the classes they lay out
+    cells = r_hi - r_lo + 1 if vacuous else rows * (coprime_count(r_hi, q) - coprime_count(r_lo - 1, q))
+    if cells > SIEVE_CAPACITY:
+        raise CapacityError(f"{cells} residue-class cells at q = {q} exceed sieve capacity")
+    rs = np.arange(r_lo, r_hi + 1, dtype=np.int64)
+    rs = rs[np.gcd(rs, q) == 1]
+    ws = bump_phi_array(rs / R)
+    keep = ws > 0.0
+    rs, ws = rs[keep], ws[keep]
+    abar = mod_inverse(a, q)
+    starts = [lo + (abar * r - lo) % q for r in rs.tolist()]  # each class's first n >= lo
+    if vacuous:
+        counts = [(hi - n0) // q + 1 for n0 in starts]
     else:
-        if hi - lo + 1 > budget:
-            raise BudgetExceededError("interval exceeds budget")
-        ns = smooth_sieve(lo, hi, pr.Y, q).members()
-        res = ((ns % q) * (a % q)) % q
-        value = float(np.sum(bump_phi_array(res / R)))
+        starts = np.array(starts, dtype=np.int64)
+        pplus = largest_prime_factor_array(starts, q, rows, int(floor(pr.Y)))
+        in_window = np.arange(rows)[:, None] <= ((hi - starts) // q)[None, :]
+        counts = np.count_nonzero((pplus <= pr.Y) & in_window, axis=0).tolist()
+    ratios = [w.as_integer_ratio() for w in ws.tolist()]  # every denominator is a power of 2
+    den = max((d for _, d in ratios), default=1)
+    value = sum(c * n * (den // d) for (n, d), c in zip(ratios, counts)) / den  # one rounding
 
     theta_f = Fraction(theta)
     if Y is None:

@@ -4,8 +4,10 @@ upper bound as a comparator.
 
 All sums are evaluated directly (no Salié/stationary-phase tricks) in double
 precision; modular inverses come from one vectorized extended Euclid
-(`arith.inverse_mod`), over the summed n's themselves or over a whole residue
-table that complete and interval sums share per modulus.
+(`arith.inverse_mod`).  Complete and interval sums share a whole residue
+table per modulus.  The smooth average inverts only the distinct largest
+prime factors of its n's, for a block of moduli at once, and multiplies the
+rest out: its n's form a divisor-closed set, so n̄ = P⁺(n)̄ · (n/P⁺(n))̄.
 """
 
 from dataclasses import dataclass
@@ -19,6 +21,7 @@ from .errors import BudgetExceededError, CapacityError
 from .smooth import smooth_sieve
 
 INVERSE_TABLE_CAPACITY = 2_000_000
+_INVERSE_BLOCK = 1 << 15  # (moduli × n) inverse-table entries built at once
 _TWO_PI = 2.0 * pi
 
 
@@ -92,11 +95,48 @@ def kl_smooth_average(M: float, x: float, a: int, q: int, y: float, budget: int 
     n_max = int(ceil(x)) - 1  # n < x
     if n_max < 1 or m_hi < m_lo:
         return 0.0
-    ns_all = smooth_sieve(1, n_max, y, q).members()
+    sv = smooth_sieve(1, n_max, y, q)
+    ns_all = sv.members()
     if (m_hi - m_lo + 1) * len(ns_all) > budget:
         raise BudgetExceededError("m x n loop exceeds budget")
+    inverses = _member_inverses(ns_all, sv.pplus[ns_all - 1], m_lo, m_hi)
+    return sum((hypot(*_inverse_sum(inv, a, m)) for m, inv in inverses), 0.0)
 
-    return sum((hypot(*_inverse_sum(inverse_mod(ns_all, m), a, m)) for m in range(m_lo, m_hi + 1)), 0.0)
+
+def _member_inverses(ns: np.ndarray, pplus: np.ndarray, m_lo: int, m_hi: int):
+    """Yield (m, inverse_mod(ns, m)) for m = m_lo, …, m_hi, built from the
+    inverses of the primes alone.
+
+    ns ascends and is divisor-closed (n in ns ⇒ every divisor of n is), and
+    pplus holds P⁺ of each entry (1 for n = 1).  Then n̄ = P⁺(n)̄ · (n/P⁺(n))̄
+    mod m with n/P⁺(n) in ns, so one inverse_mod over (moduli × distinct
+    primes) and one gather, product and reduction per level Ω(n) fill the
+    table, parent before child.  A non-unit is held as 0, which every product
+    keeps, so it passes to every multiple and becomes −1 at the end.  Moduli
+    go in blocks of at most _INVERSE_BLOCK table entries.
+    """
+    seen = np.zeros(int(pplus.max(initial=0)) + 1, dtype=bool)
+    seen[pplus] = True
+    primes, prime_col = np.flatnonzero(seen), (np.cumsum(seen) - 1)[pplus]
+    parent = np.searchsorted(ns, ns // pplus)  # n = 1 is its own parent
+    depth, up = np.zeros(len(ns), dtype=np.int64), np.arange(len(ns))
+    while (step := ns[up] > 1).any():
+        depth += step
+        up = parent[up]
+    levels = [np.flatnonzero(depth == k) for k in range(int(depth.max(initial=0)) + 1)]
+    block = max(1, _INVERSE_BLOCK // max(len(ns), 1))
+    for b0 in range(m_lo, m_hi + 1, block):
+        ms = np.arange(b0, min(b0 + block, m_hi + 1), dtype=np.int64)[:, None]
+        prime_inv = np.maximum(inverse_mod(primes, ms), 0)
+        inv = np.empty((len(ms), len(ns)), dtype=np.int64)
+        inv[:, levels[0]] = prime_inv[:, prime_col[levels[0]]]  # n = 1
+        for cols in levels[1:]:
+            prod = inv[:, parent[cols]]
+            prod *= prime_inv[:, prime_col[cols]]
+            prod %= ms
+            inv[:, cols] = prod
+        inv[(inv == 0) & (ms > 1)] = -1
+        yield from zip(ms[:, 0].tolist(), inv)
 
 
 @dataclass

@@ -96,7 +96,9 @@ def largest_prime_factor_array(starts, step: int, count: int, pmax: int) -> np.n
 class SmoothSieve:
     """Per-integer smoothness and coprimality flags on [lo, hi].
 
-    smooth[i] ⇔ P⁺(lo + i) ≤ y;  coprime[i] ⇔ gcd(lo + i, q) = 1.
+    smooth[i] ⇔ P⁺(lo + i) ≤ y;  coprime[i] ⇔ gcd(lo + i, q) = 1;
+    pplus[i] is the pplus_sieve value behind smooth, so P⁺(lo + i) exactly
+    wherever smooth[i] holds.
     """
 
     lo: int
@@ -105,6 +107,7 @@ class SmoothSieve:
     q: int
     smooth: np.ndarray
     coprime: np.ndarray
+    pplus: np.ndarray
 
     def is_smooth(self, n: int) -> bool:
         return bool(self.smooth[n - self.lo])
@@ -133,11 +136,11 @@ def smooth_sieve(lo: int, hi: int, y: float, q: int = 1) -> SmoothSieve:
         raise CapacityError("interval top beyond int64 sieve range")
 
     root = isqrt(hi)
-    smooth = pplus_sieve(lo, hi, root if y >= root else int(floor(y))) <= y
+    pplus = pplus_sieve(lo, hi, root if y >= root else int(floor(y)))
     coprime = np.ones(hi - lo + 1, dtype=bool)
     for p in distinct_prime_factors(q):
         coprime[-lo % p :: p] = False
-    return SmoothSieve(lo, hi, y, q, smooth, coprime)
+    return SmoothSieve(lo, hi, y, q, pplus <= y, coprime, pplus)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from smoothdio.arith import (
+    coprime_count,
     distinct_prime_factors,
     euler_phi,
     factorize,
@@ -222,6 +223,31 @@ def test_inverse_mod_edges():
     assert inverse_mod(np.zeros(0, dtype=np.int64), 7).tolist() == []
     with pytest.raises(ValueError):
         inverse_mod(np.arange(3), 0)
+
+
+def test_coprime_count():
+    for q in (1, 2, 12, 30, 97, 210, 1001, 30030):
+        for n in (0, 1, 5, 29, 30, 211, 1000):
+            assert coprime_count(n, q) == sum(1 for r in range(1, n + 1) if gcd(r, q) == 1), (n, q)
+
+
+def test_inverse_mod_broadcasts_the_modulus():
+    rng = random.Random(1003)
+    ns = [0, 1, 2, 3, 6, 7, 35, 97, 10**12 + 1] + [rng.randrange(10**6) for _ in range(200)]
+    ms = [1, 2, 3, 12, 30, 97, 1001, 7921] + [rng.randint(2, 2 * 10**6) for _ in range(40)]
+    table = inverse_mod(np.array(ns)[None, :], np.array(ms)[:, None])
+    assert table.dtype == np.int64 and table.shape == (len(ms), len(ns))
+    for m, row in zip(ms, table):
+        assert row.tolist() == _pow_inverses(ns, m) == inverse_mod(np.array(ns), m).tolist(), m
+    # one n against a column of moduli, and a modulus array of the same shape as ns
+    assert inverse_mod(5, np.array(ms)).tolist() == [_pow_inverses([5], m)[0] for m in ms]
+    assert inverse_mod(np.array(ns[:8]), np.array(ms[:8])).tolist() == [
+        _pow_inverses([n], m)[0] for n, m in zip(ns[:8], ms[:8])
+    ]
+    # every entry of c is checked
+    for bad in ([3, 0, 5], [7, 11, -2], [[4], [0]]):
+        with pytest.raises(ValueError):
+            inverse_mod(np.arange(4), np.array(bad))
 
 
 def test_inverse_table_is_read_only():

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -20,7 +21,7 @@ from smoothdio.cli import (
     main,
     search_results,
 )
-from smoothdio.arith import largest_prime_factor
+from smoothdio.arith import inverse_mod, largest_prime_factor
 from smoothdio.diophantine import (
     QuadIrr,
     build_target_set,
@@ -31,8 +32,10 @@ from smoothdio.diophantine import (
     dist_nearest,
     parse_alpha,
 )
+from smoothdio.dispersion import bump_phi_array, sigma_qR
 from smoothdio.errors import CapacityError
-from smoothdio.smooth import SIEVE_CAPACITY
+from smoothdio.expsums import _inverse_sum
+from smoothdio.smooth import SIEVE_CAPACITY, smooth_sieve
 
 
 def run(tmp_path, args, name="out"):
@@ -352,6 +355,55 @@ def test_search_finite_Y_bounds_the_class_layout_not_the_window(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "exceed sieve capacity" in captured.err
+
+
+def test_sigma_bounds_the_class_layout_not_the_window(capsys):
+    # at q = 17711 the window [X/4, 4X] holds over 2e7 integers, its weighted classes 1328 rows × 176
+    args = ["dispersion", "--q", "17711", "--a", "1", "--theta", "1/4", "--Y", "1000", "--report", "sigma"]
+    p = derive_params(17711, Fraction(1, 4))
+    assert math.floor(4 * p.X) - math.ceil(p.X / 4) + 1 > SIEVE_CAPACITY
+    assert main(args) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["rows"][0]["value"] > 0
+    # q = 1346269 is prime: 17845 rows × 2376 classes, past capacity, refused before any is built
+    args[2] = "1346269"
+    assert main(args + ["--budget", "100000000000"]) == EXIT_BUDGET
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "exceed sieve capacity" in captured.err
+
+
+def _kl_oracle(M, x, a, q, y, budget):
+    """kl_smooth_average with every n̄ from inverse_mod(ns, m), one modulus at a time."""
+    ns = smooth_sieve(1, math.ceil(x) - 1, y, q).members()
+    ms = range(math.floor(M) + 1, math.floor(2 * M) + 1)
+    return sum((math.hypot(*_inverse_sum(inverse_mod(ns, m), a, m)) for m in ms), 0.0)
+
+
+def _sigma_oracle(q, a, theta, C, Y, budget):
+    """sigma_qR with its value from math.fsum over every member of the whole window."""
+    rep = sigma_qR(q, a, theta, C, Y, budget)
+    pr = derive_params(q, theta, C, Y)
+    ns = smooth_sieve(math.ceil(pr.X / 4), math.floor(4 * pr.X), pr.Y, q).members()
+    value = math.fsum(bump_phi_array(((ns % q) * (a % q)) % q / pr.R).tolist())
+    return dataclasses.replace(rep, value=value, ratio=value / rep.main_term)
+
+
+def test_sums_bytes_match_the_oracle_paths(monkeypatch, capsys):
+    # q = 237, a = 2, θ = 1/5, Y = 30: a pairwise np.sum of the member weights is 1 ulp above fsum
+    argvs = [
+        ["kloosterman", "--M", "40,61.5", "--x", "300,421", "--a", "-7", "--q", "6", "--y", "13"],
+        ["dispersion", "--q", "237", "--a", "2", "--M", "20", "--N", "24", "--R", "38.3", "--Y", "30", "--theta", "1/5",
+         "--report", "all"],
+    ]
+    texts = []
+    for argv in argvs:
+        assert main(argv) == EXIT_OK
+        texts.append(capsys.readouterr().out)
+    monkeypatch.setattr(cli, "kl_smooth_average", _kl_oracle)
+    monkeypatch.setattr(cli, "sigma_qR", _sigma_oracle)
+    for argv, text in zip(argvs, texts):
+        assert main(argv) == EXIT_OK
+        assert capsys.readouterr().out == text
 
 
 def _scalar_search_text(alpha_spec, theta, qmin, qmax):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from smoothdio.arith import largest_prime_factor
+from smoothdio.diophantine import derive_params
 from smoothdio.dispersion import (
     DispersionParams,
     bilinear_B,
@@ -201,6 +202,37 @@ def test_sigma_qR_sieved_path_matches_residue_path():
         if gcd(n, 31) == 1 and largest_prime_factor(n) <= 7:
             tot += bump_phi(((n * 12) % 31) / R)
     assert rep.value == pytest.approx(tot, rel=1e-12)
+
+
+def sigma_fsum_oracle(q, a, theta, Y):
+    """Σ(q, R) as math.fsum of the weights of every member of the whole window."""
+    pr = derive_params(q, theta, 10.0, Y)
+    ns = smooth_sieve(ceil(pr.X / 4), math.floor(4 * pr.X), pr.Y, q).members()
+    return math.fsum(bump_phi_array(((ns % q) * (a % q)) % q / pr.R).tolist())
+
+
+@pytest.mark.parametrize(
+    "q, a, theta, Y, regime",
+    [
+        (13, 8, Fraction(1, 3), 1.5, "Y < 2"),
+        (237, 2, Fraction(1, 5), 30.0, "Y <= sqrt(hi)"),
+        (10946, 9149, Fraction(1, 4), 1012.0, "Y <= sqrt(hi)"),
+        (1009, 5, Fraction(1, 5), 3000.0, "sqrt(hi) < Y < hi"),
+        (5000, 7, Fraction(3, 10), 1e5, "sqrt(hi) < Y < hi"),
+        (2310, 13, Fraction(1, 3), 100.0, "Y <= sqrt(hi)"),
+        (2310, 13, Fraction(1, 3), float("inf"), "Y >= hi"),
+        (1009, 5, Fraction(1, 5), 1e7, "Y >= hi"),
+        (31, 12, Fraction(1, 4), None, "Y >= hi"),  # Y = (log X)^10
+    ],
+)
+def test_sigma_qR_is_the_correctly_rounded_member_sum(q, a, theta, Y, regime):
+    pr = derive_params(q, theta, 10.0, Y)
+    hi = math.floor(4 * pr.X)
+    assert regime == ("Y < 2" if pr.Y < 2 else "Y <= sqrt(hi)" if pr.Y <= math.sqrt(hi)
+                      else "sqrt(hi) < Y < hi" if pr.Y < hi else "Y >= hi")
+    rep = sigma_qR(q, a, theta, Y=Y)
+    assert rep.value == sigma_fsum_oracle(q, a, theta, Y)
+    assert rep.ratio == rep.value / rep.main_term
 
 
 def test_sigma_positivity_containment():

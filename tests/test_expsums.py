@@ -3,9 +3,11 @@ import math
 import random
 from math import cos, gcd, pi, sqrt
 
+import numpy as np
 import pytest
 
-from smoothdio.arith import euler_phi, largest_prime_factor, sieve_primes
+from smoothdio import expsums
+from smoothdio.arith import euler_phi, inverse_mod, largest_prime_factor, sieve_primes
 from smoothdio.errors import BudgetExceededError
 from smoothdio.expsums import (
     KloostermanParams,
@@ -15,6 +17,7 @@ from smoothdio.expsums import (
     kloos_bound_rhs,
     optimal_z,
 )
+from smoothdio.smooth import smooth_sieve
 
 random.seed(4004)
 
@@ -129,6 +132,33 @@ def test_kl_trivial_bound():
 def test_kl_budget():
     with pytest.raises(BudgetExceededError):
         kl_smooth_average(100, 100, 1, 1, 50, budget=10)
+
+
+@pytest.mark.parametrize(
+    "x, y, q",
+    [
+        (400, 1000, 1),  # y >= x: every n < x
+        (400, 1000, 6),
+        (300, 1.5, 1),  # y < 2: the set {1}
+        (2, 7, 1),  # x = 2: the set {1}
+        (300, 0.5, 1),  # y < 1: the empty set
+        (3003, 66, 31),
+        (500, 13, 30),  # q and many m share 2, 3 and 5
+    ],
+)
+def test_member_inverses_equal_inverse_mod(monkeypatch, x, y, q):
+    sv = smooth_sieve(1, math.ceil(x) - 1, y, q)
+    ns = sv.members()
+    pplus = sv.pplus[ns - 1]
+    assert pplus.tolist() == [largest_prime_factor(n) for n in ns.tolist()]
+    # the default block, blocks of 3 moduli, and one modulus per block
+    for block in (expsums._INVERSE_BLOCK, 3 * len(ns) + 1, 1):
+        monkeypatch.setattr(expsums, "_INVERSE_BLOCK", block)
+        rows = list(expsums._member_inverses(ns, pplus, 1, 61))
+        assert [m for m, _ in rows] == list(range(1, 62))
+        for m, inv in rows:
+            assert inv.dtype == np.int64
+            assert inv.tolist() == inverse_mod(ns, m).tolist(), (block, m)
 
 
 def kl_naive_tail(M, x, a, q, y, z):
