@@ -182,8 +182,8 @@ def inverse_mod(ns, c) -> np.ndarray:
 def gcd_sum(U: int, k: int, q: int) -> int:
     """Σ gcd(u₁−u₂, k·u₁·u₂) over u₁ ≠ u₂ in (U, 2U] with gcd(u₁u₂, q) = 1.
 
-    Exact O(U²) evaluation, blocked through numpy when products fit int64;
-    U is capped because this is an enumeration oracle.
+    Exact O(U²) evaluation, blocked through numpy; U is capped because this
+    is an enumeration oracle.
     """
     if U < 1:
         raise ValueError("U must be >= 1")
@@ -194,27 +194,14 @@ def gcd_sum(U: int, k: int, q: int) -> int:
     if U > GCD_SUM_MAX_U:
         raise CapacityError(f"U = {U} exceeds the oracle cap {GCD_SUM_MAX_U}")
 
-    us = [u for u in range(U + 1, 2 * U + 1) if gcd(u, q) == 1]
-    if len(us) < 2:
-        return 0
-
-    # int64 is safe iff |k| * (2U)^2 stays below 2^63.
-    if abs(k) * 4 * U * U < 2**62:
-        arr = np.array(us, dtype=np.int64)
-        total = 0
-        block = max(1, 10_000_000 // len(arr))
-        for i in range(0, len(arr), block):
-            u1 = arr[i : i + block]
-            diff = u1[:, None] - arr[None, :]
-            prod = k * u1[:, None] * arr[None, :]
-            g = np.gcd(diff, prod)
-            g[diff == 0] = 0
-            total += int(g.sum(dtype=np.int64))
-        return total
-
+    us = np.array([u for u in range(U + 1, 2 * U + 1) if gcd(u, q) == 1], dtype=np.int64)
+    # gcd(u₁ − u₂, k·u₁·u₂) = gcd(|u₁ − u₂|, (k mod |u₁ − u₂|)·u₁·u₂), and the
+    # product is below U·(2U)² ≤ 4·10¹⁵ for every k; the diagonal is gcd(0, 0) = 0
+    k_mod = np.array([0] + [k % g for g in range(1, U)], dtype=np.int64)
     total = 0
-    for i, u1 in enumerate(us):
-        for j, u2 in enumerate(us):
-            if i != j:
-                total += gcd(u1 - u2, k * u1 * u2)
+    block = max(1, 10_000_000 // max(len(us), 1))
+    for i in range(0, len(us), block):
+        u1 = us[i : i + block, None]
+        diff = np.abs(u1 - us[None, :])
+        total += int(np.gcd(diff, k_mod[diff] * u1 * us[None, :]).sum(dtype=np.int64))
     return total

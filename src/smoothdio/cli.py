@@ -350,14 +350,14 @@ def _run_kloosterman(cfg: RunConfig):
     if len(ys) != 1:
         raise ValueError("kloosterman takes a single --y")
     y = ys[0]
-    Ms, xs, values, zs, rhss = [], [], [], [], []
-    for M in _float_list(cfg.M):
+    Ms, xs, zs, rhss = [], [], [], []
+    for M in _float_list(cfg.M):  # every cell's z and params are checked before any sum runs
         for x in _float_list(cfg.x):
             Ms.append(M)
             xs.append(x)
-            values.append(kl_smooth_average(M, x, cfg.a, cfg.q, y, cfg.budget))
             zs.append(optimal_z(M, x, y))
             rhss.append(kloos_bound_rhs(KloostermanParams(M, x, cfg.a, cfg.q, y, zs[-1], cfg.eta)))
+    values = [kl_smooth_average(M, x, cfg.a, cfg.q, y, cfg.budget) for M, x in zip(Ms, xs)]
     ratios = [value / rhs if rhs else None for value, rhs in zip(values, rhss)]
     columns = {"M": Ms, "x": xs, "a": cfg.a, "q": cfg.q, "y": y, "value": values, "z": zs, "bound_rhs": rhss,
                "ratio": ratios}

@@ -35,33 +35,19 @@ THETA_MAX = Fraction(6, 17)
 _ERR_SCALE = 1 << 64
 
 
-def _cmp_sqrt(B: int, d: int, x: int) -> int:
-    """Exact sign of B·√d − x for d a positive nonsquare."""
-    if B == 0:
-        return (x < 0) - (x > 0)
-    if B > 0:
-        if x < 0:
-            return 1
-        return 1 if B * B * d > x * x else -1  # equality impossible: d nonsquare
-    if x >= 0:
-        return -1
-    return -1 if B * B * d > x * x else 1
-
-
 def floor_surd(A: int, B: int, d: int, C: int) -> int:
-    """⌊(A + B√d)/C⌋, exact (d positive nonsquare, C ≠ 0)."""
+    """⌊(A + B√d)/C⌋, exact (d positive nonsquare, C ≠ 0).
+
+    With C > 0 (after a sign flip), ⌊x/C⌋ = ⌊⌊x⌋/C⌋, and ⌊B√d⌋ is
+    isqrt(B²d) for B ≥ 0 and −isqrt(B²d) − 1 for B < 0, since B²d is no
+    square when B ≠ 0.
+    """
     if C == 0:
         raise ZeroDivisionError("C must be nonzero")
     if C < 0:
         A, B, C = -A, -B, -C
-    if B == 0:
-        return A // C
     m = isqrt(B * B * d)
-    n_lo = A + m if B > 0 else A - m - 1  # numerator lies in (n_lo, n_lo + 1)
-    j = n_lo // C
-    while _cmp_sqrt(B, d, (j + 1) * C - A) > 0:  # j+1 <= (A + B√d)/C ?
-        j += 1
-    return j
+    return (A + (m if B >= 0 else -m - 1)) // C
 
 
 @dataclass

@@ -389,15 +389,12 @@ def sigma_qR(q: int, a: int, theta, C: float = 10.0, Y: float = None, budget: in
     den = max((d for _, d in ratios), default=1)
     value = sum(c * n * (den // d) for (n, d), c in zip(ratios, counts)) / den  # one rounding
 
-    theta_f = Fraction(theta)
-    if Y is None:
-        c_eff = C
-    elif Y == float("inf"):
-        c_eff = float("inf")
+    if Y is not None and Y <= 1:
+        main = 0.0  # the limit of R^expo as c_eff = log Y / log log X → 0⁺
     else:
-        c_eff = log(Y) / log(log(X))
-    expo = 2.0 - float(1 - theta_f) / (2.0 * c_eff) if c_eff != float("inf") else 2.0
-    main = R**expo
+        c_eff = C if Y is None else log(Y) / log(log(X))  # log log X > 0: X > 2^(34/23) > e
+        expo = 2.0 - float(1 - Fraction(theta)) / (2.0 * c_eff) if c_eff != float("inf") else 2.0
+        main = R**expo
     params = {"q": q, "a": a, "theta": str(Fraction(theta)), "C": C, "Y": pr.Y, "X": X, "R": R}
     return _report(value, main, params, t0)
 

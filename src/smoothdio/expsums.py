@@ -7,7 +7,8 @@ precision; modular inverses come from one vectorized extended Euclid
 (`arith.inverse_mod`).  Complete and interval sums share a whole residue
 table per modulus.  The smooth average inverts only the distinct largest
 prime factors of its n's, for a block of moduli at once, and multiplies the
-rest out: its n's form a divisor-closed set, so n̄ = P⁺(n)̄ · (n/P⁺(n))̄.
+rest out: its n's form a divisor-closed set, so n̄ = P⁺(n)̄ · (n/P⁺(n))̄, and
+since n/P⁺(n) ≤ n/2 the products go one dyadic range [2ᵏ, 2ᵏ⁺¹) at a time.
 """
 
 from dataclasses import dataclass
@@ -109,28 +110,27 @@ def _member_inverses(ns: np.ndarray, pplus: np.ndarray, m_lo: int, m_hi: int):
 
     ns ascends and is divisor-closed (n in ns ⇒ every divisor of n is), and
     pplus holds P⁺ of each entry (1 for n = 1).  Then n̄ = P⁺(n)̄ · (n/P⁺(n))̄
-    mod m with n/P⁺(n) in ns, so one inverse_mod over (moduli × distinct
-    primes) and one gather, product and reduction per level Ω(n) fill the
-    table, parent before child.  A non-unit is held as 0, which every product
-    keeps, so it passes to every multiple and becomes −1 at the end.  Moduli
-    go in blocks of at most _INVERSE_BLOCK table entries.
+    mod m with n/P⁺(n) in ns.  For n ≥ 2 the parent n/P⁺(n) ≤ n/2, so every
+    parent of an n in [2ᵏ, 2ᵏ⁺¹) lies below 2ᵏ: the dyadic slices of ns are
+    levels, parent before child.  One inverse_mod over (moduli × distinct
+    primes) and one gather, product and reduction per level (≤ log₂ max ns)
+    fill the table.  A non-unit is held as 0, which every product keeps, so it
+    passes to every multiple and becomes −1 at the end.  Moduli go in blocks
+    of at most _INVERSE_BLOCK table entries.
     """
     seen = np.zeros(int(pplus.max(initial=0)) + 1, dtype=bool)
     seen[pplus] = True
     primes, prime_col = np.flatnonzero(seen), (np.cumsum(seen) - 1)[pplus]
-    parent = np.searchsorted(ns, ns // pplus)  # n = 1 is its own parent
-    depth, up = np.zeros(len(ns), dtype=np.int64), np.arange(len(ns))
-    while (step := ns[up] > 1).any():
-        depth += step
-        up = parent[up]
-    levels = [np.flatnonzero(depth == k) for k in range(int(depth.max(initial=0)) + 1)]
+    parent = np.searchsorted(ns, ns // pplus)
+    cuts = np.searchsorted(ns, 2 ** np.arange(int(ns.max(initial=1)).bit_length() + 1)).tolist()
     block = max(1, _INVERSE_BLOCK // max(len(ns), 1))
     for b0 in range(m_lo, m_hi + 1, block):
         ms = np.arange(b0, min(b0 + block, m_hi + 1), dtype=np.int64)[:, None]
         prime_inv = np.maximum(inverse_mod(primes, ms), 0)
         inv = np.empty((len(ms), len(ns)), dtype=np.int64)
-        inv[:, levels[0]] = prime_inv[:, prime_col[levels[0]]]  # n = 1
-        for cols in levels[1:]:
+        inv[:, : cuts[1]] = prime_inv[:, prime_col[: cuts[1]]]  # n = 1
+        for lo, hi in zip(cuts[1:], cuts[2:]):
+            cols = slice(lo, hi)
             prod = inv[:, parent[cols]]
             prod *= prime_inv[:, prime_col[cols]]
             prod %= ms

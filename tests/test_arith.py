@@ -18,8 +18,6 @@ from smoothdio.arith import (
 from smoothdio.errors import CapacityError
 from smoothdio.expsums import inverse_table
 
-random.seed(1001)
-
 
 def trial_division_primes(limit):
     out = []
@@ -129,9 +127,10 @@ def test_mod_inverse_examples():
 
 
 def test_mod_inverse_random_pairs():
+    rng = random.Random(1001)
     for _ in range(10_000):
-        q = random.randint(1, 10**6)
-        a = random.randint(1, 10**9)
+        q = rng.randint(1, 10**6)
+        a = rng.randint(1, 10**9)
         if gcd(a, q) != 1:
             continue
         inv = mod_inverse(a, q)
@@ -151,11 +150,20 @@ def test_gcd_sum_examples():
 
 
 def test_gcd_sum_oracle_random():
+    rng = random.Random(1001)
     for _ in range(25):
-        U = random.randint(1, 40)
-        k = random.choice([kk for kk in range(-50, 51) if kk != 0])
-        q = random.randint(1, 30)
+        U = rng.randint(1, 40)
+        k = rng.choice([kk for kk in range(-50, 51) if kk != 0])
+        q = rng.randint(1, 30)
         assert gcd_sum(U, k, q) == gcd_sum_oracle(U, k, q)
+
+
+@pytest.mark.parametrize("k", [10**15, -(2**61), 3**50, -(7**40)])
+@pytest.mark.parametrize("U, q", [(40, 1), (37, 6), (100, 7)])
+def test_gcd_sum_oracle_large_k(U, k, q):
+    # |k|·4U² ≥ 2⁶²: k·u₁·u₂ leaves int64, k mod |u₁ − u₂| keeps it inside
+    assert abs(k) * 4 * U * U >= 2**62
+    assert gcd_sum(U, k, q) == gcd_sum_oracle(U, k, q)
 
 
 def test_gcd_sum_cap():
@@ -165,10 +173,11 @@ def test_gcd_sum_cap():
 
 def test_gcd_substitution_identity():
     # gcd(u, k·u2·(u+u2)) == gcd(u, k·u2²) on random triples
+    rng = random.Random(1001)
     for _ in range(10_000):
-        u = random.randint(1, 10**6)
-        u2 = random.randint(1, 10**6)
-        k = random.choice([kk for kk in range(-1000, 1001) if kk != 0])
+        u = rng.randint(1, 10**6)
+        u2 = rng.randint(1, 10**6)
+        k = rng.choice([kk for kk in range(-1000, 1001) if kk != 0])
         assert gcd(u, k * u2 * (u + u2)) == gcd(u, k * u2 * u2)
 
 

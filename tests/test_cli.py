@@ -331,6 +331,28 @@ def test_kloosterman_many_moduli_completes(capsys):
     assert json.loads(capsys.readouterr().out)["rows"][0]["M"] == 20000.0
 
 
+@pytest.mark.parametrize("y", ["5000", "1"])
+def test_kloosterman_checks_z_before_any_sum(monkeypatch, capsys, y):
+    # no z fits in [y, x) for y >= x or y < 2; the refusal comes before the 8 s sum
+    def refuse(*args):
+        raise AssertionError("kl_smooth_average ran before z was checked")
+
+    monkeypatch.setattr(cli, "kl_smooth_average", refuse)
+    code = main(["kloosterman", "--M", "20000", "--x", "3003", "--a", "1", "--q", "1", "--y", y])
+    assert code == EXIT_BAD_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+
+
+@pytest.mark.parametrize("Y", ["1", "0.5", "-3"])
+def test_sigma_main_term_vanishes_for_Y_at_most_1(capsys, Y):
+    # c_eff = log Y / log log X ≤ 0: the main term is its limit 0 as c_eff → 0⁺, the ratio null
+    assert main(["dispersion", "--q", "13", "--a", "8", "--theta", "1/3", "--Y", Y, "--report", "sigma"]) == EXIT_OK
+    row = json.loads(capsys.readouterr().out)["rows"][0]
+    assert (row["value"], row["main_term"], row["ratio"]) == (0.0, 0.0, None)
+
+
 def test_search_member_floor_never_refuses_a_run_within_budget():
     # the smallest budget each sweep completes with is its largest target set
     args = ["search", "--alpha", "quad:1,1,5,2", "--theta", "1/4", "--qmax", "3000", "--Y", "inf", "--format", "csv"]

@@ -1,7 +1,8 @@
 import random
+from decimal import ROUND_FLOOR, Decimal, localcontext
 from fractions import Fraction
 from itertools import islice
-from math import ceil, floor, gcd, isqrt, log, sqrt
+from math import ceil, floor, gcd, isqrt, log
 
 import numpy as np
 import pytest
@@ -22,8 +23,6 @@ from smoothdio.diophantine import (
 )
 from smoothdio.arith import largest_prime_factor
 from smoothdio.errors import CapacityError
-
-random.seed(2002)
 
 GOLDEN = QuadIrr(1, 1, 5, 2)
 SQRT2 = QuadIrr(0, 1, 2, 1)
@@ -46,18 +45,59 @@ def test_parse_alpha():
     assert d.prec == 30
 
 
+def surd_sign(B, d, x):
+    """Sign of B·√d − x for d a positive nonsquare, by comparing squares."""
+    if B == 0:
+        return (x < 0) - (x > 0)
+    sign_b = 1 if B > 0 else -1
+    if x == 0 or (x > 0) != (B > 0):
+        return sign_b
+    return sign_b * ((B * B * d > x * x) - (B * B * d < x * x))
+
+
+def floor_surd_oracle(A, B, d, C):
+    """⌊(A + B√d)/C⌋: a decimal estimate, then moved until j ≤ value < j + 1
+    holds by exact sign tests."""
+    if C < 0:
+        A, B, C = -A, -B, -C
+    with localcontext() as ctx:
+        ctx.prec = 400
+        est = (Decimal(A) + Decimal(B) * Decimal(d).sqrt()) / C
+        j = int(est.to_integral_value(rounding=ROUND_FLOOR))
+    # j ≤ (A + B√d)/C  ⇔  B√d − (jC − A) ≥ 0
+    while surd_sign(B, d, j * C - A) < 0:
+        j -= 1
+    while surd_sign(B, d, (j + 1) * C - A) >= 0:
+        j += 1
+    return j
+
+
 def test_floor_surd_exact():
-    # floor((A + B sqrt(d))/C) against float evaluation on safe cases
+    rng = random.Random(2002)
     for _ in range(3000):
-        A = random.randint(-10**6, 10**6)
-        B = random.randint(-10**4, 10**4)
-        d = random.choice([2, 3, 5, 7, 10, 1234])
-        C = random.choice([c for c in range(-50, 51) if c != 0])
-        got = floor_surd(A, B, d, C)
-        val = (A + B * sqrt(d)) / C
-        # float check is reliable away from integers
-        if abs(val - round(val)) > 1e-6:
-            assert got == int(np.floor(val))
+        bits = rng.choice([8, 64, 200, 300])
+        A = rng.randint(-(2**bits), 2**bits)
+        B = rng.choice([0, rng.randint(-(2**bits), 2**bits)])
+        d = rng.choice([2, 3, 5, 7, 10, 1234, rng.randint(2, 2**bits)])
+        if isqrt(d) ** 2 == d:
+            d += 1
+        C = rng.choice([-1, 1]) * rng.randint(1, 2**bits)
+        assert floor_surd(A, B, d, C) == floor_surd_oracle(A, B, d, C), (A, B, d, C)
+
+
+def test_floor_surd_near_integers():
+    # (3 + 2√2)^k = x + y√2 with x² − 2y² = 1, so 0 < x − y√2 < 1 at every size
+    x, y = 3, 2
+    for _ in range(120):
+        assert floor_surd(x, -y, 2, 1) == 0
+        assert floor_surd(-x, y, 2, 1) == -1
+        assert floor_surd(x, -y, 2, -1) == -1
+        assert floor_surd(-x, y, 2, -1) == 0
+        assert floor_surd(2 * x, 2 * y, 2, 2) == 2 * x - 1  # x + y√2 = 2x − (x − y√2)
+        x, y = 3 * x + 4 * y, 2 * x + 3 * y
+    assert floor_surd(7, 0, 2, 7) == 1 and floor_surd(-7, 0, 2, 7) == -1
+    with pytest.raises(ZeroDivisionError):
+        floor_surd(1, 1, 2, 0)
 
 
 def cf_recurrence_oracle(terms):
@@ -143,10 +183,11 @@ def test_dist_nearest_examples():
 
 
 def test_dist_nearest_mirror():
+    rng = random.Random(2002)
     for alpha in (GOLDEN, SQRT2, QuadIrr(3, -2, 7, 5)):
         mirrored = alpha.mirror()
         for _ in range(300):
-            n = random.randint(0, 10**9)
+            n = rng.randint(0, 10**9)
             a = dist_nearest(n, alpha)
             b = dist_nearest(n, mirrored)
             assert abs(a - b) <= 1e-14 * max(a, 1e-30)
@@ -167,9 +208,10 @@ def test_derive_params_exact_powers():
 
 
 def test_derive_params_qr_identity():
+    rng = random.Random(2002)
     for _ in range(200):
-        q = random.randint(2, 10**9)
-        theta = Fraction(random.randint(1, 352), 1000)  # < 6/17 = 0.3529...
+        q = rng.randint(2, 10**9)
+        theta = Fraction(rng.randint(1, 352), 1000)  # < 6/17 = 0.3529...
         p = derive_params(q, theta)
         assert abs(p.X - q * p.R) <= 1e-12 * p.X
         assert p.R < q

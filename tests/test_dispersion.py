@@ -26,8 +26,6 @@ from smoothdio.dispersion import (
 from smoothdio.errors import BudgetExceededError
 from smoothdio.smooth import local_density, smooth_sieve
 
-random.seed(5005)
-
 
 # ---------------------------------------------------------------------------
 # bump
@@ -120,11 +118,12 @@ def test_phi_weight_plateau_and_support():
 
 
 def test_phi_weight_scan_oracle():
+    rng = random.Random(5005)
     for _ in range(300):
-        q = random.randint(20, 600)
-        R = random.uniform(1.0, q - 1)
-        a = random.choice([x for x in range(1, q) if gcd(x, q) == 1])
-        n = random.randint(0, 10**9)
+        q = rng.randint(20, 600)
+        R = rng.uniform(1.0, q - 1)
+        a = rng.choice([x for x in range(1, q) if gcd(x, q) == 1])
+        n = rng.randint(0, 10**9)
         assert phi_weight(n, R, q, a) == pytest.approx(phi_weight_scan(n, R, q, a), abs=1e-12)
 
 
@@ -151,16 +150,21 @@ def test_phi_weight_poisson_phase_collapse():
 
 
 def test_phi_weight_poisson_converges_to_direct():
-    worst = 0.0
+    # 160q/R is not enough everywhere: the fixed case reads 1.26e-6 there;
+    # over 300 draws the worst error was 1.45e-6 at 160q/R, 4.8e-9 at 320q/R
+    rng = random.Random(5005)
+    cases = [(7151, 2303.3033961582832, 3537, 349269)]
     for _ in range(10):
-        q = random.randint(300, 20000)
-        R = random.uniform(50.0, q / 3)
-        a = random.choice([x for x in range(1, q) if gcd(x, q) == 1])
-        n = random.randint(0, 10**7)
-        K = ceil(160 * q / R)
+        q = rng.randint(300, 20000)
+        R = rng.uniform(50.0, q / 3)
+        a = rng.choice([x for x in range(1, q) if gcd(x, q) == 1])
+        cases.append((q, R, a, rng.randint(0, 10**7)))
+    worst = 0.0
+    for q, R, a, n in cases:
+        K = ceil(320 * q / R)
         err = abs(phi_weight_poisson(n, R, q, a, K) - phi_weight(n, R, q, a))
         worst = max(worst, err)
-    print("poisson error at Kmax = 160q/R:", worst)
+    print("poisson error at Kmax = 320q/R:", worst)
     assert worst <= 1e-6
 
 
@@ -320,13 +324,14 @@ def test_dispersion_sums_brute():
 
 
 def test_dispersion_square_expansion_identity():
+    rng = random.Random(5005)
     for _ in range(6):
-        M = float(random.randint(5, 30))
-        N = float(random.randint(5, 30))
-        q = random.choice([53, 101, 211])
-        a = random.choice([x for x in range(2, q) if gcd(x, q) == 1])
-        R = random.uniform(5.0, q / 2)
-        Y = random.choice([3.0, 5.0, 11.0])
+        M = float(rng.randint(5, 30))
+        N = float(rng.randint(5, 30))
+        q = rng.choice([53, 101, 211])
+        a = rng.choice([x for x in range(2, q) if gcd(x, q) == 1])
+        R = rng.uniform(5.0, q / 2)
+        Y = rng.choice([3.0, 5.0, 11.0])
         params = DispersionParams(M, N, q, a, R, Y)
         S1, S2, S3, Sp = dispersion_sums(params)
         assert Sp >= -1e-12

@@ -27,8 +27,6 @@ from smoothdio.smooth import (
     smooth_sieve,
 )
 
-random.seed(3003)
-
 
 def smooth_members_oracle(limit, y):
     """All y-smooth n <= limit by DFS over prime powers (independent of the
@@ -135,9 +133,10 @@ def test_psi_oracle_slice():
         for x in range(1, 2001):
             assert psi(x, y) == bisect.bisect_right(members, x)
     # and arbitrary y <= x, not just the fixed set
-    for y in random.sample(range(2, 1500), 12):
+    rng = random.Random(3003)
+    for y in rng.sample(range(2, 1500), 12):
         members = smooth_members_oracle(1500, y)
-        for x in random.sample(range(1, 1501), 200):
+        for x in rng.sample(range(1, 1501), 200):
             assert psi(x, y) == bisect.bisect_right(members, x)
 
 
@@ -145,10 +144,11 @@ def test_psi_q():
     assert psi_q(10, 3, 1) == psi(10, 3)
     assert psi_q(10, 3, 2) == 3  # members 1, 3, 9
     assert psi_q(1000, 5, 30) == 1  # q divisible by every prime <= y
+    rng = random.Random(3003)
     for _ in range(50):
-        x = random.randint(1, 3000)
-        y = random.randint(2, 50)
-        q = random.randint(1, 100)
+        x = rng.randint(1, 3000)
+        y = rng.randint(2, 50)
+        q = rng.randint(1, 100)
         assert psi_q(x, y, q) <= psi(x, y)
 
 
