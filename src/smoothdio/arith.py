@@ -56,17 +56,18 @@ def prime_array(limit: int) -> np.ndarray:
     """Primes ≤ limit as a read-only int64 array.
 
     The only sieve of Eratosthenes: one cached table, grown (at least
-    doubling) when a larger limit is asked for, and served as slices.
+    doubling) when a larger limit is asked for, and served as slices.  The
+    sieve holds the odd numbers only, so it strikes half the flags.
     """
     global _PRIMES, _PRIMES_LIMIT
     if limit > _PRIMES_LIMIT:
         top = max(limit, 2 * _PRIMES_LIMIT, 1 << 16)
-        flags = np.ones(top + 1, dtype=bool)
-        flags[:2] = False
-        for p in range(2, isqrt(top) + 1):
-            if flags[p]:
-                flags[p * p :: p] = False
-        _PRIMES = np.flatnonzero(flags).astype(np.int64)
+        odd = np.ones((top - 1) // 2, dtype=bool)  # odd[i] ⇔ 2i + 3 is prime
+        for i in range((isqrt(top) - 1) // 2):
+            if odd[i]:
+                p = 2 * i + 3
+                odd[(p * p - 3) // 2 :: p] = False
+        _PRIMES = np.concatenate(([2], 2 * np.flatnonzero(odd) + 3)).astype(np.int64)
         _PRIMES.flags.writeable = False
         _PRIMES_LIMIT = top
     return _PRIMES[: np.searchsorted(_PRIMES, limit, side="right")]

@@ -44,7 +44,7 @@ from .dispersion import (
     type2_report,
 )
 from .errors import BudgetExceededError, CapacityError, NonConvergenceError
-from .expsums import KloostermanParams, kl_smooth_average, kloos_bound_rhs, optimal_z
+from .expsums import KloostermanParams, kl_members, kl_smooth_average, kloos_bound_rhs, optimal_z
 from .smooth import dickman_rho, psi, saddle_alpha
 
 EXIT_OK = 0
@@ -357,7 +357,13 @@ def _run_kloosterman(cfg: RunConfig):
             xs.append(x)
             zs.append(optimal_z(M, x, y))
             rhss.append(kloos_bound_rhs(KloostermanParams(M, x, cfg.a, cfg.q, y, zs[-1], cfg.eta)))
-    values = [kl_smooth_average(M, x, cfg.a, cfg.q, y, cfg.budget) for M, x in zip(Ms, xs)]
+    members = {}  # each distinct x is sieved once, and every cell's m×n pairs are checked before any sum runs
+    for M, x in zip(Ms, xs):
+        if x not in members:
+            members[x] = kl_members(x, cfg.q, y)
+        if (math.floor(2 * M) - math.floor(M)) * len(members[x][0]) > cfg.budget:
+            raise BudgetExceededError("m x n loop exceeds budget")
+    values = [kl_smooth_average(M, x, cfg.a, cfg.q, y, cfg.budget, members[x]) for M, x in zip(Ms, xs)]
     ratios = [value / rhs if rhs else None for value, rhs in zip(values, rhss)]
     columns = {"M": Ms, "x": xs, "a": cfg.a, "q": cfg.q, "y": y, "value": values, "z": zs, "bound_rhs": rhss,
                "ratio": ratios}

@@ -78,10 +78,19 @@ def _inverse_sum(inv: np.ndarray, b: int, c: int):
     return float(np.sum(np.cos(ang))), float(np.sum(np.sin(ang)))
 
 
-def kl_smooth_average(M: float, x: float, a: int, q: int, y: float, budget: int = 10**9) -> float:
+def kl_members(x: float, q: int, y: float) -> tuple:
+    """(ns, pplus): the n < x with P⁺(n) ≤ y and gcd(n, q) = 1, ascending,
+    and their P⁺ (1 for n = 1).  Needs x > 1."""
+    sv = smooth_sieve(1, int(ceil(x)) - 1, y, q)
+    ns = sv.members()
+    return ns, sv.pplus[ns - 1]
+
+
+def kl_smooth_average(M: float, x: float, a: int, q: int, y: float, budget: int = 10**9, members: tuple = None) -> float:
     """Kl_y(M, x; a, q) = Σ_{m∼M} |Σ_{n<x, P⁺(n)≤y, (n,mq)=1} e(a·n̄/m)|.
 
-    Exact double sum; n̄ is the inverse of n modulo m.
+    Exact double sum; n̄ is the inverse of n modulo m.  members is
+    kl_members(x, q, y) when the caller has sieved it already.
     """
     if M < 2 or x < 2:
         raise ValueError("need M, x >= 2")
@@ -96,11 +105,10 @@ def kl_smooth_average(M: float, x: float, a: int, q: int, y: float, budget: int 
     n_max = int(ceil(x)) - 1  # n < x
     if n_max < 1 or m_hi < m_lo:
         return 0.0
-    sv = smooth_sieve(1, n_max, y, q)
-    ns_all = sv.members()
-    if (m_hi - m_lo + 1) * len(ns_all) > budget:
+    ns, pplus = kl_members(x, q, y) if members is None else members
+    if (m_hi - m_lo + 1) * len(ns) > budget:
         raise BudgetExceededError("m x n loop exceeds budget")
-    inverses = _member_inverses(ns_all, sv.pplus[ns_all - 1], m_lo, m_hi)
+    inverses = _member_inverses(ns, pplus, m_lo, m_hi)
     return sum((hypot(*_inverse_sum(inv, a, m)) for m, inv in inverses), 0.0)
 
 

@@ -11,6 +11,7 @@ against the exact counts.
 
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 from math import ceil, exp, floor, frexp, isqrt, ldexp, log
 
 import numpy as np
@@ -305,9 +306,63 @@ class SaddlePoint:
     residual: float
 
 
+_SADDLE_PRIMES = np.zeros(0)  # every prime <= _SADDLE_LIMIT as float64, read-only
+_SADDLE_LOGS = np.zeros(0)  # their logs, read-only
+_SADDLE_LIMIT = 1
+
+
+def _saddle_table(yi: int) -> tuple:
+    """(primes, logs) over the primes ≤ yi, as float64 prefix slices of one
+    table, grown (at least doubling, up to SADDLE_PRIME_CAPACITY) from
+    prime_array when a larger yi is asked for."""
+    global _SADDLE_PRIMES, _SADDLE_LOGS, _SADDLE_LIMIT
+    if yi > _SADDLE_LIMIT:
+        top = min(max(yi, 2 * _SADDLE_LIMIT), SADDLE_PRIME_CAPACITY)
+        _SADDLE_PRIMES = prime_array(top).astype(np.float64)
+        _SADDLE_LOGS = np.log(_SADDLE_PRIMES)
+        _SADDLE_PRIMES.flags.writeable = _SADDLE_LOGS.flags.writeable = False
+        _SADDLE_LIMIT = top
+    k = np.searchsorted(_SADDLE_PRIMES, yi, side="right")
+    return _SADDLE_PRIMES[:k], _SADDLE_LOGS[:k]
+
+
+def _saddle_sums(yi: int) -> tuple:
+    """(g, slope): g(a) = Σ_{p ≤ yi} log p / (p^a − 1), and slope() = g'(a)
+    at the a of the last g call.  Both evaluate into three buffers allocated
+    here, so no step allocates."""
+    primes, logs = _saddle_table(yi)
+    pa, gap, t = np.empty((3, len(primes)))
+
+    def g(a: float) -> float:
+        np.power(primes, a, out=pa)
+        np.subtract(pa, 1.0, out=gap)
+        return float(np.sum(np.divide(logs, gap, out=t)))
+
+    def slope() -> float:  # −Σ (log p)² p^a / (p^a − 1)²
+        np.multiply(logs, logs, out=t)
+        np.multiply(t, pa, out=t)
+        np.divide(t, np.multiply(gap, gap, out=gap), out=t)
+        return float(-np.sum(t))
+
+    return g, slope
+
+
+@lru_cache(maxsize=64)
+def _saddle_bracket(yi: int) -> tuple:
+    """(g(0.01), g(1.5)) for the primes ≤ yi."""
+    g = _saddle_sums(yi)[0]
+    return g(0.01), g(1.5)
+
+
 def saddle_alpha(x: float, y: float) -> SaddlePoint:
     """Solve the saddle-point equation by Newton iteration seeded with
-    1 − log(u log u)/log y, with bisection fallback on (0.01, 1.5)."""
+    1 − log(u log u)/log y, with bisection fallback on (0.01, 1.5).
+
+    The primes and their logs are prefix slices of one float64 table kept
+    for the largest y asked.  The bracket values g(0.01) and g(1.5) depend
+    on ⌊y⌋ alone and are kept for the 64 most recent ⌊y⌋, so a sweep over
+    many y holds bounded memory.  The slope is evaluated only when a Newton
+    step is taken."""
     if y < 2:
         raise ValueError("y must be >= 2")
     if x <= 1:
@@ -315,20 +370,13 @@ def saddle_alpha(x: float, y: float) -> SaddlePoint:
     if y > SADDLE_PRIME_CAPACITY:
         raise CapacityError(f"y = {y} exceeds prime-sum capacity {SADDLE_PRIME_CAPACITY}")
 
-    primes = prime_array(int(floor(y))).astype(np.float64)
-    logs = np.log(primes)
+    yi = int(floor(y))
     target = log(x)
-
-    def g_and_slope(a: float):
-        pa = primes**a
-        gap = pa - 1.0
-        return float(np.sum(logs / gap)), float(-np.sum(logs * logs * pa / (gap * gap)))
-
     lo_a, hi_a = 0.01, 1.5
-    g_lo, _ = g_and_slope(lo_a)
-    g_hi, _ = g_and_slope(hi_a)
+    g_lo, g_hi = _saddle_bracket(yi)
     if not (g_hi <= target <= g_lo):
         raise NonConvergenceError(f"saddle point for (x={x}, y={y}) outside (0.01, 1.5)")
+    g, slope = _saddle_sums(yi)
 
     u = target / log(y)
     a = 1.0 - log(u * log(u)) / log(y) if u > 1 else 1.0
@@ -336,8 +384,7 @@ def saddle_alpha(x: float, y: float) -> SaddlePoint:
         a = 0.5 * (lo_a + hi_a)
 
     for _ in range(200):
-        g, slope = g_and_slope(a)
-        res = g - target
+        res = g(a) - target
         if abs(res) <= 1e-11 * target:
             return SaddlePoint(x, y, a, res)
         if hi_a - lo_a < 5e-16 * a:  # bracket exhausted at double precision
@@ -346,8 +393,7 @@ def saddle_alpha(x: float, y: float) -> SaddlePoint:
             lo_a = a  # g decreasing: root is to the right
         else:
             hi_a = a
-        step = res / slope
-        nxt = a - step
+        nxt = a - res / slope()
         if not (lo_a < nxt < hi_a):
             nxt = 0.5 * (lo_a + hi_a)
         a = nxt

@@ -4,6 +4,7 @@ from math import gcd
 import numpy as np
 import pytest
 
+from smoothdio import arith
 from smoothdio.arith import (
     coprime_count,
     distinct_prime_factors,
@@ -13,6 +14,7 @@ from smoothdio.arith import (
     inverse_mod,
     largest_prime_factor,
     mod_inverse,
+    prime_array,
     sieve_primes,
 )
 from smoothdio.errors import CapacityError
@@ -44,6 +46,45 @@ def test_sieve_against_trial_division():
     assert len(t.primes) == 10
     assert t.primes[-1] == 29
     assert sieve_primes(5000).primes == trial_division_primes(5000)
+
+
+def full_sieve_primes(limit):
+    """Primes <= limit from a plain sieve over every integer."""
+    flags = np.ones(limit + 1, dtype=bool)
+    flags[:2] = False
+    for p in range(2, int(limit**0.5) + 1):
+        if flags[p]:
+            flags[p * p :: p] = False
+    return np.flatnonzero(flags)
+
+
+def _reset_prime_cache(monkeypatch):
+    monkeypatch.setattr(arith, "_PRIMES", np.zeros(0, dtype=np.int64))
+    monkeypatch.setattr(arith, "_PRIMES_LIMIT", 1)
+
+
+def _check_prime_table(top):
+    # the cache was built to exactly `top`, and every prefix it serves is the oracle's
+    assert arith._PRIMES_LIMIT == top
+    want = full_sieve_primes(top)
+    for limit in (top, top - 1, top // 2 + 1, 2, 1, 0):
+        got = prime_array(limit)
+        assert got.dtype == np.int64 and not got.flags.writeable
+        np.testing.assert_array_equal(got, want[want <= limit])
+
+
+@pytest.mark.parametrize("top", [65537, 66049, 66048, 66050])  # 65537 prime, 66049 = 257²
+def test_prime_array_odd_and_square_edges(monkeypatch, top):
+    _reset_prime_cache(monkeypatch)
+    prime_array(top)
+    _check_prime_table(top)
+
+
+def test_prime_array_growth(monkeypatch):
+    _reset_prime_cache(monkeypatch)
+    for top in (1 << 16, 1 << 17, 10**6):
+        prime_array(top)
+        _check_prime_table(top)
 
 
 def test_factorize_examples():

@@ -34,7 +34,7 @@ from smoothdio.diophantine import (
 )
 from smoothdio.dispersion import bump_phi_array, sigma_qR
 from smoothdio.errors import CapacityError
-from smoothdio.expsums import _inverse_sum
+from smoothdio.expsums import _inverse_sum, kl_members
 from smoothdio.smooth import SIEVE_CAPACITY, smooth_sieve
 
 
@@ -345,6 +345,28 @@ def test_kloosterman_checks_z_before_any_sum(monkeypatch, capsys, y):
     assert captured.err.startswith("error:")
 
 
+def test_kloosterman_checks_every_cells_budget_before_any_sum(monkeypatch, capsys):
+    # 1287 members: 20 000 moduli × 1287 fit 1e8 pairs, the second cell's 200 000 × 1287 do not
+    def refuse(*args):
+        raise AssertionError("kl_smooth_average ran before every cell's budget was checked")
+
+    sieved = []
+
+    def count_members(x, q, y):
+        sieved.append(x)
+        return kl_members(x, q, y)
+
+    monkeypatch.setattr(cli, "kl_smooth_average", refuse)
+    monkeypatch.setattr(cli, "kl_members", count_members)
+    code = main(["kloosterman", "--M", "20000,200000", "--x", "3003", "--a", "1", "--q", "1", "--y", "66",
+                 "--budget", "100000000"])
+    assert code == EXIT_BUDGET
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "budget" in captured.err
+    assert sieved == [3003.0]  # both cells share one sieve
+
+
 @pytest.mark.parametrize("Y", ["1", "0.5", "-3"])
 def test_sigma_main_term_vanishes_for_Y_at_most_1(capsys, Y):
     # c_eff = log Y / log log X ≤ 0: the main term is its limit 0 as c_eff → 0⁺, the ratio null
@@ -394,8 +416,9 @@ def test_sigma_bounds_the_class_layout_not_the_window(capsys):
     assert "exceed sieve capacity" in captured.err
 
 
-def _kl_oracle(M, x, a, q, y, budget):
-    """kl_smooth_average with every n̄ from inverse_mod(ns, m), one modulus at a time."""
+def _kl_oracle(M, x, a, q, y, budget, members):
+    """kl_smooth_average with every n̄ from inverse_mod(ns, m), one modulus at a
+    time, over the n's of its own sieve rather than the presieved members."""
     ns = smooth_sieve(1, math.ceil(x) - 1, y, q).members()
     ms = range(math.floor(M) + 1, math.floor(2 * M) + 1)
     return sum((math.hypot(*_inverse_sum(inverse_mod(ns, m), a, m)) for m in ms), 0.0)

@@ -7,11 +7,13 @@ import numpy as np
 import pytest
 
 from smoothdio import smooth
-from smoothdio.arith import largest_prime_factor
-from smoothdio.errors import NonConvergenceError
+from smoothdio.arith import largest_prime_factor, prime_array
+from smoothdio.errors import CapacityError, NonConvergenceError
 from smoothdio.smooth import (
     RHO_U_MAX,
+    SADDLE_PRIME_CAPACITY,
     EstimateRangeWarning,
+    SaddlePoint,
     dickman_rho,
     doubling_factor,
     hildebrand_estimate,
@@ -302,6 +304,87 @@ def test_saddle_residual_invariant():
 def test_saddle_out_of_bracket():
     with pytest.raises(NonConvergenceError):
         saddle_alpha(1.05, 2)  # root above 1.5
+
+
+def saddle_alpha_reference(x: float, y: float) -> SaddlePoint:
+    """The solver before the shared prime-log table, as it was: fresh arrays
+    every step, both bracket ends for every x, the slope at every step."""
+    if y < 2:
+        raise ValueError("y must be >= 2")
+    if x <= 1:
+        raise ValueError("x must be > 1")
+    if y > SADDLE_PRIME_CAPACITY:
+        raise CapacityError(f"y = {y} exceeds prime-sum capacity {SADDLE_PRIME_CAPACITY}")
+
+    primes = prime_array(int(floor(y))).astype(np.float64)
+    logs = np.log(primes)
+    target = log(x)
+
+    def g_and_slope(a: float):
+        pa = primes**a
+        gap = pa - 1.0
+        return float(np.sum(logs / gap)), float(-np.sum(logs * logs * pa / (gap * gap)))
+
+    lo_a, hi_a = 0.01, 1.5
+    g_lo, _ = g_and_slope(lo_a)
+    g_hi, _ = g_and_slope(hi_a)
+    if not (g_hi <= target <= g_lo):
+        raise NonConvergenceError(f"saddle point for (x={x}, y={y}) outside (0.01, 1.5)")
+
+    u = target / log(y)
+    a = 1.0 - log(u * log(u)) / log(y) if u > 1 else 1.0
+    if not (lo_a < a < hi_a):
+        a = 0.5 * (lo_a + hi_a)
+
+    for _ in range(200):
+        g, slope = g_and_slope(a)
+        res = g - target
+        if abs(res) <= 1e-11 * target:
+            return SaddlePoint(x, y, a, res)
+        if hi_a - lo_a < 5e-16 * a:  # bracket exhausted at double precision
+            break
+        if res > 0:
+            lo_a = a  # g decreasing: root is to the right
+        else:
+            hi_a = a
+        step = res / slope
+        nxt = a - step
+        if not (lo_a < nxt < hi_a):
+            nxt = 0.5 * (lo_a + hi_a)
+        a = nxt
+    raise NonConvergenceError(f"saddle iteration failed for (x={x}, y={y})")
+
+
+def _reset_saddle_cache(monkeypatch):
+    monkeypatch.setattr(smooth, "_SADDLE_PRIMES", np.zeros(0))
+    monkeypatch.setattr(smooth, "_SADDLE_LOGS", np.zeros(0))
+    monkeypatch.setattr(smooth, "_SADDLE_LIMIT", 1)
+    smooth._saddle_bracket.cache_clear()
+
+
+def test_saddle_alpha_equals_the_reference_solver(monkeypatch):
+    # 1_000_000.75 shares ⌊y⌋ and so its bracket with 1_000_000; u = 0.6 and 1 seed at α = 1
+    ys = [9_876_543, 1_000_000, 1_000_000.75, 31_623, 1000, 37.5]
+    us = [0.6, 1.0, 2.5, 4.5]
+    want = {(u, y): saddle_alpha_reference(y**u, y) for y in ys for u in us}
+    ascending = sorted(ys)
+    for order in (ascending, ascending[::-1], [ys[0], ys[5], ys[2], ys[3], ys[1], ys[4]]):
+        _reset_saddle_cache(monkeypatch)
+        for y in order:
+            for u in us:
+                got, ref = saddle_alpha(y**u, y), want[(u, y)]
+                assert (got.alpha, got.residual) == (ref.alpha, ref.residual), (u, y)
+
+
+def test_saddle_out_of_bracket_with_the_bracket_cached(monkeypatch):
+    _reset_saddle_cache(monkeypatch)
+    saddle_alpha(30, 2)
+    hits = smooth._saddle_bracket.cache_info().hits
+    for x in (1.05, math.exp(200)):  # roots above 1.5 and below 0.01
+        for impl in (saddle_alpha_reference, saddle_alpha):
+            with pytest.raises(NonConvergenceError, match="outside"):
+                impl(x, 2.9)
+    assert smooth._saddle_bracket.cache_info().hits == hits + 2
 
 
 def test_hildebrand():
