@@ -324,7 +324,8 @@ def _xy_grid(cfg: RunConfig):
 
 def _run_psi(cfg: RunConfig):
     xs, ys = _xy_grid(cfg)
-    return ["x", "y", "psi"], [Block(len(xs), {"x": xs, "y": ys, "psi": list(map(psi, xs, ys))})]
+    counts = [psi(x, y, cfg.budget) for x, y in zip(xs, ys)]  # every cell before the first byte
+    return ["x", "y", "psi"], [Block(len(xs), {"x": xs, "y": ys, "psi": counts})]
 
 
 def _run_rho(cfg: RunConfig):

@@ -287,6 +287,17 @@ def _in_S(ns: np.ndarray, Y: float, q: int) -> np.ndarray:
     return sv.smooth & sv.coprime
 
 
+def _residue_weights(q: int, R: float):
+    """(table, cut) with table[min(r, cut)] = φ(r/R) for every residue r in
+    [0, q): φ(r/R) for r < cut = min(q, ⌊3R/4⌋ + 1), then one 0.0, as φ
+    vanishes from 3/4 on."""
+    cut = min(q, floor(3 * R / 4) + 1)
+    return np.append(bump_phi_array(np.arange(cut) / R), 0.0), cut
+
+
+_PAIR_BLOCK = 1 << 18  # m×n pairs weighed at once: bounds the block's temporaries
+
+
 class _Context:
     """What the Type I, bilinear and Type II reports share for one set of
     ranges: the n-window (N, 2N] with its 1_{S_q(Y)} flags, K(N, Y), and for
@@ -318,8 +329,9 @@ class _Context:
 
     def inner_sums(self, window: str, budget: int):
         """A_m = Σ_n 1_{S_q(Y)}(n)·Φ_a(mn, R) and B_m = Σ_n Φ_a(mn, R) over
-        the m-window "smooth" (m_smooth) or "phi" (m_phi), blocked; the m×n
-        pair count is checked against the budget on every call."""
+        the m-window "smooth" (m_smooth) or "phi" (m_phi), in blocks of at
+        most _PAIR_BLOCK pairs, each Φ read from _residue_weights by residue;
+        the m×n pair count is checked against the budget on every call."""
         ms = self.m_smooth if window == "smooth" else self.m_phi[0]
         n_all, q = self.n_all, self.q
         if len(ms) * len(n_all) > budget:
@@ -328,10 +340,11 @@ class _Context:
             A, B = np.zeros(len(ms)), np.zeros(len(ms))
             if len(n_all):
                 n_mod = n_all % q
-                block = max(1, 4_000_000 // len(n_all))
+                table, cut = _residue_weights(q, self.R)
+                block = max(1, _PAIR_BLOCK // len(n_all))
                 for i in range(0, len(ms), block):
                     res = (((ms[i : i + block] * (self.a % q)) % q)[:, None] * n_mod[None, :]) % q
-                    W = bump_phi_array(res / self.R)
+                    W = table[np.minimum(res, cut, out=res)]
                     B[i : i + block] = W.sum(axis=1)
                     A[i : i + block] = W @ self.ind
             self._sums[window] = A, B

@@ -3,10 +3,12 @@ exact Ψ(x,y) and Ψ_q(x,y), the local density K, Dickman ρ, the saddle point
 α(x,y), product-formula estimates, and the unique largest-factors-first
 decomposition.
 
-Exact counting is always done by sieving an explicit interval or set of
-progressions (nothing asymptotically cleverer); the analytic objects (ρ, α)
-carry certified or residual-checked accuracy so they can serve as diagnostics
-against the exact counts.
+Interval counts (smooth_sieve, K) sieve an explicit interval or set of
+progressions.  Ψ(x, y) and Ψ_q(x, y) are exact without a sieve: a Buchstab-type
+recursion over a small table of Ψ(t, p) for t ≤ 2¹¹, with the sieve as the
+oracle the tests hold it to.  The analytic objects (ρ, α) carry certified or
+residual-checked accuracy so they can serve as diagnostics against the exact
+counts.
 """
 
 import warnings
@@ -17,10 +19,9 @@ from math import ceil, exp, floor, frexp, isqrt, ldexp, log
 import numpy as np
 
 from .arith import distinct_prime_factors, factorize, prime_array
-from .errors import CapacityError, NonConvergenceError
+from .errors import BudgetExceededError, CapacityError, NonConvergenceError
 
 SIEVE_CAPACITY = 20_000_000
-PSI_CAPACITY = 20_000_000
 SADDLE_PRIME_CAPACITY = 10_000_000
 _PPLUS_SEGMENT = 1 << 18  # integers sieved at once: 1 MB of int32 stays in cache
 
@@ -148,16 +149,42 @@ def smooth_sieve(lo: int, hi: int, y: float, q: int = 1) -> SmoothSieve:
 # exact counts
 # ---------------------------------------------------------------------------
 
-_PPLUS = np.zeros(0, dtype=np.int32)  # P⁺(n) at index n − 1, for every y
+PSI_LEAF = 1 << 11  # T: Ψ(t, p) for t ≤ T is one read of the leaf table
+PSI_PRIME_CAPACITY = 20_000_000  # the largest y below x whose primes psi tabulates
+PSI_BUDGET = 10**9
+_PSI_CHUNK = 1 << 14  # recursion edges expanded at once: bounds the frontier's memory
+_PSI_FEW = 32  # a list of nodes with at most this many edges is expanded in Python ints
+_LEAF = None  # L[k, t] = Ψ(t, p_k) for the primes p_k < T and t ≤ T, int32, read-only
 
 
-def psi(x: float, y: float) -> int:
+def _leaf_table() -> np.ndarray:
+    """L[k, t] = Ψ(t, p_k), built on first use from one pplus_sieve(1, T):
+    309 × 2049 int32 entries (2.5 MB), whatever y is asked."""
+    global _LEAF
+    if _LEAF is None:
+        primes = prime_array(PSI_LEAF)
+        rank = np.searchsorted(primes, pplus_sieve(1, PSI_LEAF, isqrt(PSI_LEAF)))  # P⁺(1) = 1 has rank 0
+        L = np.zeros((len(primes), PSI_LEAF + 1), dtype=np.int32)
+        L[rank, np.arange(1, PSI_LEAF + 1)] = 1
+        np.cumsum(L, axis=0, out=L)
+        np.cumsum(L, axis=1, out=L)
+        L.flags.writeable = False
+        _LEAF = L
+    return _LEAF
+
+
+def psi(x: float, y: float, budget: int = PSI_BUDGET) -> int:
     """Ψ(x, y) = #{n ≤ x : P⁺(n) ≤ y}, exact.
 
-    Counts are read from one P⁺ table shared by every y, extended (at least
-    doubling) to the largest x asked, so sweeping x or y is cheap.
+    By the recursion Ψ(v, p_k) = 1 + Σ_{i≤k} Ψ(⌊v/p_i⌋, p_i) (n = 1, and
+    each n > 1 by its largest prime p_i), run breadth-first on int64 arrays
+    of (v, k) nodes (Bernstein 1995; Parsell and Sorenson 2006).  A child
+    with p_i > ⌊v/p_i⌋ counts ⌊v/p_i⌋, a child with ⌊v/p_i⌋ ≤ T reads the
+    leaf table (_leaf_table), and the rest are expanded in turn, at most
+    _PSI_CHUNK edges at a time, so memory stays flat for any x.  Every edge
+    counts one node against budget; BudgetExceededError once it is passed.
+    CapacityError past int64 and for a y < x above PSI_PRIME_CAPACITY.
     """
-    global _PPLUS
     if x < 0:
         raise ValueError("x must be >= 0")
     xi = int(floor(x))
@@ -165,30 +192,97 @@ def psi(x: float, y: float) -> int:
         return 0
     if y >= xi:
         return xi  # every n <= x is x-smooth
-    if y < 1:
-        return 0
     if y < 2:
-        return 1  # only n = 1
-    if xi > PSI_CAPACITY:
-        raise CapacityError(f"x = {x} exceeds exact-count capacity {PSI_CAPACITY}")
+        return 1 if y >= 1 else 0  # only n = 1
+    if xi >= 2**63:
+        raise CapacityError(f"x = {x} beyond int64")
+    if y > PSI_PRIME_CAPACITY:
+        raise CapacityError(f"y = {y} exceeds the prime capacity {PSI_PRIME_CAPACITY} of exact counts")
+    primes = prime_array(int(floor(y)))
+    leaf = _leaf_table()
+    if xi <= PSI_LEAF:
+        return int(leaf[len(primes) - 1, xi])
 
-    built = len(_PPLUS)
-    if built < xi:
-        top = min(max(xi, 1024, 2 * built), PSI_CAPACITY)
-        _PPLUS = np.concatenate((_PPLUS, pplus_sieve(built + 1, top, isqrt(top))))
-    return int(np.count_nonzero(_PPLUS[:xi] <= y))
+    total, nodes, stack = 0, 1, [([xi], [len(primes) - 1])]
+    while stack:
+        V, K = stack.pop()
+        few = isinstance(V, list) and sum(K) + len(K) <= _PSI_FEW  # node j has the edges i = 0 … K[j]
+        if few:
+            edges = sum(K) + len(K)
+        else:
+            V, K = np.asarray(V), np.asarray(K)
+            ends = np.cumsum(K + 1)
+            cut = max(1, int(np.searchsorted(ends, _PSI_CHUNK, side="right")))
+            if cut < len(V):
+                stack.append((V[cut:], K[cut:]))
+                V, K, ends = V[:cut], K[:cut], ends[:cut]
+            edges = int(ends[-1])
+        nodes += edges
+        if nodes > budget:
+            raise BudgetExceededError(f"Psi({x}, {y}) needs more than {budget} recursion nodes")
+        total += _expand_few(V, K, primes, leaf, stack) if few else _expand(V, K, ends, primes, leaf, stack)
+    return total
 
 
-def psi_q(x: float, y: float, q: int) -> int:
-    """Ψ_q(x, y): y-smooth n ≤ x with gcd(n, q) = 1, exact."""
+def _expand(V, K, ends, primes, leaf, stack) -> int:
+    """Expand the nodes (V[j], p_K[j]), whose edges fit one chunk unless
+    there is one node: return their count less that of the children pushed
+    on stack to expand later."""
+    if len(V) == 1:  # one node may have more edges than a chunk
+        parts = ((V[0], np.arange(lo, min(lo + _PSI_CHUNK, int(ends[0])))) for lo in range(0, int(ends[0]), _PSI_CHUNK))
+    else:
+        counts = K + 1
+        parts = [(np.repeat(V, counts), np.arange(int(ends[-1])) - np.repeat(ends - counts, counts))]
+    total = len(V)  # n = 1 under each node
+    for parent, i in parts:
+        p = primes[i]
+        v = parent // p
+        small = v < p  # p > √parent: Ψ(v, p) = v
+        total += int(v[small].sum())
+        deep = v > PSI_LEAF
+        leaves = ~(small | deep)
+        total += int(leaf[i[leaves], v[leaves]].sum())
+        deep &= ~small
+        v, i = v[deep], i[deep]
+        if len(v):
+            stack.append((v.tolist(), i.tolist()) if len(v) <= _PSI_FEW else (v, i))
+    return total
+
+
+def _expand_few(V: list, K: list, primes, leaf, stack) -> int:
+    """_expand one edge at a time, in Python ints, which costs less than the
+    numpy calls when there are only a few edges."""
+    total, deep_v, deep_k = len(V), [], []
+    for v0, k in zip(V, K):
+        for i, p in enumerate(primes[: k + 1].tolist()):
+            v = v0 // p
+            if v < p:
+                total += v
+            elif v <= PSI_LEAF:
+                total += int(leaf[i, v])
+            else:
+                deep_v.append(v)
+                deep_k.append(i)
+    if deep_v:
+        stack.append((deep_v, deep_k))
+    return total
+
+
+def psi_q(x: float, y: float, q: int, budget: int = PSI_BUDGET) -> int:
+    """Ψ_q(x, y): y-smooth n ≤ x with gcd(n, q) = 1, exact, as the
+    inclusion–exclusion Σ μ(d) Ψ(⌊x/d⌋, y) over the squarefree d | q with
+    P⁺(d) ≤ y (a prime of q above y divides no y-smooth n).  Each of the
+    terms, at most 2^ω(q), gets the whole budget."""
     if q < 1:
         raise ValueError("q must be >= 1")
-    if q == 1:
-        return psi(x, y)
+    if x < 0:
+        raise ValueError("x must be >= 0")
     xi = int(floor(x))
-    if xi < 1:
-        return 0
-    return smooth_sieve(1, xi, y, q).count()
+    terms = [(1, 1)]  # (d, μ(d)); a d above x adds Ψ(0, y) = 0
+    for p in distinct_prime_factors(q):
+        if p <= y:
+            terms += [(d * p, -mu) for d, mu in terms if d * p <= xi]
+    return sum(mu * psi(xi // d, y, budget) for d, mu in terms)
 
 
 def local_density(N: float, Y: float, q: int) -> float:
@@ -308,30 +402,32 @@ class SaddlePoint:
 
 _SADDLE_PRIMES = np.zeros(0)  # every prime <= _SADDLE_LIMIT as float64, read-only
 _SADDLE_LOGS = np.zeros(0)  # their logs, read-only
+_SADDLE_WORK = np.zeros((3, 0))  # three scratch rows as long as the table, for _saddle_sums
 _SADDLE_LIMIT = 1
 
 
 def _saddle_table(yi: int) -> tuple:
-    """(primes, logs) over the primes ≤ yi, as float64 prefix slices of one
-    table, grown (at least doubling, up to SADDLE_PRIME_CAPACITY) from
-    prime_array when a larger yi is asked for."""
-    global _SADDLE_PRIMES, _SADDLE_LOGS, _SADDLE_LIMIT
+    """(primes, logs, work) over the primes ≤ yi, as prefix slices of one
+    float64 table and of its three scratch rows, grown together (at least
+    doubling, up to SADDLE_PRIME_CAPACITY) from prime_array when a larger yi
+    is asked for."""
+    global _SADDLE_PRIMES, _SADDLE_LOGS, _SADDLE_WORK, _SADDLE_LIMIT
     if yi > _SADDLE_LIMIT:
         top = min(max(yi, 2 * _SADDLE_LIMIT), SADDLE_PRIME_CAPACITY)
         _SADDLE_PRIMES = prime_array(top).astype(np.float64)
         _SADDLE_LOGS = np.log(_SADDLE_PRIMES)
         _SADDLE_PRIMES.flags.writeable = _SADDLE_LOGS.flags.writeable = False
+        _SADDLE_WORK = np.empty((3, len(_SADDLE_PRIMES)))
         _SADDLE_LIMIT = top
     k = np.searchsorted(_SADDLE_PRIMES, yi, side="right")
-    return _SADDLE_PRIMES[:k], _SADDLE_LOGS[:k]
+    return _SADDLE_PRIMES[:k], _SADDLE_LOGS[:k], _SADDLE_WORK[:, :k]
 
 
 def _saddle_sums(yi: int) -> tuple:
     """(g, slope): g(a) = Σ_{p ≤ yi} log p / (p^a − 1), and slope() = g'(a)
-    at the a of the last g call.  Both evaluate into three buffers allocated
-    here, so no step allocates."""
-    primes, logs = _saddle_table(yi)
-    pa, gap, t = np.empty((3, len(primes)))
+    at the a of the last g call.  Both evaluate into the table's scratch
+    rows, so no call allocates, and the pages are touched once per table."""
+    primes, logs, (pa, gap, t) = _saddle_table(yi)
 
     def g(a: float) -> float:
         np.power(primes, a, out=pa)
@@ -415,6 +511,9 @@ def hildebrand_estimate(x: float, y: float) -> float:
     return x * dickman_rho(u)
 
 
+_ESTIMATE_EXACT_LIMIT = 20_000_000  # past it the estimate's base is x·ρ(u), not the exact Ψ
+
+
 def psi_q_estimate(x: float, y: float, q: int, alpha: float = None) -> float:
     """Ψ(x,y) · Π_{p | q, p ≤ y} (1 − p^{−α(x,y)}).
 
@@ -430,7 +529,7 @@ def psi_q_estimate(x: float, y: float, q: int, alpha: float = None) -> float:
         raise ValueError("need x, y >= 2")
     if not ((log(x)) ** 4 <= y <= x):
         warnings.warn(f"(x={x:g}, y={y:g}) violates (log x)^4 <= y <= x", EstimateRangeWarning, stacklevel=2)
-    base = float(psi(x, y)) if floor(x) <= PSI_CAPACITY else hildebrand_estimate(x, y)
+    base = float(psi(x, y)) if floor(x) <= _ESTIMATE_EXACT_LIMIT else hildebrand_estimate(x, y)
     if q == 1:
         return base
     ps = distinct_prime_factors(q)

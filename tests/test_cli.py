@@ -164,6 +164,46 @@ def test_psi_grid(tmp_path):
     assert text.splitlines()[1] == "100.0,5.0,34"
 
 
+def test_psi_past_the_old_sieve_cap(tmp_path):
+    # 924573 is also the count of a depth-first enumeration of the 100-smooth n <= 1e8
+    code, text = run(tmp_path, ["psi", "--x", "1e8", "--y", "100", "--format", "csv"], "p.csv")
+    assert code == EXIT_OK
+    assert text.splitlines()[1] == "100000000.0,100.0,924573"
+
+
+def test_psi_refusals_write_nothing(tmp_path, capsys):
+    # a budget too small for the last cell refuses the whole grid before the first byte
+    out = tmp_path / "p.json"
+    assert main(["psi", "--x", "100,1e8", "--y", "100", "--budget", "1000", "--out", str(out)]) == EXIT_BUDGET
+    assert not out.exists()
+    assert capsys.readouterr().err.startswith("error:")
+    assert main(["psi", "--x", "1e30", "--y", "5", "--out", str(out)]) == EXIT_BUDGET  # beyond int64
+    assert not out.exists()
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def _peak_rss_mb(argv) -> float:
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    proc = subprocess.Popen([sys.executable, "-m", "smoothdio.cli", *argv], env=env,
+                            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    _, status, usage = os.wait4(proc.pid, 0)
+    assert os.waitstatus_to_exitcode(status) == EXIT_OK, argv
+    return usage.ru_maxrss / 1024.0
+
+
+def test_psi_grid_memory_stays_near_the_interpreter():
+    # the benchmark's sieve-workload psi grid (seed 1): the leaf table and the
+    # chunked frontier keep it within 12 MB of a trivial command's peak
+    grid = ["psi", "--x", "287459,1437298,5749193", "--y", "8,59,816,5701,62966,182690", "--format", "json"]
+    assert _peak_rss_mb(grid) - _peak_rss_mb(["rho", "--u", "1"]) <= 12.0
+
+
 def test_alpha_grid(tmp_path):
     code, text = run(tmp_path, ["alpha", "--x", "4", "--y", "2"], "a.json")
     assert code == EXIT_OK

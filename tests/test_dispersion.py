@@ -6,6 +6,7 @@ from math import ceil, gcd, pi
 import numpy as np
 import pytest
 
+from smoothdio import dispersion
 from smoothdio.arith import largest_prime_factor
 from smoothdio.diophantine import derive_params
 from smoothdio.dispersion import (
@@ -548,6 +549,26 @@ def test_reports_match_per_report_bodies_bit_for_bit():
     empty = cases[-1]
     assert len(_oracle_smooth_members(empty.M, 2 * empty.M, empty.Y, empty.q)) == 0
     assert type1_report(empty).value == 0.0
+
+
+def test_residue_weight_table_equals_the_bump_bit_for_bit():
+    rng = random.Random(23)
+    cases = [(q, rng.uniform(0.01, q - 0.01)) for q in (2, 3, 13, 97, 331, 10946) for _ in range(8)]
+    cases += [(101, 4.0), (101, 4 / 3), (101, 100.99), (97, 96.0), (10946, 265.188)]  # 3R/4 an integer, R near q
+    for q, R in cases:
+        table, cut = dispersion._residue_weights(q, R)
+        res = np.arange(q)
+        got = table[np.minimum(res, cut)]
+        want = bump_phi_array(res / R)
+        assert got.tobytes() == want.tobytes(), (q, R)
+
+
+def test_inner_sums_over_many_blocks_match_the_oracle():
+    # the phi window's m×n pairs span several 2^18-pair blocks; the oracle weighs every pair
+    p = DispersionParams(1000.0, 327.0, 10946, 9149, 265.188, 1012.0, Fraction(1, 4))
+    assert len(_oracle_window_ints(3 * p.M / 4 - 1, 9 * p.M / 4 + 1)) * 327 > 1 << 18
+    assert dispersion_sums(p) == _oracle_sums(p, 10**9)
+    assert type2_report(p).value == _oracle_type2(p, 10**9)[0]
 
 
 def test_type1_budget_excludes_the_phi_window():

@@ -109,12 +109,62 @@ def test_pplus_sieve_against_scalar_oracle(monkeypatch, segment):
 def test_psi_across_table_growth(monkeypatch):
     import bisect
 
-    monkeypatch.setattr(smooth, "_PPLUS", np.zeros(0, dtype=np.int32))
+    monkeypatch.setattr(smooth, "_LEAF", None)  # the leaf table is rebuilt on first use
     members = {y: smooth_members_oracle(30000, y) for y in (2, 3, 10, 97, 150)}
-    for x in (9000, 2500, 30000, 17, 29999.5):  # large, smaller, beyond the table
+    for x in (9000, 2500, 30000, 17, 29999.5, smooth.PSI_LEAF, smooth.PSI_LEAF + 1):  # leaves and recursion
         for y, ms in members.items():
             assert psi(x, y) == bisect.bisect_right(ms, x), (x, y)
         assert psi(x, x) == psi(x, x + 1) == math.floor(x)  # y >= x
+    assert smooth._LEAF.shape == (len(prime_array(smooth.PSI_LEAF)), smooth.PSI_LEAF + 1) == (309, 2049)
+
+
+def test_psi_against_the_pplus_sieve():
+    top = 2_000_000
+    pplus = pplus_sieve(1, top, isqrt(top))
+    T = smooth.PSI_LEAF
+    rng = random.Random(3005)
+    xs = [1, 2, T - 1, T, T + 1, 2 * T, 2 * T + 1, top] + [rng.randint(1, top) for _ in range(60)]
+    xs += [rng.randint(1, 20 * T) for _ in range(60)]
+    for x in xs:
+        for y in {2, 3, 2039, 2048, 2053, rng.randint(2, 60), rng.randint(2, 3000), rng.randint(2, x + 1)}:
+            assert psi(x, y) == int(np.count_nonzero(pplus[:x] <= y)), (x, y)
+
+
+@pytest.mark.parametrize("chunk, few", [(7, 0), (1, 32), (1 << 14, 10**9)])
+def test_psi_chunked_frontier(monkeypatch, chunk, few):
+    # tiny chunks split single nodes and node lists; few = 0 forces every step through numpy
+    import bisect
+
+    monkeypatch.setattr(smooth, "_PSI_CHUNK", chunk)
+    monkeypatch.setattr(smooth, "_PSI_FEW", few)
+    for y in (2, 5, 97, 1500):
+        members = smooth_members_oracle(60000, y)
+        for x in (2049, 4097, 10**4, 59999, 60000):
+            assert psi(x, y) == bisect.bisect_right(members, x), (x, y)
+
+
+def test_psi_past_the_sieve():
+    # exact counts far past any sieve, also reached by depth-first enumeration
+    assert psi(1e8, 100) == 924_573
+    assert psi(1e10, 100) == 8_800_084
+    assert psi(1e12, 100) == 66_932_543
+    assert psi(1e10, 1000) == 295_601_979
+    assert psi(1e15, 30) == 7_850_007
+
+
+def test_psi_budget_and_capacity():
+    from smoothdio.errors import BudgetExceededError
+
+    assert psi(10**6, 100, budget=10**6) == psi(10**6, 100)
+    with pytest.raises(BudgetExceededError):
+        psi(10**6, 100, budget=100)
+    assert psi(2000, 100, budget=1) == psi(2000, 100)  # a leaf is one node
+    assert psi(2.0**63 - 1024, 2) == 63  # the powers of 2 up to 2^62
+    with pytest.raises(CapacityError):
+        psi(2.0**63, 5)
+    with pytest.raises(CapacityError):
+        psi(1e12, smooth.PSI_PRIME_CAPACITY + 1)
+    assert psi(1e12, 1e13) == 10**12  # y >= x needs no primes
 
 
 def test_psi_examples():
@@ -152,6 +202,16 @@ def test_psi_q():
         y = rng.randint(2, 50)
         q = rng.randint(1, 100)
         assert psi_q(x, y, q) <= psi(x, y)
+
+
+def test_psi_q_against_the_sieve():
+    rng = random.Random(3006)
+    for _ in range(120):
+        x = rng.choice([rng.randint(1, 3000), rng.randint(1, 200_000)])
+        y = rng.choice([rng.randint(2, 60), rng.randint(2, 5000), x + 1])
+        q = rng.choice([rng.randint(1, 10**6), 2 * 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23, rng.randint(1, 100) * 4099])
+        assert psi_q(x, y, q) == smooth_sieve(1, x, y, q).count(), (x, y, q)
+    assert psi_q(0.5, 7, 6) == 0
 
 
 def test_local_density():
@@ -358,6 +418,7 @@ def saddle_alpha_reference(x: float, y: float) -> SaddlePoint:
 def _reset_saddle_cache(monkeypatch):
     monkeypatch.setattr(smooth, "_SADDLE_PRIMES", np.zeros(0))
     monkeypatch.setattr(smooth, "_SADDLE_LOGS", np.zeros(0))
+    monkeypatch.setattr(smooth, "_SADDLE_WORK", np.zeros((3, 0)))
     monkeypatch.setattr(smooth, "_SADDLE_LIMIT", 1)
     smooth._saddle_bracket.cache_clear()
 
