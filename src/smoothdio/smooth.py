@@ -153,7 +153,6 @@ PSI_LEAF = 1 << 11  # T: Ψ(t, p) for t ≤ T is one read of the leaf table
 PSI_PRIME_CAPACITY = 20_000_000  # the largest y below x whose primes psi tabulates
 PSI_BUDGET = 10**9
 _PSI_CHUNK = 1 << 14  # recursion edges expanded at once: bounds the frontier's memory
-_PSI_FEW = 32  # a list of nodes with at most this many edges is expanded in Python ints
 _LEAF = None  # L[k, t] = Ψ(t, p_k) for the primes p_k < T and t ≤ T, int32, read-only
 
 
@@ -203,24 +202,18 @@ def psi(x: float, y: float, budget: int = PSI_BUDGET) -> int:
     if xi <= PSI_LEAF:
         return int(leaf[len(primes) - 1, xi])
 
-    total, nodes, stack = 0, 1, [([xi], [len(primes) - 1])]
+    total, nodes, stack = 0, 1, [(np.array([xi]), np.array([len(primes) - 1]))]
     while stack:
         V, K = stack.pop()
-        few = isinstance(V, list) and sum(K) + len(K) <= _PSI_FEW  # node j has the edges i = 0 … K[j]
-        if few:
-            edges = sum(K) + len(K)
-        else:
-            V, K = np.asarray(V), np.asarray(K)
-            ends = np.cumsum(K + 1)
-            cut = max(1, int(np.searchsorted(ends, _PSI_CHUNK, side="right")))
-            if cut < len(V):
-                stack.append((V[cut:], K[cut:]))
-                V, K, ends = V[:cut], K[:cut], ends[:cut]
-            edges = int(ends[-1])
-        nodes += edges
+        ends = np.cumsum(K + 1)  # node j has the edges i = 0 … K[j]
+        cut = max(1, int(np.searchsorted(ends, _PSI_CHUNK, side="right")))
+        if cut < len(V):
+            stack.append((V[cut:], K[cut:]))
+            V, K, ends = V[:cut], K[:cut], ends[:cut]
+        nodes += int(ends[-1])
         if nodes > budget:
             raise BudgetExceededError(f"Psi({x}, {y}) needs more than {budget} recursion nodes")
-        total += _expand_few(V, K, primes, leaf, stack) if few else _expand(V, K, ends, primes, leaf, stack)
+        total += _expand(V, K, ends, primes, leaf, stack)
     return total
 
 
@@ -245,34 +238,14 @@ def _expand(V, K, ends, primes, leaf, stack) -> int:
         deep &= ~small
         v, i = v[deep], i[deep]
         if len(v):
-            stack.append((v.tolist(), i.tolist()) if len(v) <= _PSI_FEW else (v, i))
+            stack.append((v, i))
     return total
 
 
-def _expand_few(V: list, K: list, primes, leaf, stack) -> int:
-    """_expand one edge at a time, in Python ints, which costs less than the
-    numpy calls when there are only a few edges."""
-    total, deep_v, deep_k = len(V), [], []
-    for v0, k in zip(V, K):
-        for i, p in enumerate(primes[: k + 1].tolist()):
-            v = v0 // p
-            if v < p:
-                total += v
-            elif v <= PSI_LEAF:
-                total += int(leaf[i, v])
-            else:
-                deep_v.append(v)
-                deep_k.append(i)
-    if deep_v:
-        stack.append((deep_v, deep_k))
-    return total
-
-
-def psi_q(x: float, y: float, q: int, budget: int = PSI_BUDGET) -> int:
+def psi_q(x: float, y: float, q: int) -> int:
     """Ψ_q(x, y): y-smooth n ≤ x with gcd(n, q) = 1, exact, as the
     inclusion–exclusion Σ μ(d) Ψ(⌊x/d⌋, y) over the squarefree d | q with
-    P⁺(d) ≤ y (a prime of q above y divides no y-smooth n).  Each of the
-    terms, at most 2^ω(q), gets the whole budget."""
+    P⁺(d) ≤ y (a prime of q above y divides no y-smooth n)."""
     if q < 1:
         raise ValueError("q must be >= 1")
     if x < 0:
@@ -282,7 +255,7 @@ def psi_q(x: float, y: float, q: int, budget: int = PSI_BUDGET) -> int:
     for p in distinct_prime_factors(q):
         if p <= y:
             terms += [(d * p, -mu) for d, mu in terms if d * p <= xi]
-    return sum(mu * psi(xi // d, y, budget) for d, mu in terms)
+    return sum(mu * psi(xi // d, y) for d, mu in terms)
 
 
 def local_density(N: float, Y: float, q: int) -> float:
