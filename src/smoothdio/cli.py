@@ -24,14 +24,12 @@ import numpy as np
 from .diophantine import (
     THETA_MAX,
     DecimalAlpha,
-    QuadIrr,
     build_target_set,
     check_target_set,
     connection_bound,
     convergents,
     derive_params,
     dist_from_convergent,
-    dist_nearest,
     parse_alpha,
 )
 from .dispersion import (
@@ -65,10 +63,12 @@ class SearchResult:
     """Verified approximants for one convergent a/q.
 
     Member columns are parallel arrays: n, ‖nα‖, n^{−θ}, P⁺(n), plus the
-    connection-bound and strict-power flags for each member.  ‖nα‖ has the
-    bits of dist_nearest: its nearest integer is decided exactly, from the
-    convergent's certified error slot or by surd arithmetic.  The fields, in
-    this order, are the columns `search` writes.
+    connection-bound and strict-power flags for each member.  ‖nα‖ comes
+    from diophantine.dist_from_convergent with the bits of dist_nearest: its
+    nearest integer is decided exactly, for a quadratic α from the certified
+    error slots of a/q and of later convergents, for a decimal α by rational
+    rounding of the stored value.  The fields, in this order, are the columns
+    `search` writes.
     """
 
     q: int
@@ -121,27 +121,16 @@ def _certify_decimal_flags(alpha: DecimalAlpha, q: int, ns, dist, refs) -> None:
 _DIST_CHUNK = 1 << 14
 
 
-def _member_dists(alpha, conv, ns) -> np.ndarray:
-    """‖nα‖ of every member, a chunk at a time: from the convergent by
-    dist_from_convergent for a QuadIrr, and by the scalar dist_nearest for a
-    chunk the convergent cannot certify and for a decimal α."""
-    dist = np.empty(len(ns))
-    for lo in range(0, len(ns), _DIST_CHUNK):
-        chunk = ns[lo:lo + _DIST_CHUNK]
-        fast = dist_from_convergent(chunk, alpha, conv) if isinstance(alpha, QuadIrr) else None
-        dist[lo:lo + len(chunk)] = fast if fast is not None else [dist_nearest(int(n), alpha) for n in chunk]
-    return dist
-
-
 def search_results(alpha, theta, qmin: int, qmax: int, C: float = 10.0, Y: float = None, budget: int = 10**9):
     """Yield one SearchResult per continued-fraction convergent a/q with
     q in [qmin, qmax]: derive scales, build the target set, and compute
-    every member's ‖nα‖ (_member_dists).  For a QuadIrr the nearest integer
-    to nα is certified from a/q and its exact error slot, and the residual is
-    wrap-exact in int64; a chunk that fails either check goes through the
-    exact surd arithmetic of dist_nearest.  Every convergent is checked
-    against capacity and budget before the first target set is built.  For a
-    decimal α, a flag its precision cannot decide raises CapacityError."""
+    every member's ‖nα‖ by dist_from_convergent, _DIST_CHUNK members at a
+    time.  For a QuadIrr the nearest integer to nα is certified per member
+    from a/q and its exact error slot, or from a later convergent's, and the
+    residual is wrap-exact in int64, or exact in Python ints past that.  Every
+    convergent is checked against capacity and budget before the first
+    target set is built.  For a decimal α, a flag its precision cannot decide
+    raises CapacityError."""
     theta = Fraction(theta)
     tf = float(theta)
     convs = _convergents_in_range(alpha, qmin, qmax)
@@ -152,7 +141,9 @@ def search_results(alpha, theta, qmin: int, qmax: int, C: float = 10.0, Y: float
         ns, pplus = build_target_set(params, conv.a)
         if len(ns) > budget:
             raise BudgetExceededError(f"{len(ns)} members at q = {conv.q} exceed budget")
-        dist = _member_dists(alpha, conv, ns)
+        dist = np.empty(len(ns))
+        for lo in range(0, len(ns), _DIST_CHUNK):
+            dist[lo:lo + _DIST_CHUNK] = dist_from_convergent(ns[lo:lo + _DIST_CHUNK], alpha, conv)
         n_power = ns.astype(np.float64) ** (-tf)
         bound = connection_bound(params)
         if isinstance(alpha, DecimalAlpha):

@@ -8,13 +8,12 @@ an explicit precision exponent is accepted as a fallback representation; its
 error interval is propagated instead of ignored.  The target set is built
 with P⁺ of each member by one sieve over its residue classes mod q.
 
-‖nα‖ of a whole member array comes from the convergent a/q that built it
-(dist_from_convergent): the nearest integer to na/q is certified to be the
-nearest integer to nα by the convergent's exact error slot, and the residual
-is evaluated in int64/float64 with the bits of the scalar dist_nearest.
-A² − B²d is formed in wrapping int64, which is exact while the certified bound
-r(r + 4|B|(⌊√d⌋ + 1))/4 on its size stays below 2⁶³.  Arrays the certificate
-or that bound refuses go to dist_nearest, which stays the exact oracle.
+‖nα‖ of a whole member array comes from one kernel for both kinds of α,
+dist_from_convergent, with the bits of the scalar dist_nearest, which stays
+as the exact oracle that the tests compare it with.  For a quadratic α the
+convergent that built the array certifies each member's nearest integer, a
+later convergent the few it cannot, and the residual is evaluated in int64,
+or in Python ints where int64 cannot hold it.
 """
 
 from dataclasses import dataclass
@@ -237,37 +236,77 @@ def dist_nearest(n: int, alpha) -> float:
 _INT64_TOP = 1 << 63
 
 
-def dist_from_convergent(ns: np.ndarray, alpha: QuadIrr, conv: Convergent):
+def dist_from_convergent(ns: np.ndarray, alpha, conv: Convergent) -> np.ndarray:
     """‖nα‖ for every n ≥ 1 of the int64 array `ns`, bit for bit as
-    dist_nearest gives it, from the convergent a/q; None when the convergent
-    cannot certify every nearest integer or int64 cannot hold the arithmetic.
+    dist_nearest gives it; a ValueError for n < 1.
 
-    With t = na − jq, |t| ≤ q/2, and |α − a/q| ≤ |ε|₊ = (|err_num| + 1)/err_den,
-    j is the nearest integer to nα when |t|/q + n·|ε|₊ < 1/2, checked in
-    integers on the largest n and |t|.  Then A = np − jr and B = ns give
-    nα − j = (A + B√d)/r with |A + B√d| ≤ r/2 and |A − B√d| ≤ r/2 + 2|B|√d,
-    so |A² − B²d| < r(r + 4|B|(⌊√d⌋ + 1))/4.  When that bound is below 2⁶³,
-    the wrapping int64 A² − B²d is exact even where A² or B²d are not.  The
-    floats are then formed as in dist_nearest, in its order.
+    For a QuadIrr, the convergent a/q certifies, member by member, that the
+    nearest integer j to na/q is the nearest integer to nα
+    (_certified_dists).  A member it cannot certify is retried against the
+    next convergents of the same convergents(alpha) walk: their slots are
+    narrower, and the walk ends because nα is never a half-integer.
+
+    For a DecimalAlpha with value N/D, the convergent is not needed: with
+    t = nN and j = ⌊(2t + D)/(2D)⌋, ‖n·value‖ = |t − jD|/D, divided as
+    Python ints.  That division is correctly rounded, as float(Fraction) is,
+    so the bits are those of dist_nearest, ties at 1/2 included.
     """
     if len(ns) == 0:
         return np.zeros(0)
+    if int(ns.min()) < 1:
+        raise ValueError("n must be >= 1")
+    if isinstance(alpha, DecimalAlpha):
+        N, D = alpha.value.numerator, alpha.value.denominator
+        t = ns.astype(object) * N
+        j = (2 * t + D) // (2 * D)
+        return (np.abs(t - j * D) / D).astype(np.float64)
+    dist, ok = _certified_dists(ns, alpha, conv)
+    if ok.all():
+        return dist
+    out = np.empty(len(ns))
+    out[ok] = dist
+    rest = np.flatnonzero(~ok)
+    walk = (c for c in convergents(alpha) if c.q > conv.q)
+    while len(rest):
+        dist, ok = _certified_dists(ns[rest], alpha, next(walk))
+        out[rest[ok]] = dist
+        rest = rest[~ok]
+    return out
+
+
+def _certified_dists(ns: np.ndarray, alpha: QuadIrr, conv: Convergent):
+    """(dist, ok): ok marks the members n of `ns` whose nearest integer to nα
+    the convergent a/q certifies, and dist is ‖nα‖ of those members, in order.
+
+    With t = na − jq, |t| ≤ q/2, and |α − a/q| ≤ |ε|₊ = (|err_num| + 1)/err_den,
+    j is the nearest integer to nα when |t|/q + n·|ε|₊ < 1/2.  That is
+    checked as |t| ≤ t_lim, one exact threshold from the largest n.  Then
+    A = np − jr and B = ns give nα − j = (A + B√d)/r with |A + B√d| ≤ r/2
+    and |A − B√d| ≤ r/2 + 2|B|√d, so |A² − B²d| < r(r + 4|B|(⌊√d⌋ + 1))/4.
+    When that bound, n·|a| + q, |p| and d are below 2⁶³, the lines run in
+    int64, where the wrapping A² − B²d is exact even where A² or B²d are not.
+    Otherwise the same lines run on Python ints.  The floats are formed as in
+    dist_nearest, in its order.
+    """
     n_top = int(ns.max())
     a, q, p, s, d, r = conv.a, conv.q, alpha.p, alpha.s, alpha.d, alpha.r
-    if (int(ns.min()) < 1 or n_top * abs(a) + q >= _INT64_TOP or abs(p) >= _INT64_TOP or d >= _INT64_TOP
-            or r * (r + 4 * n_top * abs(s) * (isqrt(d) + 1)) >= _INT64_TOP):
-        return None
-    na = ns * a
+    wide = (n_top * abs(a) + q >= _INT64_TOP or abs(p) >= _INT64_TOP or d >= _INT64_TOP
+            or r * (r + 4 * n_top * abs(s) * (isqrt(d) + 1)) >= _INT64_TOP)
+    x = ns.astype(object) if wide else ns
+    na = x * a
     t = na % q
     t[2 * t > q] -= q
-    if 2 * (int(np.abs(t).max()) * conv.err_den + n_top * (abs(conv.err_num) + 1) * q) >= q * conv.err_den:
-        return None
+    # the largest |t| with 2(|t|·err_den + n_top·(|err_num| + 1)·q) < q·err_den, or −1
+    t_lim = max((q * conv.err_den - 2 * n_top * (abs(conv.err_num) + 1) * q - 1) // (2 * conv.err_den), -1)
+    ok = np.abs(t) <= t_lim
+    if not ok.all():
+        x, na, t = x[ok], na[ok], t[ok]
     j = (na - t) // q
-    A = ns * p - j * r  # n·p and j·r may wrap; A itself fits
-    B = ns * s
+    A = x * p - j * r  # n·p and j·r may wrap in int64; A itself fits
+    B = x * s
     num = A * A - B * B * d
     den = r * (A - B * sqrt(d))
-    return np.abs(num / den)
+    return np.abs(num / den).astype(np.float64, copy=False), ok
 
 
 @dataclass

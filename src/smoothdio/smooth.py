@@ -484,17 +484,19 @@ def hildebrand_estimate(x: float, y: float) -> float:
     return x * dickman_rho(u)
 
 
-_ESTIMATE_EXACT_LIMIT = 20_000_000  # past it the estimate's base is x·ρ(u), not the exact Ψ
+# past this x the estimate's base is x·ρ(u), not the exact Ψ; a fixed cut, not a
+# capacity: psi counts exactly past it too
+_ESTIMATE_EXACT_LIMIT = 20_000_000
 
 
 def psi_q_estimate(x: float, y: float, q: int, alpha: float = None) -> float:
     """Ψ(x,y) · Π_{p | q, p ≤ y} (1 − p^{−α(x,y)}).
 
-    Uses the exact count when x is within sieve capacity, the ρ-based
-    estimate otherwise.  The Euler product is restricted to p ≤ y (the
-    y-smooth part of q carries all the coprimality information); primes of q
-    above y trigger a warning.  `alpha` overrides the saddle point (test
-    hook).
+    The base is the exact count psi(x, y) for x ≤ _ESTIMATE_EXACT_LIMIT
+    (2e7) and the ρ-based estimate x·ρ(u) past it.  The Euler product is
+    restricted to p ≤ y (the y-smooth part of q carries all the coprimality
+    information); primes of q above y trigger a warning.  `alpha` overrides
+    the saddle point (test hook).
     """
     if q < 1:
         raise ValueError("q must be >= 1")

@@ -3,6 +3,7 @@ import dataclasses
 import io
 import json
 import math
+import sys
 import time
 from fractions import Fraction
 
@@ -513,14 +514,33 @@ def _scalar_search_text(alpha_spec, theta, qmin, qmax):
 
 
 def test_search_bytes_match_the_scalar_path(monkeypatch, capsys):
-    # θ = 1/5 from q = 2: the golden convergents up to q = 144 cannot certify
-    # their nearest integers and go through dist_nearest, the rest do not
-    calls = []
-    monkeypatch.setattr(cli, "dist_nearest", lambda n, alpha: calls.append(n) or dist_nearest(n, alpha))
-    assert main(["search", "--alpha", "quad:1,1,5,2", "--theta", "1/5", "--qmax", "400", "--format", "csv"]) == EXIT_OK
-    text = capsys.readouterr().out
-    assert text == _scalar_search_text("quad:1,1,5,2", Fraction(1, 5), 2, 400)
-    assert 0 < len(calls) < text.count("\n") - 1
+    """`search` never calls the scalar dist_nearest, and its bytes are those
+    of the path that takes every ‖nα‖ from it."""
+    cases = [
+        # θ = 1/5 from q = 2: the golden convergents up to q = 144 cannot
+        # certify every nearest integer and retry later convergents
+        ("quad:1,1,5,2", Fraction(1, 5), 2, 400),
+        ("quad:1,1,5,2", Fraction(1, 4), 2, 1000),
+        ("dec:1.41421356237309504880168872421:30", Fraction(1, 4), 2, 500),
+        ("quad:1000000000000000,7,13,3", Fraction(1, 4), 2, 1000),  # n·a past int64
+    ]
+
+    def forbidden(n, alpha):
+        raise AssertionError("search called dist_nearest")
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "smoothdio" and getattr(module, "dist_nearest", None) is dist_nearest:
+            monkeypatch.setattr(module, "dist_nearest", forbidden)
+    texts = []
+    for spec, theta, qmin, qmax in cases:
+        argv = ["search", "--alpha", spec, "--theta", str(theta), "--qmin", str(qmin), "--qmax", str(qmax)]
+        assert main(argv + ["--format", "csv"]) == EXIT_OK
+        texts.append(capsys.readouterr().out)
+    monkeypatch.undo()
+    for (spec, theta, qmin, qmax), text in zip(cases, texts):
+        assert text == _scalar_search_text(spec, theta, qmin, qmax)
+    rows = list(csv.DictReader(io.StringIO(texts[-1])))
+    assert max(int(r["n"]) * int(r["a"]) for r in rows) >= 2**63
 
 
 def decimal_walk_oracle(spec, qmax):
@@ -599,6 +619,8 @@ def test_search_decimal_flags_match_the_exact_surd(capsys):
         assert main(["search", "--alpha", spec, "--theta", "3/10", "--qmax", "500"]) == EXIT_OK
         doc = json.loads(capsys.readouterr().out)
         rows[spec] = [(r["q"], r["n"], r["within_bound"], r["below_power"]) for r in doc["rows"]]
+        alpha = parse_alpha(spec)
+        assert [r["dist"] for r in doc["rows"]] == [dist_nearest(r["n"], alpha) for r in doc["rows"]]
     assert len(rows["quad:0,1,2,1"]) > 0
     assert rows["dec:1.41421356237309504880168872421:30"] == rows["quad:0,1,2,1"]
 

@@ -11,6 +11,7 @@ from smoothdio.diophantine import (
     ApproxParams,
     DecimalAlpha,
     QuadIrr,
+    _certified_dists,
     build_target_set,
     cf_convergents,
     connection_bound,
@@ -315,10 +316,8 @@ def convergent_of(alpha, q):
 
 
 def assert_kernel_bits(ns, alpha, conv):
-    """dist_from_convergent takes the fast path on `ns`, with the bits of
-    dist_nearest on every member."""
+    """dist_from_convergent gives the bits of dist_nearest on every member."""
     fast = dist_from_convergent(ns, alpha, conv)
-    assert fast is not None
     scalar = np.array([dist_nearest(int(n), alpha) for n in ns])
     assert fast.dtype == np.float64
     assert np.array_equal(fast.view(np.int64), scalar.view(np.int64))
@@ -332,6 +331,8 @@ def assert_kernel_bits(ns, alpha, conv):
         (QuadIrr(3, -2, 7, 5), 1259, Fraction(1, 4), None),  # s < 0, r > 1
         (QuadIrr(3, -2, 7, 5), 2542, Fraction(3, 10), None),
         (SQRT2, 985, Fraction(1, 5), float("inf")),
+        (QuadIrr(3, -2, 7, 5), 11, Fraction(1, 4), float("inf")),  # some members retry later convergents
+        (QuadIrr(10**15, 7, 13, 3), 67, Fraction(1, 4), float("inf")),  # n·a past int64: Python ints
     ],
 )
 def test_dist_from_convergent_matches_dist_nearest(alpha, q, theta, Y):
@@ -364,18 +365,51 @@ def test_dist_from_convergent_empty_member_array():
 @pytest.mark.parametrize(
     "alpha, index, ns",
     [
-        (GOLDEN, 2, None),  # the q = 2 target set: |t|/q + n·|ε|₊ reaches 1/2
-        (GOLDEN, 5, np.array([4], dtype=np.int64)),  # q = 8, 4·13 ≡ q/2: na/q halfway between integers
-        (QuadIrr(0, 1, 2**64 + 1, 1), 1, np.array([3], dtype=np.int64)),  # d past int64
-        (QuadIrr(0, 1, 2, 1), 1, np.array([2**60], dtype=np.int64)),  # r(r + 4|B|(⌊√d⌋ + 1)) past 2⁶³
-        (GOLDEN, 9, np.array([0, 100], dtype=np.int64)),  # n = 0
+        (GOLDEN, 2, None),  # the q = 2 target set: |t|/q + n·|ε|₊ reaches 1/2, later convergents answer
+        (GOLDEN, 5, np.array([4], dtype=np.int64)),  # q = 8, 4·13 ≡ q/2: na/q halfway, later convergents answer
+        (QuadIrr(0, 1, 2**64 + 1, 1), 1, np.array([3], dtype=np.int64)),  # d past int64: Python ints
+        (QuadIrr(0, 1, 2, 1), 1, np.array([2**60], dtype=np.int64)),  # r(r + 4|B|(⌊√d⌋ + 1)) past 2⁶³: Python ints
+        (GOLDEN, 9, np.array([0, 100], dtype=np.int64)),  # n = 0: refused
     ],
 )
 def test_dist_from_convergent_refuses_what_it_cannot_certify(alpha, index, ns):
+    """What one convergent cannot certify, or int64 cannot hold, is answered
+    with the bits of dist_nearest; only n < 1 is refused."""
     conv = next(islice(convergents(alpha), index, None))
     if ns is None:
         ns, _ = build_target_set(derive_params(conv.q, Fraction(1, 4), Y=float("inf")), conv.a)
-    assert dist_from_convergent(ns, alpha, conv) is None
+    if ns.min() < 1:
+        with pytest.raises(ValueError):
+            dist_from_convergent(ns, alpha, conv)
+    else:
+        assert_kernel_bits(ns, alpha, conv)
+
+
+@pytest.mark.parametrize("alpha, index", [(GOLDEN, 10), (SQRT2, 5), (QuadIrr(10**15, 7, 13, 3), 4)])
+def test_certificate_is_the_exact_slot_condition(alpha, index):
+    """_certified_dists certifies exactly the members n < 1000 with
+    2(|t|·err_den + n_top·(|err_num| + 1)·q) < q·err_den, in int64 and,
+    for n·a past 2⁶³ (the last case), in Python ints."""
+    conv = next(islice(convergents(alpha), index, None))
+    ns = np.arange(1, 1000, dtype=np.int64)
+    _, ok = _certified_dists(ns, alpha, conv)
+    q, n_top = conv.q, int(ns.max())
+    ts = [min(n * conv.a % q, q - n * conv.a % q) for n in ns.tolist()]
+    expect = [2 * (t * conv.err_den + n_top * (abs(conv.err_num) + 1) * q) < q * conv.err_den for t in ts]
+    assert 0 < sum(expect) < len(expect)
+    assert ok.tolist() == expect
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ["dec:1.5:10", "dec:-0.375:3", "dec:1.41421356237309504880168872421:30", "dec:2.718281828:9"],
+)
+def test_dist_from_convergent_decimal_matches_dist_nearest(spec):
+    # ‖n·value‖ by exact rational rounding; 1.5 and −0.375 put n·value on
+    # half-integers, where both round to 0.5
+    alpha = parse_alpha(spec)
+    ns = np.concatenate([np.arange(1, 2501), np.arange(10**12, 10**12 + 2500)])
+    assert_kernel_bits(ns, alpha, next(convergents(alpha)))
 
 
 def test_decimal_convergents_certified():

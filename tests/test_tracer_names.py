@@ -30,8 +30,6 @@ def test_every_traced_name_resolves():
 
 def test_kernels_are_reached_through_module_level_aliases():
     import smoothdio.arith
-    import smoothdio.cli
-    import smoothdio.diophantine
     import smoothdio.dispersion
     import smoothdio.expsums
     import smoothdio.smooth
@@ -39,6 +37,5 @@ def test_kernels_are_reached_through_module_level_aliases():
     assert smoothdio.dispersion.local_density is smoothdio.smooth.local_density
     assert smoothdio.dispersion.smooth_sieve is smoothdio.smooth.smooth_sieve
     assert smoothdio.expsums.smooth_sieve is smoothdio.smooth.smooth_sieve
-    assert smoothdio.cli.dist_nearest is smoothdio.diophantine.dist_nearest
     # the saddle table is built through this alias, or arith.prime_array reads 0 on the alpha job
     assert smoothdio.smooth.prime_array is smoothdio.arith.prime_array
