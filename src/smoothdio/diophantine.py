@@ -6,7 +6,8 @@ nearest integer to nα, and the distance ‖nα‖ can all be decided by integer
 comparisons — no floating point in any decision path.  A decimal literal with
 an explicit precision exponent is accepted as a fallback representation; its
 error interval is propagated instead of ignored.  The target set is built
-with P⁺ of each member by one sieve over its residue classes mod q.
+with P⁺ of each member by the one residue-class sieve, which under the same
+capacity rule also counts the members of a finite-Y Σ(q, R) in dispersion.
 
 ‖nα‖ of a whole member array comes from one kernel for both kinds of α,
 dist_from_convergent, with the bits of the scalar dist_nearest, which stays
@@ -341,63 +342,75 @@ def derive_params(q: int, theta, C: float = 10.0, Y: float = None) -> ApproxPara
     return ApproxParams(theta, q, X, R, Y, C)
 
 
-def _target_window(params: ApproxParams):
-    """(lo, hi, r_top, classes) of the target set, classes = #{r ≤ r_top :
-    gcd(r, q) = 1}, or None when it is empty; raises CapacityError for a
-    window past integer range or, with finite Y, a class layout (rows ×
-    classes) past SIEVE_CAPACITY."""
-    lo = ceil(params.X / 4)
-    hi = floor(4 * params.X)
-    if hi > 2**62:
+def _target_window(q: int, X: float, r_lo: int, r_hi: int, sieved: bool = True):
+    """(lo, hi, rows, rs): the window [⌈X/4⌉, ⌊4X⌋], where each class
+    n ≡ ā·r (mod q) has `rows` terms from its first n ≥ lo, and the r in
+    [max(1, r_lo), min(r_hi, q − 1)] coprime to q; None when either is empty.
+    The one capacity rule, checked before rs is built: a sieved layout needs
+    hi ≤ 2⁶² and rows × classes ≤ SIEVE_CAPACITY, whatever Y is; an unsieved
+    one holds only its residues, at most SIEVE_CAPACITY."""
+    lo, hi = ceil(X / 4), floor(4 * X)
+    r_lo, r_hi = max(1, r_lo), min(r_hi, q - 1)
+    if sieved and hi > 2**62:
         raise CapacityError(f"interval top {hi} beyond integer capacity")
-    r_top = min(floor(params.R), params.q - 1)
-    if r_top < 1 or hi < lo:
+    if r_hi < r_lo or hi < lo:
         return None
-    classes = coprime_count(r_top, params.q)
-    rows = (hi - lo) // params.q + 1
-    if params.Y < hi and rows * classes > SIEVE_CAPACITY:
-        raise CapacityError(f"{rows} rows × {classes} classes at q = {params.q} exceed sieve capacity with finite Y")
-    return lo, hi, r_top, classes
+    rows = (hi - lo) // q + 1
+    if sieved:
+        classes = coprime_count(r_hi, q) - coprime_count(r_lo - 1, q)
+        if rows * classes > SIEVE_CAPACITY:
+            raise CapacityError(f"{rows} rows × {classes} classes at q = {q} exceed sieve capacity")
+    elif r_hi - r_lo + 1 > SIEVE_CAPACITY:
+        raise CapacityError(f"{r_hi - r_lo + 1} residues at q = {q} exceed sieve capacity")
+    rs = np.arange(r_lo, r_hi + 1, dtype=np.int64)
+    return lo, hi, rows, rs[np.gcd(rs, q) == 1]
+
+
+def _sieve_classes(q: int, a: int, window, Y: float):
+    """(ns, pplus, members, rs) for a sieved _target_window: the (rows,
+    classes) layout of the classes n ≡ ā·r (mod q), ordered by their first
+    n so that it ascends row by row; P⁺ from largest_prime_factor_array with
+    the primes up to min(⌊Y⌋, hi), exact wherever P⁺ ≤ Y; the mask of the
+    n ≤ hi with P⁺(n) ≤ Y; and rs in column order."""
+    lo, hi, rows, rs = window
+    abar = mod_inverse(a, q)
+    starts = np.array([lo + (abar * r - lo) % q for r in rs.tolist()], dtype=np.int64)
+    order = np.argsort(starts)
+    starts, rs = starts[order], rs[order]
+    ns = starts + q * np.arange(rows, dtype=np.int64)[:, None]
+    pplus = largest_prime_factor_array(starts, q, rows, int(min(Y, hi)))
+    members = pplus <= Y
+    members[-1] &= ns[-1] <= hi  # every start lies in [lo, lo + q): only the last row may pass hi
+    return ns, pplus, members, rs
 
 
 def check_target_set(params: ApproxParams, budget: int) -> None:
     """Refuse, before any member is built, a target set that build_target_set
     cannot hold, or one with vacuous Y that must exceed `budget` members:
     each of its residue classes holds ⌊(hi − lo + 1)/q⌋ members or more."""
-    window = _target_window(params)
+    window = _target_window(params.q, params.X, 1, floor(params.R))
     if window is None or not params.Y >= window[1]:
         return  # empty, or a finite-Y layout within capacity
-    lo, hi, _, classes = window
-    least = classes * ((hi - lo + 1) // params.q)
+    lo, hi, _, rs = window
+    least = len(rs) * ((hi - lo + 1) // params.q)
     if least > budget:
         raise BudgetExceededError(f"at least {least} members at q = {params.q} exceed budget")
 
 
 def build_target_set(params: ApproxParams, a: int):
     """(n, P⁺(n)) for all n in [X/4, 4X] with P⁺(n) ≤ Y, gcd(n, q) = 1 and
-    (na mod q) in [1, ⌊R⌋], n ascending.
-
-    The candidates are the residue classes n ≡ ā·r (mod q), r ≤ ⌊R⌋ coprime
-    to q: progressions of step q, sieved together by
-    largest_prime_factor_array with the primes up to min(⌊Y⌋, √n).  That
-    decides P⁺(n) ≤ Y exactly and gives P⁺ of every member.
+    (na mod q) in [1, ⌊R⌋], n ascending: the members of the classes
+    n ≡ ā·r (mod q), r ≤ ⌊R⌋ coprime to q, as _sieve_classes lays them out
+    and sieves them.
     """
     q = params.q
     if gcd(a, q) != 1:
         raise ValueError("a must be coprime to q")
-    window = _target_window(params)
+    window = _target_window(q, params.X, 1, floor(params.R))
     if window is None:
         return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-    lo, hi, r_top, _ = window
-    abar = mod_inverse(a, q)
-    # each class from its first n >= lo, in that order: the (rows, classes) layout ascends
-    starts = np.array(sorted(lo + (abar * r - lo) % q for r in range(1, r_top + 1) if gcd(r, q) == 1), dtype=np.int64)
-    rows = (hi - lo) // q + 1
-    ns = (starts + q * np.arange(rows, dtype=np.int64)[:, None]).ravel()
-    size = int(np.searchsorted(ns, hi, side="right"))  # the last row may pass hi
-    pplus = largest_prime_factor_array(starts, q, rows, int(min(params.Y, hi))).ravel()[:size]
-    keep = pplus <= params.Y
-    return ns[:size][keep], pplus[keep]
+    ns, pplus, members, _ = _sieve_classes(q, a, window, params.Y)
+    return ns[members], pplus[members]
 
 
 def connection_bound(params: ApproxParams) -> float:

@@ -15,7 +15,8 @@ requested tolerance.
 
 Σ(q, R) is counted over residue classes: only n with na mod q in
 (R/4, 3R/4) carry weight, so each such class mod q adds its weight times its
-member count, and the total is formed exactly and rounded once.
+member count, and the total is formed exactly and rounded once.  With finite
+Y the members come from the target set's residue-class sieve in diophantine.
 """
 
 import time
@@ -26,10 +27,10 @@ from math import ceil, exp, floor, gcd, log, pi
 
 import numpy as np
 
-from .arith import coprime_count, mod_inverse
-from .diophantine import derive_params
-from .errors import BudgetExceededError, CapacityError, NonConvergenceError
-from .smooth import SIEVE_CAPACITY, largest_prime_factor_array, local_density, smooth_sieve
+from .arith import mod_inverse
+from .diophantine import _sieve_classes, _target_window, derive_params
+from .errors import BudgetExceededError, NonConvergenceError
+from .smooth import local_density, smooth_sieve
 
 _TWO_PI = 2.0 * pi
 
@@ -137,15 +138,9 @@ def bump_fourier(xi: float, tol: float = 1e-10) -> complex:
     return complex(vals[0])
 
 
-_PHI_HAT_0 = None
-
-
 def phi_hat_zero() -> float:
-    """φ̂(0) = ∫φ = 5/12 (evaluated once by quadrature, cached)."""
-    global _PHI_HAT_0
-    if _PHI_HAT_0 is None:
-        _PHI_HAT_0 = bump_fourier(0.0, 1e-12).real
-    return _PHI_HAT_0
+    """φ̂(0) = ∫φ = 5/12 exactly, by the transition symmetry."""
+    return 5.0 / 12.0
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +302,7 @@ class _Context:
     def __init__(self, M: float, N: float, q: int, a: int, R: float, Y: float):
         self.M, self.N, self.q, self.a, self.R, self.Y = M, N, q, a, R, Y
         self.n_all = _window_ints(N, 2 * N)
-        self.ind = _in_S(self.n_all, Y, q).astype(np.float64)
+        self.smooth = _in_S(self.n_all, Y, q)
         self._sums = {}
 
     @cached_property
@@ -330,8 +325,10 @@ class _Context:
     def inner_sums(self, window: str, budget: int):
         """A_m = Σ_n 1_{S_q(Y)}(n)·Φ_a(mn, R) and B_m = Σ_n Φ_a(mn, R) over
         the m-window "smooth" (m_smooth) or "phi" (m_phi), in blocks of at
-        most _PAIR_BLOCK pairs, each Φ read from _residue_weights by residue;
-        the m×n pair count is checked against the budget on every call."""
+        most _PAIR_BLOCK pairs, each Φ read from _residue_weights by residue.
+        Both are pairwise sums of C-ordered rows (compress keeps C order,
+        W[:, mask] does not), so their bits do not depend on the block; the
+        m×n pair count is checked against the budget on every call."""
         ms = self.m_smooth if window == "smooth" else self.m_phi[0]
         n_all, q = self.n_all, self.q
         if len(ms) * len(n_all) > budget:
@@ -346,7 +343,7 @@ class _Context:
                     res = (((ms[i : i + block] * (self.a % q)) % q)[:, None] * n_mod[None, :]) % q
                     W = table[np.minimum(res, cut, out=res)]
                     B[i : i + block] = W.sum(axis=1)
-                    A[i : i + block] = W @ self.ind
+                    A[i : i + block] = W.compress(self.smooth, axis=1).sum(axis=1)
             self._sums[window] = A, B
         return self._sums[window]
 
@@ -364,41 +361,27 @@ def sigma_qR(q: int, a: int, theta, C: float = 10.0, Y: float = None, budget: in
     benchmark main term R^{2 − (1−θ)/(2C)} for the diagnostic ratio.
 
     The sum is Σ_r φ(r/R)·#{members n ≡ ā·r (mod q)} over the r in
-    (R/4, 3R/4) coprime to q, added exactly and rounded once.  With Y ≥ 4X a
-    class counts all its n in the window; with finite Y its rows are sieved
-    by largest_prime_factor_array, and the layout (rows × classes) must stay
-    within SIEVE_CAPACITY.
+    [⌊R/4⌋, ⌈3R/4⌉] coprime to q, added exactly and rounded once.  With
+    Y ≥ 4X a class counts all its n in the window; with finite Y its members
+    are counted in the layout of the target set's residue-class sieve.
     """
     t0 = time.perf_counter()
     pr = derive_params(q, theta, C, Y)
     R, X = pr.R, pr.X
-    lo = ceil(X / 4)
-    hi = floor(4 * X)
     _check_weight_args(R, q, a)
+    hi = floor(4 * X)
     vacuous = pr.Y >= hi
-    if (R / 2 if vacuous else hi - lo + 1) > budget:
+    if (R / 2 if vacuous else hi - ceil(X / 4) + 1) > budget:
         raise BudgetExceededError("residue walk exceeds budget" if vacuous else "interval exceeds budget")
-    r_lo, r_hi = max(1, floor(R / 4)), min(q - 1, ceil(3 * R / 4))
-    rows = (hi - lo) // q + 1
-    # the candidate residues, or with finite Y the classes they lay out
-    cells = r_hi - r_lo + 1 if vacuous else rows * (coprime_count(r_hi, q) - coprime_count(r_lo - 1, q))
-    if cells > SIEVE_CAPACITY:
-        raise CapacityError(f"{cells} residue-class cells at q = {q} exceed sieve capacity")
-    rs = np.arange(r_lo, r_hi + 1, dtype=np.int64)
-    rs = rs[np.gcd(rs, q) == 1]
-    ws = bump_phi_array(rs / R)
-    keep = ws > 0.0
-    rs, ws = rs[keep], ws[keep]
-    abar = mod_inverse(a, q)
-    starts = [lo + (abar * r - lo) % q for r in rs.tolist()]  # each class's first n >= lo
+    window = _target_window(q, X, floor(R / 4), ceil(3 * R / 4), sieved=not vacuous)  # never None: 0 < R < q, X ≥ 2
+    lo, hi, _, rs = window
     if vacuous:
-        counts = [(hi - n0) // q + 1 for n0 in starts]
+        abar = mod_inverse(a, q)
+        counts = [(hi - c) // q - (lo - 1 - c) // q for c in (abar * r % q for r in rs.tolist())]  # #{n ≡ c} in [lo, hi]
     else:
-        starts = np.array(starts, dtype=np.int64)
-        pplus = largest_prime_factor_array(starts, q, rows, int(floor(pr.Y)))
-        in_window = np.arange(rows)[:, None] <= ((hi - starts) // q)[None, :]
-        counts = np.count_nonzero((pplus <= pr.Y) & in_window, axis=0).tolist()
-    ratios = [w.as_integer_ratio() for w in ws.tolist()]  # every denominator is a power of 2
+        _, _, members, rs = _sieve_classes(q, a, window, pr.Y)
+        counts = np.count_nonzero(members, axis=0).tolist()
+    ratios = [w.as_integer_ratio() for w in bump_phi_array(rs / R).tolist()]  # every denominator is a power of 2
     den = max((d for _, d in ratios), default=1)
     value = sum(c * n * (den // d) for (n, d), c in zip(ratios, counts)) / den  # one rounding
 
@@ -421,7 +404,7 @@ def bilinear_B(params: DispersionParams, budget: int = 10**9) -> SumReport:
     ctx = _context(params)
     A, _ = ctx.inner_sums("smooth", budget)
     value = float(A.sum())
-    main = phi_hat_zero() * (params.R / params.q) * len(ctx.m_smooth) * float(ctx.ind.sum())
+    main = phi_hat_zero() * (params.R / params.q) * len(ctx.m_smooth) * float(np.count_nonzero(ctx.smooth))
     return _report(value, main, _params_dict(params), t0)
 
 

@@ -442,6 +442,30 @@ def test_search_finite_Y_bounds_the_class_layout_not_the_window(capsys):
     assert "exceed sieve capacity" in captured.err
 
 
+def test_search_vacuous_Y_layout_past_capacity_exits_3_without_building():
+    # q = 2178309: 23818 rows × 3550 classes.  Its member lower bound is below the
+    # default budget, but the layout is past the sieve capacity, so the search is
+    # refused before any member array is built (several GB), here under a 1.5 GB
+    # address-space limit.
+    import os
+    import resource
+    import subprocess
+    from pathlib import Path
+
+    p = derive_params(2178309, Fraction(1, 4), Y=float("inf"))
+    assert (math.floor(4 * p.X) - math.ceil(p.X / 4)) // p.q + 1 == 23818
+    argv = ["search", "--alpha", "quad:1,1,5,2", "--theta", "1/4", "--qmin", "2178309", "--qmax", "2178309",
+            "--Y", "inf", "--format", "csv"]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-m", "smoothdio.cli", *argv], env=env, capture_output=True, text=True,
+                          timeout=120, preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (1_500_000_000,) * 2))
+    assert proc.returncode == EXIT_BUDGET
+    assert proc.stdout == ""
+    assert "23818 rows × 3550 classes" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_sigma_bounds_the_class_layout_not_the_window(capsys):
     # at q = 17711 the window [X/4, 4X] holds over 2e7 integers, its weighted classes 1328 rows × 176
     args = ["dispersion", "--q", "17711", "--a", "1", "--theta", "1/4", "--Y", "1000", "--report", "sigma"]

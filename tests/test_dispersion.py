@@ -477,7 +477,7 @@ def _oracle_inner_sums(ms, n_all, ind, R, q, a, budget):
         res = (((mb * amodq) % q)[:, None] * n_mod[None, :]) % q
         W = bump_phi_array(res / R)
         B[i : i + block] = W.sum(axis=1)
-        A[i : i + block] = W @ ind
+        A[i : i + block] = W.compress(ind > 0, axis=1).sum(axis=1)  # a C-order row sum, as B_m
     return A, B
 
 
@@ -569,6 +569,28 @@ def test_inner_sums_over_many_blocks_match_the_oracle():
     assert len(_oracle_window_ints(3 * p.M / 4 - 1, 9 * p.M / 4 + 1)) * 327 > 1 << 18
     assert dispersion_sums(p) == _oracle_sums(p, 10**9)
     assert type2_report(p).value == _oracle_type2(p, 10**9)[0]
+
+
+def test_inner_sums_do_not_depend_on_the_pair_block(monkeypatch):
+    """A_m and B_m are row sums in a fixed order: their bits are the same
+    whether the m×n pairs are weighed 2^18 or 2^12 at a time."""
+    rng = random.Random(31)
+    cases = []
+    for _ in range(8):
+        q = rng.choice([1009, 5623, 10946])
+        a = rng.randrange(1, q)
+        while gcd(a, q) != 1:
+            a = rng.randrange(1, q)
+        Y = rng.choice([50.0, 1367.0, float("inf")])
+        cases.append(DispersionParams(rng.uniform(200, 2000), rng.uniform(50, 400), q, a,
+                                      rng.uniform(q**0.3, q / 2), Y, Fraction(1, 4)))
+    for p in cases:
+        bits = []
+        for block in (1 << 18, 1 << 12):
+            monkeypatch.setattr(dispersion, "_PAIR_BLOCK", block)
+            ctx = dispersion._Context(p.M, p.N, p.q, p.a, p.R, p.Y)
+            bits.append([s.tobytes() for window in ("smooth", "phi") for s in ctx.inner_sums(window, 10**9)])
+        assert bits[0] == bits[1], p
 
 
 def test_type1_budget_excludes_the_phi_window():
