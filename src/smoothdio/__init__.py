@@ -37,6 +37,7 @@ from .dispersion import (
     phi_weight,
     phi_weight_poisson,
     sigma_qR,
+    sums_report,
     type1_report,
     type2_report,
 )

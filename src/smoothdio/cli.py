@@ -32,15 +32,7 @@ from .diophantine import (
     dist_from_convergent,
     parse_alpha,
 )
-from .dispersion import (
-    DispersionParams,
-    SumReport,
-    bilinear_B,
-    dispersion_sums,
-    sigma_qR,
-    type1_report,
-    type2_report,
-)
+from .dispersion import DispersionParams, bilinear_B, sigma_qR, sums_report, type1_report, type2_report
 from .errors import BudgetExceededError, CapacityError, NonConvergenceError
 from .expsums import KloostermanParams, kl_members, kl_smooth_average, kloos_bound_rhs, optimal_z
 from .smooth import dickman_rho, psi, saddle_alpha
@@ -347,7 +339,7 @@ def _run_kloosterman(cfg: RunConfig):
         for x in _float_list(cfg.x):
             Ms.append(M)
             xs.append(x)
-            zs.append(optimal_z(M, x, y))
+            zs.append(optimal_z(x, y))
             rhss.append(kloos_bound_rhs(KloostermanParams(M, x, cfg.a, cfg.q, y, zs[-1], cfg.eta)))
     members = {}  # each distinct x is sieved once, and every cell's m×n pairs are checked before any sum runs
     for M, x in zip(Ms, xs):
@@ -366,38 +358,29 @@ def _run_dispersion(cfg: RunConfig):
     if cfg.q is None or cfg.a is None:
         raise ValueError("dispersion needs --q and --a")
     cols = ["kind", "value", "main_term", "ratio", "truncation_error", "runtime_ms", "params"]
-    kinds = ("type1", "type2", "sums", "bilinear", "sigma") if cfg.report == "all" else (cfg.report,)
     theta = Fraction(cfg.theta) if cfg.theta else None
-
-    if any(k in kinds for k in ("type1", "type2", "sums", "bilinear")):
+    Y = _parse_Y(cfg.Y)
+    # kind → (params, budget) → SumReport, looked up per call so that rebound module names apply
+    reporters = {"type1": type1_report, "type2": type2_report, "sums": sums_report, "bilinear": bilinear_B,
+                 "sigma": lambda _, budget: sigma_qR(cfg.q, cfg.a, theta, cfg.C, Y, budget)}
+    kinds = tuple(reporters) if cfg.report == "all" else (cfg.report,)
+    # every kind is checked before the first sum runs
+    if cfg.report != "all" and cfg.report not in reporters:
+        raise ValueError(f"unknown report kind {cfg.report!r}")
+    if "sigma" in kinds and theta is None:
+        raise ValueError("sigma needs --theta")
+    params = None
+    if kinds != ("sigma",):
         if cfg.M is None or cfg.N is None or cfg.R is None or cfg.Y is None:
             raise ValueError("type1/type2/sums need --M, --N, --R, --Y")
         Ms = _float_list(cfg.M)
         if len(Ms) != 1:
             raise ValueError("dispersion takes a single --M")
-        params = DispersionParams(
-            Ms[0], cfg.N, cfg.q, cfg.a, cfg.R, _parse_Y(cfg.Y), theta, cfg.delta, cfg.eta
-        )
-    reports = []
-    for kind in kinds:
-        if kind == "type1":
-            reports.append(type1_report(params, cfg.budget))
-        elif kind == "type2":
-            reports.append(type2_report(params, cfg.budget))
-        elif kind == "sums":
-            S1, S2, S3, Sp = dispersion_sums(params, cfg.budget)
-            reports.append(SumReport(Sp, 0.0, None, 0.0, {"S1": S1, "S2": S2, "S3": S3}, 0.0))
-        elif kind == "bilinear":
-            reports.append(bilinear_B(params, cfg.budget))
-        elif kind == "sigma":
-            if theta is None:
-                raise ValueError("sigma needs --theta")
-            reports.append(sigma_qR(cfg.q, cfg.a, theta, cfg.C, _parse_Y(cfg.Y), cfg.budget))
-        else:
-            raise ValueError(f"unknown report kind {kind!r}")
-    columns = {c: [getattr(rep, c) for rep in reports] for c in ("value", "main_term", "ratio", "truncation_error")}
-    # runtime_ms is written as 0 so that a fixed configuration gives fixed bytes
-    columns.update(kind=list(kinds), params=[rep.params for rep in reports], runtime_ms=0.0)
+        params = DispersionParams(Ms[0], cfg.N, cfg.q, cfg.a, cfg.R, Y, theta, cfg.delta, cfg.eta)
+    reports = [reporters[kind](params, cfg.budget) for kind in kinds]
+    columns = {c: [getattr(rep, c) for rep in reports] for c in ("value", "main_term", "ratio", "params")}
+    # truncation_error and runtime_ms keep the output format: both are always 0.0
+    columns.update(kind=list(kinds), truncation_error=0.0, runtime_ms=0.0)
     return cols, [Block(len(reports), columns)]
 
 

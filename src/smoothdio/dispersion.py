@@ -19,7 +19,6 @@ member count, and the total is formed exactly and rounded once.  With finite
 Y the members come from the target set's residue-class sieve in diophantine.
 """
 
-import time
 from dataclasses import asdict, dataclass, field
 from functools import cached_property, lru_cache
 from fractions import Fraction
@@ -30,7 +29,7 @@ import numpy as np
 from .arith import mod_inverse
 from .diophantine import _sieve_classes, _target_window, derive_params
 from .errors import BudgetExceededError, NonConvergenceError
-from .smooth import local_density, smooth_sieve
+from .smooth import smooth_sieve
 
 _TWO_PI = 2.0 * pi
 
@@ -243,26 +242,20 @@ class DispersionParams:
         if not (0 < self.eta < self.delta / 20):
             self.flags.append(f"eta = {self.eta:g} not in (0, delta/20)")
 
-    @property
-    def X(self) -> float:
-        return self.q * self.R
-
 
 @dataclass
 class SumReport:
-    """A computed sum, its benchmark main term, and diagnostics."""
+    """A computed sum, its benchmark main term, their ratio (None when the
+    main term is 0) and the parameters and diagnostics behind them."""
 
     value: float
     main_term: float
     ratio: float
-    truncation_error: float
     params: dict
-    runtime_ms: float
 
 
-def _report(value, main, params, t0) -> SumReport:
-    ratio = value / main if main != 0.0 else None
-    return SumReport(value, main, ratio, 0.0, params, 1000.0 * (time.perf_counter() - t0))
+def _report(value, main, params) -> SumReport:
+    return SumReport(value, main, value / main if main != 0.0 else None, params)
 
 
 def _window_ints(lo: float, hi: float) -> np.ndarray:
@@ -295,19 +288,17 @@ _PAIR_BLOCK = 1 << 18  # m×n pairs weighed at once: bounds the block's temporar
 
 class _Context:
     """What the Type I, bilinear and Type II reports share for one set of
-    ranges: the n-window (N, 2N] with its 1_{S_q(Y)} flags, K(N, Y), and for
-    each m-window the inner sums A_m, B_m.  K and the m-windows are built on
-    first use, so a report never sieves or sums a window it does not read."""
+    ranges: the n-window (N, 2N] with its 1_{S_q(Y)} flags, the local density
+    K(N, Y) = #{flagged n}/N read from them, and for each m-window the inner
+    sums A_m, B_m.  The m-windows are built on first use, so a report never
+    sieves or sums a window it does not read."""
 
     def __init__(self, M: float, N: float, q: int, a: int, R: float, Y: float):
         self.M, self.N, self.q, self.a, self.R, self.Y = M, N, q, a, R, Y
         self.n_all = _window_ints(N, 2 * N)
         self.smooth = _in_S(self.n_all, Y, q)
+        self.K = np.count_nonzero(self.smooth) / N
         self._sums = {}
-
-    @cached_property
-    def K(self) -> float:
-        return local_density(self.N, self.Y, self.q)
 
     @cached_property
     def m_smooth(self) -> np.ndarray:
@@ -365,7 +356,6 @@ def sigma_qR(q: int, a: int, theta, C: float = 10.0, Y: float = None, budget: in
     Y ≥ 4X a class counts all its n in the window; with finite Y its members
     are counted in the layout of the target set's residue-class sieve.
     """
-    t0 = time.perf_counter()
     pr = derive_params(q, theta, C, Y)
     R, X = pr.R, pr.X
     _check_weight_args(R, q, a)
@@ -392,7 +382,7 @@ def sigma_qR(q: int, a: int, theta, C: float = 10.0, Y: float = None, budget: in
         expo = 2.0 - float(1 - Fraction(theta)) / (2.0 * c_eff) if c_eff != float("inf") else 2.0
         main = R**expo
     params = {"q": q, "a": a, "theta": str(Fraction(theta)), "C": C, "Y": pr.Y, "X": X, "R": R}
-    return _report(value, main, params, t0)
+    return _report(value, main, params)
 
 
 def bilinear_B(params: DispersionParams, budget: int = 10**9) -> SumReport:
@@ -400,23 +390,21 @@ def bilinear_B(params: DispersionParams, budget: int = 10**9) -> SumReport:
 
     Benchmark main term: φ̂(0)·(R/q)·#{m} ·#{n} (the mean-window heuristic).
     """
-    t0 = time.perf_counter()
     ctx = _context(params)
     A, _ = ctx.inner_sums("smooth", budget)
     value = float(A.sum())
     main = phi_hat_zero() * (params.R / params.q) * len(ctx.m_smooth) * float(np.count_nonzero(ctx.smooth))
-    return _report(value, main, _params_dict(params), t0)
+    return _report(value, main, _params_dict(params))
 
 
 def type1_report(params: DispersionParams, budget: int = 10**9) -> SumReport:
     """Σ_{m∼M} 1_{S_q(Y)}(m) Σ_{n∼N} Φ_a(mn, R) against the Type I main term
     φ̂(0)·(NR/q)·Σ_{m∼M} 1_{S_q(Y)}(m)."""
-    t0 = time.perf_counter()
     ctx = _context(params)
     _, B = ctx.inner_sums("smooth", budget)
     value = float(B.sum())
     main = phi_hat_zero() * params.N * params.R / params.q * len(ctx.m_smooth)
-    return _report(value, main, _params_dict(params), t0)
+    return _report(value, main, _params_dict(params))
 
 
 def dispersion_sums(params: DispersionParams, budget: int = 10**9):
@@ -437,11 +425,17 @@ def dispersion_sums(params: DispersionParams, budget: int = 10**9):
     return S1, S2, S3, S1 - 2.0 * S2 + S3
 
 
+def sums_report(params: DispersionParams, budget: int = 10**9) -> SumReport:
+    """S′ from dispersion_sums, with S′₁, S′₂, S′₃ as its params.  The opened
+    square has no benchmark main term: it is 0.0 and the ratio None."""
+    S1, S2, S3, Sp = dispersion_sums(params, budget)
+    return _report(Sp, 0.0, {"S1": S1, "S2": S2, "S3": S3})
+
+
 def type2_report(params: DispersionParams, budget: int = 10**9) -> SumReport:
     """Discrepancy D = Σ_{m∼M} 1_{S_q(Y)}(m) Σ_{n∼N} (1_{S_q(Y)}(n) − K) Φ_a(mn, R)
     against the benchmark R^{2−η}, with the exact dispersion Cauchy–Schwarz
     check D² ≤ M·S′ attached."""
-    t0 = time.perf_counter()
     ctx = _context(params)
     A, B = ctx.inner_sums("smooth", budget)
     D = float(np.sum(A - ctx.K * B))
@@ -451,7 +445,7 @@ def type2_report(params: DispersionParams, budget: int = 10**9) -> SumReport:
     pd = _params_dict(params)
     pd["cauchy_schwarz"] = {"D_sq": D * D, "M_Sprime": params.M * Sp, "ok": bool(cs_ok)}
     pd["sums"] = {"S1": S1, "S2": S2, "S3": S3, "Sprime": Sp}
-    return _report(D, main, pd, t0)
+    return _report(D, main, pd)
 
 
 def _params_dict(params: DispersionParams) -> dict:

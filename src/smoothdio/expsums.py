@@ -185,7 +185,7 @@ def kloos_bound_rhs(params: KloostermanParams) -> float:
     return amp * lead * core + M * z
 
 
-def optimal_z(M: float, x: float, y: float) -> float:
+def optimal_z(x: float, y: float) -> float:
     """z = x^{2/3} clamped into [y, x): the exponent-balancing cut used with
     the smooth-average bound."""
     if y >= x:

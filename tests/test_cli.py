@@ -408,6 +408,22 @@ def test_kloosterman_checks_every_cells_budget_before_any_sum(monkeypatch, capsy
     assert sieved == [3003.0]  # both cells share one sieve
 
 
+@pytest.mark.parametrize("report, message", [("all", "sigma needs --theta"), ("foo", "unknown report kind 'foo'")])
+def test_dispersion_checks_every_kind_before_any_sum(monkeypatch, capsys, report, message):
+    # `all` without --theta reaches sigma last; the refusal comes before type1, the first sum
+    def refuse(*args):
+        raise AssertionError("a report ran before every kind was checked")
+
+    for name in ("type1_report", "type2_report", "sums_report", "bilinear_B", "sigma_qR"):
+        monkeypatch.setattr(cli, name, refuse)
+    code = main(["dispersion", "--q", "101", "--a", "2", "--M", "15", "--N", "15", "--R", "20", "--Y", "5",
+                 "--report", report])
+    assert code == EXIT_BAD_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("Y", ["1", "0.5", "-3"])
 def test_sigma_main_term_vanishes_for_Y_at_most_1(capsys, Y):
     # c_eff = log Y / log log X ≤ 0: the main term is its limit 0 as c_eff → 0⁺, the ratio null

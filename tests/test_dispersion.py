@@ -6,7 +6,7 @@ from math import ceil, gcd, pi
 import numpy as np
 import pytest
 
-from smoothdio import dispersion
+from smoothdio import dispersion, smooth
 from smoothdio.arith import largest_prime_factor
 from smoothdio.diophantine import derive_params
 from smoothdio.dispersion import (
@@ -591,6 +591,26 @@ def test_inner_sums_do_not_depend_on_the_pair_block(monkeypatch):
             ctx = dispersion._Context(p.M, p.N, p.q, p.a, p.R, p.Y)
             bits.append([s.tobytes() for window in ("smooth", "phi") for s in ctx.inner_sums(window, 10**9)])
         assert bits[0] == bits[1], p
+
+
+def test_context_sieves_each_window_once_and_reads_K_from_its_flags(monkeypatch):
+    sieved = []
+
+    def counting_sieve(lo, hi, y, q=1):
+        sieved.append((lo, hi))
+        return smooth_sieve(lo, hi, y, q)
+
+    monkeypatch.setattr(dispersion, "smooth_sieve", counting_sieve)
+    monkeypatch.setattr(smooth, "smooth_sieve", counting_sieve)  # local_density's sieve counts too
+    for M, N, q, a, R, Y in ((40.0, 30.0, 101, 2, 20.0, 5.0), (9.0, 7.5, 2, 1, 1.5, 2.0), (15.0, 2.0, 13, 5, 6.0, 1.0)):
+        sieved.clear()
+        ctx = dispersion._Context(M, N, q, a, R, Y)
+        for window in ("smooth", "phi", "smooth", "phi"):
+            ctx.inner_sums(window, 10**9)
+        K = ctx.K
+        # the n-window (N, 2N] and the m-window (M, 2M]; the φ(m/3M) window is not sieved
+        assert sieved == [(math.floor(N) + 1, math.floor(2 * N)), (math.floor(M) + 1, math.floor(2 * M))]
+        assert K == local_density(N, Y, q)
 
 
 def test_type1_budget_excludes_the_phi_window():

@@ -227,17 +227,17 @@ def test_main_terms_balance_at_exponent_choice():
 
 
 def test_optimal_z():
-    assert optimal_z(0, 1e6, 1e2) == pytest.approx(1e4)
+    assert optimal_z(1e6, 1e2) == pytest.approx(1e4)
     y = 1e4 ** (2 / 3)
-    assert optimal_z(0, 1e4, y * (1 + 1e-13)) >= y  # clamp boundary
+    assert optimal_z(1e4, y * (1 + 1e-13)) >= y  # clamp boundary
     rng = random.Random(4004)
     for _ in range(50):
         x = rng.uniform(3, 1e9)
         y = rng.uniform(2, x * 0.99)
-        z = optimal_z(0, x, y)
+        z = optimal_z(x, y)
         assert y <= z < x
     with pytest.raises(ValueError):
-        optimal_z(0, 100, 100)
+        optimal_z(100, 100)
 
 
 def test_kl_ratio_diagnostic_report():
@@ -245,7 +245,7 @@ def test_kl_ratio_diagnostic_report():
     rows = []
     for (M, x, y) in ((10, 40, 5), (20, 80, 10), (30, 120, 20)):
         v = kl_smooth_average(M, x, 3, 2, y)
-        z = optimal_z(M, x, y)
+        z = optimal_z(x, y)
         rhs = kloos_bound_rhs(KloostermanParams(M, x, 3, 2, y, z, 0.05))
         rows.append((M, x, y, v / rhs))
     print("Kl/bound ratios (eta=0.05):", rows)

@@ -35,7 +35,6 @@ def test_kernels_are_reached_through_module_level_aliases():
     import smoothdio.expsums
     import smoothdio.smooth
 
-    assert smoothdio.dispersion.local_density is smoothdio.smooth.local_density
     assert smoothdio.dispersion.smooth_sieve is smoothdio.smooth.smooth_sieve
     assert smoothdio.expsums.smooth_sieve is smoothdio.smooth.smooth_sieve
     # the saddle table is built through this alias, or arith.prime_array reads 0 on the alpha job
