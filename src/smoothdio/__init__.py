@@ -55,7 +55,6 @@ from .smooth import (
     SaddlePoint,
     SmoothSieve,
     dickman_rho,
-    doubling_factor,
     hildebrand_estimate,
     local_density,
     psi,

@@ -79,10 +79,11 @@ _FACTOR_TABLE = PrimeTable(1, [])  # the cached primes as a list, for factorize
 def factorize(n: int, table: PrimeTable = None) -> Factorization:
     """Trial division of n against the table.
 
-    The default table is the cached primes, grown (at least doubling) to
-    cover min(√n, FACTOR_PRIME_LIMIT).  A leftover cofactor with no prime
-    factor ≤ table.limit is prime when it is below (table.limit + 1)²; one
-    the table cannot certify raises CapacityError.
+    The default table is the cached primes, grown (at least doubling, but
+    never past FACTOR_PRIME_LIMIT) to cover min(√n, FACTOR_PRIME_LIMIT), so
+    the answer does not depend on what earlier calls grew it to.  A leftover
+    cofactor with no prime factor ≤ table.limit is prime when it is below
+    (table.limit + 1)²; one the table cannot certify raises CapacityError.
     """
     global _FACTOR_TABLE
     if n < 1:
@@ -90,7 +91,7 @@ def factorize(n: int, table: PrimeTable = None) -> Factorization:
     if table is None:
         limit = min(isqrt(n), FACTOR_PRIME_LIMIT)
         if limit > _FACTOR_TABLE.limit:
-            _FACTOR_TABLE = sieve_primes(max(limit, 2 * _FACTOR_TABLE.limit))
+            _FACTOR_TABLE = sieve_primes(min(max(limit, 2 * _FACTOR_TABLE.limit), FACTOR_PRIME_LIMIT))
         table = _FACTOR_TABLE
     factors = []
     rem = n

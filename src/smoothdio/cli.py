@@ -32,7 +32,8 @@ from .diophantine import (
     dist_from_convergent,
     parse_alpha,
 )
-from .dispersion import DispersionParams, bilinear_B, sigma_qR, sums_report, type1_report, type2_report
+from .dispersion import (DispersionParams, bilinear_B, check_pairs, sigma_qR, sigma_window, sums_report, type1_report,
+                         type2_report)
 from .errors import BudgetExceededError, CapacityError, NonConvergenceError
 from .expsums import KloostermanParams, kl_members, kl_smooth_average, kloos_bound_rhs, optimal_z
 from .smooth import dickman_rho, psi, saddle_alpha
@@ -258,21 +259,10 @@ def build_config(argv) -> RunConfig:
 
 
 # ---------------------------------------------------------------------------
-# command handlers: each finishes its compute, then returns (columns, blocks)
+# command handlers: each finishes its compute, then returns (columns, tables);
+# a table maps each column to a list or array with one value per row, or to
+# one value repeated on every row
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class Block:
-    """`size` output rows.  Each column is either a list of `size` values, one
-    per row, or a single value repeated on every row."""
-
-    size: int
-    columns: dict
-
-
-# the most rows formatted at once: bounds the per-row strings held in memory
-_BLOCK_ROWS = 1 << 12
 
 
 def _run_search(cfg: RunConfig):
@@ -285,16 +275,7 @@ def _run_search(cfg: RunConfig):
     # every convergent is computed before the first byte is written, so a
     # budget or capacity error leaves no partial output
     results = list(search_results(alpha, theta, cfg.qmin, cfg.qmax, cfg.C, _parse_Y(cfg.Y), cfg.budget))
-    return [f.name for f in fields(SearchResult)], _search_blocks(results)
-
-
-def _search_blocks(results):
-    """One block per convergent, split every _BLOCK_ROWS members."""
-    for res in results:
-        for lo in range(0, len(res.n), _BLOCK_ROWS):
-            rows = slice(lo, lo + _BLOCK_ROWS)
-            columns = {k: v[rows].tolist() if isinstance(v, np.ndarray) else v for k, v in vars(res).items()}
-            yield Block(len(res.n[rows]), columns)
+    return [f.name for f in fields(SearchResult)], map(vars, results)
 
 
 def _xy_grid(cfg: RunConfig):
@@ -308,7 +289,7 @@ def _xy_grid(cfg: RunConfig):
 def _run_psi(cfg: RunConfig):
     xs, ys = _xy_grid(cfg)
     counts = [psi(x, y, cfg.budget) for x, y in zip(xs, ys)]  # every cell before the first byte
-    return ["x", "y", "psi"], [Block(len(xs), {"x": xs, "y": ys, "psi": counts})]
+    return ["x", "y", "psi"], [{"x": xs, "y": ys, "psi": counts}]
 
 
 def _run_rho(cfg: RunConfig):
@@ -316,14 +297,14 @@ def _run_rho(cfg: RunConfig):
         raise ValueError("rho needs --u (comma list)")
     us = _float_list(cfg.u)
     rhos = [dickman_rho(u, cfg.tol) for u in us]
-    return ["u", "rho", "tol"], [Block(len(us), {"u": us, "rho": rhos, "tol": cfg.tol})]
+    return ["u", "rho", "tol"], [{"u": us, "rho": rhos, "tol": cfg.tol}]
 
 
 def _run_alpha(cfg: RunConfig):
     xs, ys = _xy_grid(cfg)
     sps = list(map(saddle_alpha, xs, ys))
-    columns = {"x": xs, "y": ys, "alpha": [sp.alpha for sp in sps], "residual": [sp.residual for sp in sps]}
-    return ["x", "y", "alpha", "residual"], [Block(len(xs), columns)]
+    return ["x", "y", "alpha", "residual"], [{"x": xs, "y": ys, "alpha": [sp.alpha for sp in sps],
+                                              "residual": [sp.residual for sp in sps]}]
 
 
 def _run_kloosterman(cfg: RunConfig):
@@ -334,13 +315,10 @@ def _run_kloosterman(cfg: RunConfig):
     if len(ys) != 1:
         raise ValueError("kloosterman takes a single --y")
     y = ys[0]
-    Ms, xs, zs, rhss = [], [], [], []
-    for M in _float_list(cfg.M):  # every cell's z and params are checked before any sum runs
-        for x in _float_list(cfg.x):
-            Ms.append(M)
-            xs.append(x)
-            zs.append(optimal_z(x, y))
-            rhss.append(kloos_bound_rhs(KloostermanParams(M, x, cfg.a, cfg.q, y, zs[-1], cfg.eta)))
+    M_list, x_list = _float_list(cfg.M), _float_list(cfg.x)
+    Ms, xs = [M for M in M_list for _ in x_list], x_list * len(M_list)
+    zs = [optimal_z(x, y) for x in xs]  # every cell's z and params are checked before any sum runs
+    rhss = [kloos_bound_rhs(KloostermanParams(M, x, cfg.a, cfg.q, y, z, cfg.eta)) for M, x, z in zip(Ms, xs, zs)]
     members = {}  # each distinct x is sieved once, and every cell's m×n pairs are checked before any sum runs
     for M, x in zip(Ms, xs):
         if x not in members:
@@ -349,9 +327,8 @@ def _run_kloosterman(cfg: RunConfig):
             raise BudgetExceededError("m x n loop exceeds budget")
     values = [kl_smooth_average(M, x, cfg.a, cfg.q, y, cfg.budget, members[x]) for M, x in zip(Ms, xs)]
     ratios = [value / rhs if rhs else None for value, rhs in zip(values, rhss)]
-    columns = {"M": Ms, "x": xs, "a": cfg.a, "q": cfg.q, "y": y, "value": values, "z": zs, "bound_rhs": rhss,
-               "ratio": ratios}
-    return cols, [Block(len(Ms), columns)]
+    return cols, [{"M": Ms, "x": xs, "a": cfg.a, "q": cfg.q, "y": y, "value": values, "z": zs, "bound_rhs": rhss,
+                   "ratio": ratios}]
 
 
 def _run_dispersion(cfg: RunConfig):
@@ -377,11 +354,16 @@ def _run_dispersion(cfg: RunConfig):
         if len(Ms) != 1:
             raise ValueError("dispersion takes a single --M")
         params = DispersionParams(Ms[0], cfg.N, cfg.q, cfg.a, cfg.R, Y, theta, cfg.delta, cfg.eta)
+    for kind in kinds:  # each kind's budget charge too: its m×n pairs, or sigma's class layout
+        if kind == "sigma":
+            sigma_window(cfg.q, cfg.a, theta, cfg.C, Y, cfg.budget)
+        else:
+            check_pairs(kind, params, cfg.budget)
     reports = [reporters[kind](params, cfg.budget) for kind in kinds]
     columns = {c: [getattr(rep, c) for rep in reports] for c in ("value", "main_term", "ratio", "params")}
     # truncation_error and runtime_ms keep the output format: both are always 0.0
     columns.update(kind=list(kinds), truncation_error=0.0, runtime_ms=0.0)
-    return cols, [Block(len(reports), columns)]
+    return cols, [columns]
 
 
 # ---------------------------------------------------------------------------
@@ -400,11 +382,14 @@ _JSON_KEY_LINE = "\n      "
 _JSON_ROW_OPEN = "    {" + _JSON_KEY_LINE
 _JSON_ROW_SEP = "," + _JSON_KEY_LINE
 _JSON_ROW_CLOSE = "\n    }"
+# the most rows formatted at once: bounds the per-row strings held in memory
+_BLOCK_ROWS = 1 << 12
 
 
-def _emit(cfg: RunConfig, cols, blocks) -> int:
-    """Write the header, then each block as soon as it is formatted, to --out
-    or stdout; return the number of rows written."""
+def _emit(cfg: RunConfig, cols, tables) -> int:
+    """Write the header, then each table's rows in blocks of at most
+    _BLOCK_ROWS, each as soon as it is formatted, to --out or stdout; return
+    the number of rows written."""
     as_json = cfg.format == "json"
     # json output goes through newline translation, csv output does not
     sink = open(cfg.out, "w", newline=None if as_json else "") if cfg.out else nullcontext(sys.stdout)
@@ -416,34 +401,37 @@ def _emit(cfg: RunConfig, cols, blocks) -> int:
             keys = cols
             fh.write(",".join(map(_csv_quote, cols)) + "\n")
         total = 0
-        for block in blocks:
-            if block.size == 0:
-                continue
-            rows = map("".join, zip(*_row_parts(keys, block, as_json)))
-            if as_json:
-                fh.write(("\n" if total == 0 else ",\n") + ",\n".join(rows))
-            else:
-                fh.write("\n".join(rows) + "\n")
-            total += block.size
+        for table in tables:
+            size = max((len(v) for v in table.values() if isinstance(v, (list, np.ndarray))), default=0)
+            for lo in range(0, size, _BLOCK_ROWS):
+                cut, n = slice(lo, lo + _BLOCK_ROWS), min(size - lo, _BLOCK_ROWS)
+                block = {k: v[cut].tolist() if isinstance(v, np.ndarray) else v[cut] if isinstance(v, list) else v
+                         for k, v in table.items()}
+                rows = map("".join, zip(*_row_parts(keys, block, n, as_json)))
+                if as_json:
+                    fh.write(("\n" if total == 0 else ",\n") + ",\n".join(rows))
+                else:
+                    fh.write("\n".join(rows) + "\n")
+                total += n
         if as_json:
             fh.write("\n  ]\n}\n" if total else "]\n}\n")
     return total
 
 
-def _row_parts(keys, block: Block, as_json: bool) -> list:
-    """Parallel lists of strings whose concatenation across one index is one
-    row: the formatted per-row columns, and the text between them, with each
-    repeated value formatted once into it."""
+def _row_parts(keys, block: dict, size: int, as_json: bool) -> list:
+    """Parallel lists of `size` strings whose concatenation across one index
+    is one row of the block: the formatted per-row columns, and the text
+    between them, with each repeated value formatted once into it."""
     parts, text = [], _JSON_ROW_OPEN if as_json else ""
     for i, key in enumerate(keys):
         if i:
             text += _JSON_ROW_SEP if as_json else ","
         if as_json:
             text += json.dumps(key) + ": "
-        col = block.columns[key]
+        col = block[key]
         if isinstance(col, list):
             if text:
-                parts.append([text] * block.size)
+                parts.append([text] * size)
             parts.append(_cells(col, as_json))
             text = ""
         else:
@@ -451,7 +439,7 @@ def _row_parts(keys, block: Block, as_json: bool) -> list:
     if as_json:
         text += _JSON_ROW_CLOSE
     if text:
-        parts.append([text] * block.size)
+        parts.append([text] * size)
     return parts
 
 
@@ -493,14 +481,7 @@ def _csv_quote(text: str) -> str:
     return text
 
 
-_HANDLERS = {
-    "search": _run_search,
-    "psi": _run_psi,
-    "rho": _run_rho,
-    "alpha": _run_alpha,
-    "kloosterman": _run_kloosterman,
-    "dispersion": _run_dispersion,
-}
+_HANDLERS = dict(zip(COMMANDS, (_run_search, _run_psi, _run_rho, _run_alpha, _run_kloosterman, _run_dispersion)))
 
 
 def main(argv=None) -> int:
@@ -513,7 +494,7 @@ def main(argv=None) -> int:
         return EXIT_BAD_CONFIG
 
     try:
-        cols, blocks = _HANDLERS[cfg.command](cfg)
+        cols, tables = _HANDLERS[cfg.command](cfg)
     except (BudgetExceededError, CapacityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
@@ -525,7 +506,7 @@ def main(argv=None) -> int:
         return EXIT_BAD_CONFIG
 
     try:
-        rows = _emit(cfg, cols, blocks)
+        rows = _emit(cfg, cols, tables)
     except BrokenPipeError:
         return EXIT_OK
     except OSError as exc:

@@ -20,7 +20,7 @@ or in Python ints where int64 cannot hold it.
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from math import ceil, exp, floor, gcd, isqrt, log, sqrt
+from math import ceil, exp, floor, gcd, inf, isqrt, log, sqrt
 
 import numpy as np
 
@@ -342,13 +342,14 @@ def derive_params(q: int, theta, C: float = 10.0, Y: float = None) -> ApproxPara
     return ApproxParams(theta, q, X, R, Y, C)
 
 
-def _target_window(q: int, X: float, r_lo: int, r_hi: int, sieved: bool = True):
+def _target_window(q: int, X: float, r_lo: int, r_hi: int, sieved: bool = True, budget: float = inf):
     """(lo, hi, rows, rs): the window [⌈X/4⌉, ⌊4X⌋], where each class
     n ≡ ā·r (mod q) has `rows` terms from its first n ≥ lo, and the r in
     [max(1, r_lo), min(r_hi, q − 1)] coprime to q; None when either is empty.
     The one capacity rule, checked before rs is built: a sieved layout needs
     hi ≤ 2⁶² and rows × classes ≤ SIEVE_CAPACITY, whatever Y is; an unsieved
-    one holds only its residues, at most SIEVE_CAPACITY."""
+    one holds only its residues, at most SIEVE_CAPACITY.  The same count is
+    checked against `budget`."""
     lo, hi = ceil(X / 4), floor(4 * X)
     r_lo, r_hi = max(1, r_lo), min(r_hi, q - 1)
     if sieved and hi > 2**62:
@@ -358,10 +359,13 @@ def _target_window(q: int, X: float, r_lo: int, r_hi: int, sieved: bool = True):
     rows = (hi - lo) // q + 1
     if sieved:
         classes = coprime_count(r_hi, q) - coprime_count(r_lo - 1, q)
-        if rows * classes > SIEVE_CAPACITY:
-            raise CapacityError(f"{rows} rows × {classes} classes at q = {q} exceed sieve capacity")
-    elif r_hi - r_lo + 1 > SIEVE_CAPACITY:
-        raise CapacityError(f"{r_hi - r_lo + 1} residues at q = {q} exceed sieve capacity")
+        size, what = rows * classes, f"{rows} rows × {classes} classes"
+    else:
+        size, what = r_hi - r_lo + 1, f"{r_hi - r_lo + 1} residues"
+    if size > SIEVE_CAPACITY:
+        raise CapacityError(f"{what} at q = {q} exceed sieve capacity")
+    if size > budget:
+        raise BudgetExceededError(f"{what} at q = {q} exceed budget")
     rs = np.arange(r_lo, r_hi + 1, dtype=np.int64)
     return lo, hi, rows, rs[np.gcd(rs, q) == 1]
 

@@ -313,17 +313,22 @@ class _Context:
         w = bump_phi_array(ms / (3.0 * self.M))
         return ms[w > 0.0], w[w > 0.0]
 
+    def check_pairs(self, window: str, budget: int) -> np.ndarray:
+        """The m of the m-window "smooth" (m_smooth) or "phi" (m_phi), once
+        its m×n pairs are checked against the budget."""
+        ms = self.m_smooth if window == "smooth" else self.m_phi[0]
+        if len(ms) * len(self.n_all) > budget:
+            raise BudgetExceededError(f"{len(ms)} x {len(self.n_all)} pair loop exceeds budget")
+        return ms
+
     def inner_sums(self, window: str, budget: int):
         """A_m = Σ_n 1_{S_q(Y)}(n)·Φ_a(mn, R) and B_m = Σ_n Φ_a(mn, R) over
-        the m-window "smooth" (m_smooth) or "phi" (m_phi), in blocks of at
-        most _PAIR_BLOCK pairs, each Φ read from _residue_weights by residue.
-        Both are pairwise sums of C-ordered rows (compress keeps C order,
-        W[:, mask] does not), so their bits do not depend on the block; the
-        m×n pair count is checked against the budget on every call."""
-        ms = self.m_smooth if window == "smooth" else self.m_phi[0]
+        an m-window, in blocks of at most _PAIR_BLOCK pairs, each Φ read from
+        _residue_weights by residue.  Both are pairwise sums of C-ordered rows
+        (compress keeps C order, W[:, mask] does not), so their bits do not
+        depend on the block; check_pairs charges the budget on every call."""
+        ms = self.check_pairs(window, budget)
         n_all, q = self.n_all, self.q
-        if len(ms) * len(n_all) > budget:
-            raise BudgetExceededError(f"{len(ms)} x {len(n_all)} pair loop exceeds budget")
         if window not in self._sums:
             A, B = np.zeros(len(ms)), np.zeros(len(ms))
             if len(n_all):
@@ -347,6 +352,26 @@ def _context(params: DispersionParams) -> _Context:
     return _shared_context(params.M, params.N, params.q, params.a, params.R, params.Y)
 
 
+# the m-windows whose inner sums each report reads
+_REPORT_WINDOWS = {"type1": ("smooth",), "type2": ("smooth", "phi"), "sums": ("phi",), "bilinear": ("smooth",)}
+
+
+def check_pairs(kind: str, params: DispersionParams, budget: int) -> None:
+    """Refuse, before any sum, a type1, type2, sums or bilinear report whose
+    m×n pairs exceed the budget, by the count its inner sums charge."""
+    for window in _REPORT_WINDOWS[kind]:
+        _context(params).check_pairs(window, budget)
+
+
+def sigma_window(q: int, a: int, theta, C: float = 10.0, Y: float = None, budget: int = 10**9):
+    """(params, window) of Σ(q, R): the _target_window of the residues in
+    [⌊R/4⌋, ⌈3R/4⌉], sieved unless Y is vacuous, its capacity and budget
+    charge checked."""
+    pr = derive_params(q, theta, C, Y)
+    _check_weight_args(pr.R, q, a)  # so the window is never None
+    return pr, _target_window(q, pr.X, floor(pr.R / 4), ceil(3 * pr.R / 4), pr.Y < floor(4 * pr.X), budget)
+
+
 def sigma_qR(q: int, a: int, theta, C: float = 10.0, Y: float = None, budget: int = 10**9) -> SumReport:
     """Σ(q, R) = Σ_{X/4 ≤ n ≤ 4X} 1_{S_q(Y)}(n) Φ_a(n, R), exact, with the
     benchmark main term R^{2 − (1−θ)/(2C)} for the diagnostic ratio.
@@ -354,18 +379,14 @@ def sigma_qR(q: int, a: int, theta, C: float = 10.0, Y: float = None, budget: in
     The sum is Σ_r φ(r/R)·#{members n ≡ ā·r (mod q)} over the r in
     [⌊R/4⌋, ⌈3R/4⌉] coprime to q, added exactly and rounded once.  With
     Y ≥ 4X a class counts all its n in the window; with finite Y its members
-    are counted in the layout of the target set's residue-class sieve.
+    are counted in the layout of the target set's residue-class sieve.  The
+    budget is charged the count of the capacity rule (sigma_window): rows ×
+    classes, or the residues when Y is vacuous.
     """
-    pr = derive_params(q, theta, C, Y)
+    pr, window = sigma_window(q, a, theta, C, Y, budget)
     R, X = pr.R, pr.X
-    _check_weight_args(R, q, a)
-    hi = floor(4 * X)
-    vacuous = pr.Y >= hi
-    if (R / 2 if vacuous else hi - ceil(X / 4) + 1) > budget:
-        raise BudgetExceededError("residue walk exceeds budget" if vacuous else "interval exceeds budget")
-    window = _target_window(q, X, floor(R / 4), ceil(3 * R / 4), sieved=not vacuous)  # never None: 0 < R < q, X ≥ 2
     lo, hi, _, rs = window
-    if vacuous:
+    if pr.Y >= hi:
         abar = mod_inverse(a, q)
         counts = [(hi - c) // q - (lo - 1 - c) // q for c in (abar * r % q for r in rs.tolist())]  # #{n ≡ c} in [lo, hi]
     else:

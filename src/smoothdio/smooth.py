@@ -523,13 +523,6 @@ def psi_q_estimate(x: float, y: float, q: int, alpha: float = None) -> float:
     return base * prod
 
 
-def doubling_factor(x: float, y: float, alpha: float = None) -> float:
-    """2^{α(x,y)}: the exact-count doubling law Ψ(2x,y) ≈ 2^α Ψ(x,y)."""
-    if alpha is None:
-        alpha = saddle_alpha(x, y).alpha
-    return 2.0**alpha
-
-
 # ---------------------------------------------------------------------------
 # largest-factors-first decomposition
 # ---------------------------------------------------------------------------

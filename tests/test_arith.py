@@ -19,6 +19,7 @@ from smoothdio.arith import (
 )
 from smoothdio.errors import CapacityError
 from smoothdio.expsums import inverse_table
+from smoothdio.smooth import psi_q
 
 
 def trial_division_primes(limit):
@@ -98,6 +99,22 @@ def test_factorize_insufficient_table():
     t = sieve_primes(10)
     with pytest.raises(CapacityError):
         factorize(10007 * 10009, t)
+
+
+@pytest.mark.parametrize("grow_first", [False, True])
+def test_factorize_answer_does_not_depend_on_earlier_calls(monkeypatch, grow_first):
+    # two primes above the 1e7 cap: refused from a fresh table, and still refused
+    # after 6e6² + 1 and then 7e6² + 3 have asked the default table to double to 1.2e7
+    monkeypatch.setattr(arith, "_FACTOR_TABLE", arith.PrimeTable(1, []))
+    if grow_first:
+        factorize(6_000_000**2 + 1)
+        factorize(7_000_000**2 + 3)
+        assert arith._FACTOR_TABLE.limit == arith.FACTOR_PRIME_LIMIT
+    n = 10000019 * 10000079
+    with pytest.raises(CapacityError):
+        factorize(n)
+    with pytest.raises(CapacityError):
+        psi_q(1000, 50, n)
 
 
 def test_factorize_certifies_cofactors_below_next_square():

@@ -424,6 +424,41 @@ def test_dispersion_checks_every_kind_before_any_sum(monkeypatch, capsys, report
     assert captured.err == f"error: {message}\n"
 
 
+_SUMS_JOB = ["dispersion", "--q", "10946", "--a", "9149", "--M", "4438.0", "--N", "327.0", "--R", "265.188", "--Y",
+             "1012", "--theta", "1/4", "--report", "all", "--format", "csv"]
+
+
+def test_dispersion_charges_every_kind_before_any_sum(monkeypatch, capsys):
+    # type1 would sum 1206 × 327 pairs, type2 then reads the φ window's 6655 × 327 = 2 176 185
+    def refuse(*args):
+        raise AssertionError("a report ran before every kind's pairs were checked")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "type1_report", refuse)
+        assert main(_SUMS_JOB + ["--budget", "1500000"]) == EXIT_BUDGET
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "6655 x 327 pair loop exceeds budget" in captured.err
+    # the check charges what the inner sums charge: the largest window's pairs fit exactly
+    assert main(_SUMS_JOB + ["--budget", "2176185"]) == EXIT_OK
+    assert len(capsys.readouterr().out.splitlines()) == 6
+    assert main(_SUMS_JOB + ["--budget", "2176184"]) == EXIT_BUDGET
+
+
+def test_sigma_charges_the_budget_with_its_class_layout(capsys):
+    # 1328 rows × 176 classes are sieved, out of a window of 23 508 244 integers
+    args = ["dispersion", "--q", "17711", "--a", "1", "--theta", "1/4", "--Y", "1000", "--report", "sigma"]
+    assert main(args + ["--budget", "233728"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["rows"][0]["value"] > 0
+    assert main(args + ["--budget", "233727"]) == EXIT_BUDGET
+    assert "1328 rows × 176 classes at q = 17711 exceed budget" in capsys.readouterr().err
+    # with vacuous Y the residues in [⌊R/4⌋, ⌈3R/4⌉] are charged: R = 353.95…, so 88 … 266
+    args[args.index("1000")] = "inf"
+    assert main(args + ["--budget", "179"]) == EXIT_OK
+    assert main(args + ["--budget", "178"]) == EXIT_BUDGET
+    assert "179 residues at q = 17711 exceed budget" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("Y", ["1", "0.5", "-3"])
 def test_sigma_main_term_vanishes_for_Y_at_most_1(capsys, Y):
     # c_eff = log Y / log log X ≤ 0: the main term is its limit 0 as c_eff → 0⁺, the ratio null
@@ -780,12 +815,15 @@ def _oracle_search_rows(args):
     return _SEARCH_COLS, rows
 
 
-def _block_rows(blocks):
-    """Expand the handlers' blocks, column by column, into one dict per row."""
+def _table_rows(tables):
+    """Expand the handlers' tables, column by column, into one dict per row:
+    a list or array holds one value per row, anything else is repeated."""
     rows = []
-    for block in blocks:
-        for i in range(block.size):
-            rows.append({c: v[i] if isinstance(v, list) else v for c, v in block.columns.items()})
+    for table in tables:
+        per_row = {c: list(v) if isinstance(v, list) else v.tolist() for c, v in table.items()
+                   if isinstance(v, (list, np.ndarray))}
+        size = len(next(iter(per_row.values())))
+        rows += [{c: per_row[c][i] if c in per_row else v for c, v in table.items()} for i in range(size)]
     return rows
 
 
@@ -793,8 +831,8 @@ def _oracle(args, fmt):
     if args[0] == "search":
         return _oracle_text("search", fmt, *_oracle_search_rows(args))
     cfg = build_config(args + ["--format", fmt])
-    cols, blocks = cli._HANDLERS[args[0]](cfg)
-    return _oracle_text(args[0], fmt, cols, _block_rows(blocks))
+    cols, tables = cli._HANDLERS[args[0]](cfg)
+    return _oracle_text(args[0], fmt, cols, _table_rows(tables))
 
 
 _EMIT_CASES = {
@@ -827,19 +865,30 @@ def test_emit_special_values(tmp_path):
     # ratio = None, nan, -inf and inf cells, plus a repeated string and a
     # nested dict that csv must quote and json must re-indent
     cfg = build_config(_EMIT_CASES["kloosterman"])
-    cols, blocks = cli._HANDLERS["kloosterman"](cfg)
-    (block,) = blocks
-    block.columns["ratio"][0] = None
-    block.columns["value"][1] = float("nan")
-    block.columns["z"][0] = float("-inf")
-    block.columns["y"] = float("inf")
-    block.columns["a"] = 'say "hi", then {go}'
-    block.columns["q"] = {"flags": ["a, b", "c"], "nested": {"k": 1.5, "e": {}}, "none": None}
-    rows = _block_rows([block])
+    cols, tables = cli._HANDLERS["kloosterman"](cfg)
+    (table,) = tables
+    table["ratio"][0] = None
+    table["value"][1] = float("nan")
+    table["z"][0] = float("-inf")
+    table["y"] = float("inf")
+    table["a"] = 'say "hi", then {go}'
+    table["q"] = {"flags": ["a, b", "c"], "nested": {"k": 1.5, "e": {}}, "none": None}
+    rows = _table_rows([table])
     for fmt in ("json", "csv"):
         cfg.format, cfg.out = fmt, str(tmp_path / f"k.{fmt}")
-        assert cli._emit(cfg, cols, [block]) == 2
+        assert cli._emit(cfg, cols, [table]) == 2
         assert (tmp_path / f"k.{fmt}").read_text() == _oracle_text("kloosterman", fmt, cols, rows)
+
+
+def test_emit_cuts_array_tables_into_blocks(monkeypatch, capsys):
+    # numpy columns are written as Python values, a block at a time; an empty table writes nothing
+    monkeypatch.setattr(cli, "_BLOCK_ROWS", 2)
+    cfg = build_config(["psi", "--x", "1", "--y", "1"])
+    table = {"x": np.array([1.5, -0.0, 3.0]), "y": 7, "psi": np.array([2**40, -1, 0], dtype=np.int64)}
+    for fmt in ("json", "csv"):
+        cfg.format = fmt
+        assert cli._emit(cfg, ["x", "y", "psi"], [table, {"x": [], "y": 1, "psi": np.zeros(0)}]) == 3
+        assert capsys.readouterr().out == _oracle_text("psi", fmt, ["x", "y", "psi"], _table_rows([table]))
 
 
 def test_emit_inf_spelling(capsys):
@@ -857,3 +906,22 @@ def test_emit_splits_convergents_into_blocks(fmt, monkeypatch, capsys):
     args = _EMIT_CASES["search-multi-Yinf"] + ["--format", fmt]
     assert main(args) == EXIT_OK
     assert capsys.readouterr().out == _oracle(_EMIT_CASES["search-multi-Yinf"], fmt)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("case", ["psi", "dispersion"])
+def test_emit_cuts_every_command_into_blocks(case, fmt, monkeypatch, capsys):
+    # _emit, not the handler, cuts the 6 psi and 5 dispersion rows into blocks of at most 2
+    sizes = []
+    row_parts = cli._row_parts
+
+    def counted(keys, block, size, as_json):
+        sizes.append(size)
+        return row_parts(keys, block, size, as_json)
+
+    monkeypatch.setattr(cli, "_BLOCK_ROWS", 2)
+    monkeypatch.setattr(cli, "_row_parts", counted)
+    args = _EMIT_CASES[case] + ["--format", fmt]
+    assert main(args) == EXIT_OK
+    assert capsys.readouterr().out == _oracle(_EMIT_CASES[case], fmt)
+    assert sizes == {"psi": [2, 2, 2], "dispersion": [2, 2, 1]}[case]

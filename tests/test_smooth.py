@@ -15,7 +15,6 @@ from smoothdio.smooth import (
     EstimateRangeWarning,
     SaddlePoint,
     dickman_rho,
-    doubling_factor,
     hildebrand_estimate,
     largest_prime_factor_array,
     local_density,
@@ -479,14 +478,14 @@ def test_psi_q_estimate():
 
 
 def test_doubling_factor():
-    assert doubling_factor(100, 100, alpha=1.0) == 2.0
+    # the doubling law Ψ(2x, y) ≈ 2^α Ψ(x, y) against exact counts
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", EstimateRangeWarning)
-        d = doubling_factor(1e6, 1e3)
+        d = 2.0 ** saddle_alpha(1e6, 1e3).alpha
         exact = psi(2e6, 1e3) / psi(1e6, 1e3)
         assert 0.9 <= d / exact <= 1.1
     for x, y in ((100, 10), (10**4, 100)):
-        assert 1.0 < doubling_factor(x, y) <= 2.0
+        assert 1.0 < 2.0 ** saddle_alpha(x, y).alpha <= 2.0
 
 
 def test_crude_shape_diagnostic():
