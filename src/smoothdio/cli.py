@@ -337,9 +337,10 @@ def _run_dispersion(cfg: RunConfig):
     cols = ["kind", "value", "main_term", "ratio", "truncation_error", "runtime_ms", "params"]
     theta = Fraction(cfg.theta) if cfg.theta else None
     Y = _parse_Y(cfg.Y)
+    sigma = None  # sigma's checked (params, window), set below before any report runs
     # kind → (params, budget) → SumReport, looked up per call so that rebound module names apply
     reporters = {"type1": type1_report, "type2": type2_report, "sums": sums_report, "bilinear": bilinear_B,
-                 "sigma": lambda _, budget: sigma_qR(cfg.q, cfg.a, theta, cfg.C, Y, budget)}
+                 "sigma": lambda _, budget: sigma_qR(cfg.q, cfg.a, theta, cfg.C, Y, budget, sigma)}
     kinds = tuple(reporters) if cfg.report == "all" else (cfg.report,)
     # every kind is checked before the first sum runs
     if cfg.report != "all" and cfg.report not in reporters:
@@ -356,7 +357,7 @@ def _run_dispersion(cfg: RunConfig):
         params = DispersionParams(Ms[0], cfg.N, cfg.q, cfg.a, cfg.R, Y, theta, cfg.delta, cfg.eta)
     for kind in kinds:  # each kind's budget charge too: its m×n pairs, or sigma's class layout
         if kind == "sigma":
-            sigma_window(cfg.q, cfg.a, theta, cfg.C, Y, cfg.budget)
+            sigma = sigma_window(cfg.q, cfg.a, theta, cfg.C, Y, cfg.budget)
         else:
             check_pairs(kind, params, cfg.budget)
     reports = [reporters[kind](params, cfg.budget) for kind in kinds]
@@ -379,11 +380,13 @@ _CSV_SPELLING = (("null", ""), ("NaN", "nan"), ("Infinity", "inf"))
 _CSV_QUOTED = (",", '"', "\n")
 # a json row sits at indent 4 and its keys at indent 6 inside the document
 _JSON_KEY_LINE = "\n      "
-_JSON_ROW_OPEN = "    {" + _JSON_KEY_LINE
+_JSON_ROW_OPEN = "\n    {" + _JSON_KEY_LINE
 _JSON_ROW_SEP = "," + _JSON_KEY_LINE
 _JSON_ROW_CLOSE = "\n    }"
-# the most rows formatted at once: bounds the per-row strings held in memory
+# the most rows formatted at once: bounds the block's byte matrix, about
+# 400 bytes a row (1.6 MB a block) for `search` in json
 _BLOCK_ROWS = 1 << 12
+_BOOL_CELLS = np.frombuffer(b"false" b"true\0", np.uint8).reshape(2, 5)
 
 
 def _emit(cfg: RunConfig, cols, tables) -> int:
@@ -404,43 +407,59 @@ def _emit(cfg: RunConfig, cols, tables) -> int:
         for table in tables:
             size = max((len(v) for v in table.values() if isinstance(v, (list, np.ndarray))), default=0)
             for lo in range(0, size, _BLOCK_ROWS):
-                cut, n = slice(lo, lo + _BLOCK_ROWS), min(size - lo, _BLOCK_ROWS)
-                block = {k: v[cut].tolist() if isinstance(v, np.ndarray) else v[cut] if isinstance(v, list) else v
-                         for k, v in table.items()}
-                rows = map("".join, zip(*_row_parts(keys, block, n, as_json)))
-                if as_json:
-                    fh.write(("\n" if total == 0 else ",\n") + ",\n".join(rows))
-                else:
-                    fh.write("\n".join(rows) + "\n")
+                n = min(size - lo, _BLOCK_ROWS)
+                block = {k: v[lo:lo + n] if isinstance(v, (list, np.ndarray)) else v for k, v in table.items()}
+                text = _block_text(keys, block, n, as_json)
+                fh.write(text[1:] if as_json and total == 0 else text)  # the first json row takes no comma
                 total += n
         if as_json:
             fh.write("\n  ]\n}\n" if total else "]\n}\n")
     return total
 
 
-def _row_parts(keys, block: dict, size: int, as_json: bool) -> list:
-    """Parallel lists of `size` strings whose concatenation across one index
-    is one row of the block: the formatted per-row columns, and the text
-    between them, with each repeated value formatted once into it."""
-    parts, text = [], _JSON_ROW_OPEN if as_json else ""
+def _block_text(keys, block: dict, size: int, as_json: bool) -> str:
+    """The block's `size` rows, each json row as ",\n    {...}" and each csv
+    row ending in a newline.  The rows share the text between their per-row
+    cells, with each repeated value formatted once into it, so the block is
+    one uint8 matrix: that text broadcast, each column's cells NUL-padded,
+    its NULs dropped once."""
+    parts, text = [], "," + _JSON_ROW_OPEN if as_json else ""
     for i, key in enumerate(keys):
         if i:
             text += _JSON_ROW_SEP if as_json else ","
         if as_json:
             text += json.dumps(key) + ": "
         col = block[key]
-        if isinstance(col, list):
-            if text:
-                parts.append([text] * size)
-            parts.append(_cells(col, as_json))
+        if isinstance(col, (list, np.ndarray)):
+            parts += [_repeated(text, size), _cell_matrix(col, as_json)]
             text = ""
         else:
             text += _cells([col], as_json)[0]
-    if as_json:
-        text += _JSON_ROW_CLOSE
-    if text:
-        parts.append([text] * size)
-    return parts
+    parts.append(_repeated(text + (_JSON_ROW_CLOSE if as_json else "\n"), size))
+    rows = np.concatenate(parts, axis=1).ravel()
+    del parts  # the cells now live in rows: free them before the NUL mask, the block's peak
+    return rows[rows != 0].tobytes().decode()
+
+
+def _repeated(text: str, size: int) -> np.ndarray:
+    """(size, w) uint8: the UTF-8 bytes of `text` on every row."""
+    data = np.frombuffer(text.encode(), np.uint8)
+    return np.broadcast_to(data, (size, len(data)))
+
+
+def _cell_matrix(col, as_json: bool) -> np.ndarray:
+    """(len(col), w) uint8: each value's cell, NUL-padded.  Bool, int and
+    float arrays are formatted as bytes, anything else by _cells."""
+    kind = col.dtype.kind if isinstance(col, np.ndarray) else None
+    if kind == "b":
+        return _BOOL_CELLS.take(col.view(np.uint8), axis=0)
+    if kind in ("i", "u") or kind == "f" and col.itemsize <= 8:
+        from . import numfmt  # here, so that commands that emit only lists never import its tables
+        if kind == "f":
+            return numfmt.float_cells(col.astype(np.float64, copy=False), lambda vs: _scalar_cells(vs, as_json))
+        return numfmt.int_cells(col)
+    texts = np.array([cell.encode() for cell in _cells(col if kind is None else col.tolist(), as_json)])
+    return texts.view(np.uint8).reshape(len(texts), -1)
 
 
 def _cells(values: list, as_json: bool) -> list:

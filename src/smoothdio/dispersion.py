@@ -372,7 +372,8 @@ def sigma_window(q: int, a: int, theta, C: float = 10.0, Y: float = None, budget
     return pr, _target_window(q, pr.X, floor(pr.R / 4), ceil(3 * pr.R / 4), pr.Y < floor(4 * pr.X), budget)
 
 
-def sigma_qR(q: int, a: int, theta, C: float = 10.0, Y: float = None, budget: int = 10**9) -> SumReport:
+def sigma_qR(q: int, a: int, theta, C: float = 10.0, Y: float = None, budget: int = 10**9,
+             checked=None) -> SumReport:
     """Σ(q, R) = Σ_{X/4 ≤ n ≤ 4X} 1_{S_q(Y)}(n) Φ_a(n, R), exact, with the
     benchmark main term R^{2 − (1−θ)/(2C)} for the diagnostic ratio.
 
@@ -381,9 +382,11 @@ def sigma_qR(q: int, a: int, theta, C: float = 10.0, Y: float = None, budget: in
     Y ≥ 4X a class counts all its n in the window; with finite Y its members
     are counted in the layout of the target set's residue-class sieve.  The
     budget is charged the count of the capacity rule (sigma_window): rows ×
-    classes, or the residues when Y is vacuous.
+    classes, or the residues when Y is vacuous.  `checked` is what
+    sigma_window already returned for these arguments, if the caller has it,
+    so that the window is built once.
     """
-    pr, window = sigma_window(q, a, theta, C, Y, budget)
+    pr, window = checked or sigma_window(q, a, theta, C, Y, budget)
     R, X = pr.R, pr.X
     lo, hi, _, rs = window
     if pr.Y >= hi:

@@ -33,6 +33,7 @@ from smoothdio.diophantine import (
     dist_nearest,
     parse_alpha,
 )
+from smoothdio import dispersion
 from smoothdio.dispersion import bump_phi_array, sigma_qR
 from smoothdio.errors import CapacityError
 from smoothdio.expsums import _inverse_sum, kl_members
@@ -540,13 +541,33 @@ def _kl_oracle(M, x, a, q, y, budget, members):
     return sum((math.hypot(*_inverse_sum(inverse_mod(ns, m), a, m)) for m in ms), 0.0)
 
 
-def _sigma_oracle(q, a, theta, C, Y, budget):
+def _sigma_oracle(q, a, theta, C, Y, budget, checked=None):
     """sigma_qR with its value from math.fsum over every member of the whole window."""
     rep = sigma_qR(q, a, theta, C, Y, budget)
     pr = derive_params(q, theta, C, Y)
     ns = smooth_sieve(math.ceil(pr.X / 4), math.floor(4 * pr.X), pr.Y, q).members()
     value = math.fsum(bump_phi_array(((ns % q) * (a % q)) % q / pr.R).tolist())
     return dataclasses.replace(rep, value=value, ratio=value / rep.main_term)
+
+
+@pytest.mark.parametrize("Y", ["inf", "7"])
+def test_sigma_report_builds_its_window_once(monkeypatch, capsys, Y):
+    # the budget check's window is the one the report sums over
+    calls = []
+    target_window = dispersion._target_window
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return target_window(*args, **kwargs)
+
+    monkeypatch.setattr(dispersion, "_target_window", counted)
+    argv = ["dispersion", "--q", "31", "--a", "12", "--theta", "1/4", "--Y", Y, "--report", "sigma"]
+    assert main(argv) == EXIT_OK
+    assert len(calls) == 1
+    text = capsys.readouterr().out
+    monkeypatch.undo()
+    assert main(argv) == EXIT_OK
+    assert capsys.readouterr().out == text
 
 
 def test_sums_bytes_match_the_oracle_paths(monkeypatch, capsys):
@@ -871,7 +892,7 @@ def test_emit_special_values(tmp_path):
     table["value"][1] = float("nan")
     table["z"][0] = float("-inf")
     table["y"] = float("inf")
-    table["a"] = 'say "hi", then {go}'
+    table["a"] = 'say "hé", then {go}'
     table["q"] = {"flags": ["a, b", "c"], "nested": {"k": 1.5, "e": {}}, "none": None}
     rows = _table_rows([table])
     for fmt in ("json", "csv"):
@@ -880,15 +901,42 @@ def test_emit_special_values(tmp_path):
         assert (tmp_path / f"k.{fmt}").read_text() == _oracle_text("kloosterman", fmt, cols, rows)
 
 
+# array columns of every kind the byte kernels take, with the values they leave to json.dumps
+_ARRAY_TABLE = {
+    "x": np.array([1.5, -0.0, 3.0, float("nan"), float("inf"), -float("inf"), 1e-5, 1e16, 1e22, 0.1, -2.5e-4]),
+    "y": 7,
+    "psi": np.array([2**40, -1, 0, -2**63, 2**63 - 1, 10, -10, 99, 5, 12, -3], dtype=np.int64),
+    "k": np.array([-2**31, 2**31 - 1, 0, -7, 1, 2, 3, 4, 5, 6, 7], dtype=np.int32),
+    "flag": np.array([True, False] * 5 + [True]),
+    "u": np.array([2**64 - 1, 0, 1, 9, 10, 11, 12, 13, 14, 15, 16], dtype=np.uint64),
+    "f32": np.array([0.1, 1 / 3, -2.0, 1e-7, 3e38, 0.5, 7, 8, 9, 10, 11], dtype=np.float32),
+}
+
+
 def test_emit_cuts_array_tables_into_blocks(monkeypatch, capsys):
     # numpy columns are written as Python values, a block at a time; an empty table writes nothing
     monkeypatch.setattr(cli, "_BLOCK_ROWS", 2)
     cfg = build_config(["psi", "--x", "1", "--y", "1"])
-    table = {"x": np.array([1.5, -0.0, 3.0]), "y": 7, "psi": np.array([2**40, -1, 0], dtype=np.int64)}
+    cols = list(_ARRAY_TABLE)
     for fmt in ("json", "csv"):
         cfg.format = fmt
-        assert cli._emit(cfg, ["x", "y", "psi"], [table, {"x": [], "y": 1, "psi": np.zeros(0)}]) == 3
-        assert capsys.readouterr().out == _oracle_text("psi", fmt, ["x", "y", "psi"], _table_rows([table]))
+        empty = {c: np.zeros(0) for c in cols} | {"x": [], "y": 1}
+        assert cli._emit(cfg, cols, [_ARRAY_TABLE, empty]) == 11
+        assert capsys.readouterr().out == _oracle_text("psi", fmt, cols, _table_rows([_ARRAY_TABLE]))
+
+
+@pytest.mark.parametrize("as_json", [True, False])
+def test_cell_matrices_are_the_cells_padded_with_nul(as_json):
+    # every column kind: its cell matrix, NULs dropped row by row, is the list
+    # path's cells, and those hold no NUL that dropping the padding would cut
+    columns = [v for v in _ARRAY_TABLE.values() if isinstance(v, np.ndarray)]
+    columns += [["kind", 'say "hé", then {go}', None, 1.5], [{"a": [1, "b, c"]}, {}, True, float("nan")]]
+    for col in columns:
+        cells = cli._cells(col.tolist() if isinstance(col, np.ndarray) else col, as_json)
+        assert not any("\0" in cell for cell in cells)
+        matrix = cli._cell_matrix(col, as_json)
+        assert matrix.dtype == np.uint8 and matrix.shape[0] == len(col)
+        assert [bytes(row[row != 0]).decode() for row in matrix] == cells
 
 
 def test_emit_inf_spelling(capsys):
@@ -913,14 +961,14 @@ def test_emit_splits_convergents_into_blocks(fmt, monkeypatch, capsys):
 def test_emit_cuts_every_command_into_blocks(case, fmt, monkeypatch, capsys):
     # _emit, not the handler, cuts the 6 psi and 5 dispersion rows into blocks of at most 2
     sizes = []
-    row_parts = cli._row_parts
+    block_text = cli._block_text
 
     def counted(keys, block, size, as_json):
         sizes.append(size)
-        return row_parts(keys, block, size, as_json)
+        return block_text(keys, block, size, as_json)
 
     monkeypatch.setattr(cli, "_BLOCK_ROWS", 2)
-    monkeypatch.setattr(cli, "_row_parts", counted)
+    monkeypatch.setattr(cli, "_block_text", counted)
     args = _EMIT_CASES[case] + ["--format", fmt]
     assert main(args) == EXIT_OK
     assert capsys.readouterr().out == _oracle(_EMIT_CASES[case], fmt)
