@@ -181,6 +181,18 @@ def inverse_mod(ns, c) -> np.ndarray:
     return np.where(r0 == 1, t0 % c, -1)
 
 
+def product_dtype(largest: int) -> np.dtype:
+    """The narrowest of int32 and int64 that holds every residue product of
+    a kernel, given the largest one its operand bounds admit: int32 below
+    2³¹, int64 below 2⁶³.  A larger product would wrap around silently, so
+    it raises CapacityError."""
+    if largest < 2**31:
+        return np.dtype(np.int32)
+    if largest < 2**63:
+        return np.dtype(np.int64)
+    raise CapacityError(f"residue products up to {largest} exceed int64")
+
+
 def gcd_sum(U: int, k: int, q: int) -> int:
     """Σ gcd(u₁−u₂, k·u₁·u₂) over u₁ ≠ u₂ in (U, 2U] with gcd(u₁u₂, q) = 1.
 

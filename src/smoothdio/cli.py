@@ -16,27 +16,15 @@ import os
 import sys
 from contextlib import nullcontext
 from dataclasses import dataclass, fields
-from fractions import Fraction
 from itertools import islice
 
 import numpy as np
 
-from .diophantine import (
-    THETA_MAX,
-    DecimalAlpha,
-    build_target_set,
-    check_target_set,
-    connection_bound,
-    convergents,
-    derive_params,
-    dist_from_convergent,
-    parse_alpha,
-)
-from .dispersion import (DispersionParams, bilinear_B, check_pairs, sigma_qR, sigma_window, sums_report, type1_report,
-                         type2_report)
 from .errors import BudgetExceededError, CapacityError, NonConvergenceError
-from .expsums import KloostermanParams, kl_members, kl_smooth_average, kloos_bound_rhs, optimal_z
-from .smooth import dickman_rho, psi, saddle_alpha
+
+# Each handler imports the modules it runs when it runs, so that a command
+# loads none of the others (a `rho` job never compiles `dispersion`), and a
+# name rebound in its defining module is the one the handler calls.
 
 EXIT_OK = 0
 EXIT_EMPTY = 2
@@ -84,6 +72,8 @@ _MAX_CONVERGENTS = 192
 def _convergents_in_range(alpha, qmin: int, qmax: int):
     """The convergents with max(qmin, 2) ≤ q ≤ qmax among the first
     _MAX_CONVERGENTS; a decimal α contributes its certified prefix."""
+    from .diophantine import convergents
+
     out = []
     try:
         for conv in islice(convergents(alpha), _MAX_CONVERGENTS):
@@ -100,10 +90,11 @@ def _convergents_in_range(alpha, qmin: int, qmax: int):
 _ROUNDING = 1e-12
 
 
-def _certify_decimal_flags(alpha: DecimalAlpha, q: int, ns, dist, refs) -> None:
-    """Raise CapacityError unless every comparison of dist with each ref comes
-    out the same for every α within the stored width: ‖·‖ is 1-Lipschitz, so
-    the true ‖nα‖ lies within n·10^(−prec) of the emitted dist."""
+def _certify_decimal_flags(alpha, q: int, ns, dist, refs) -> None:
+    """For a DecimalAlpha: raise CapacityError unless every comparison of
+    dist with each ref comes out the same for every α within the stored
+    width: ‖·‖ is 1-Lipschitz, so the true ‖nα‖ lies within n·10^(−prec) of
+    the emitted dist."""
     slack = ns * float(alpha.width)
     for ref in refs:
         if np.any(np.abs(dist - ref) <= slack + _ROUNDING * (slack + dist + ref)):
@@ -124,6 +115,11 @@ def search_results(alpha, theta, qmin: int, qmax: int, C: float = 10.0, Y: float
     convergent is checked against capacity and budget before the first
     target set is built.  For a decimal α, a flag its precision cannot decide
     raises CapacityError."""
+    from fractions import Fraction
+
+    from .diophantine import (DecimalAlpha, build_target_set, check_target_set, connection_bound, derive_params,
+                              dist_from_convergent)
+
     theta = Fraction(theta)
     tf = float(theta)
     convs = _convergents_in_range(alpha, qmin, qmax)
@@ -268,6 +264,10 @@ def build_config(argv) -> RunConfig:
 def _run_search(cfg: RunConfig):
     if cfg.alpha is None or cfg.theta is None or cfg.qmax is None:
         raise ValueError("search needs --alpha, --theta, --qmax")
+    from fractions import Fraction
+
+    from .diophantine import THETA_MAX, parse_alpha
+
     alpha = parse_alpha(cfg.alpha)
     theta = Fraction(cfg.theta)
     if not (0 < theta < THETA_MAX):
@@ -287,6 +287,8 @@ def _xy_grid(cfg: RunConfig):
 
 
 def _run_psi(cfg: RunConfig):
+    from .smooth import psi
+
     xs, ys = _xy_grid(cfg)
     counts = [psi(x, y, cfg.budget) for x, y in zip(xs, ys)]  # every cell before the first byte
     return ["x", "y", "psi"], [{"x": xs, "y": ys, "psi": counts}]
@@ -295,12 +297,16 @@ def _run_psi(cfg: RunConfig):
 def _run_rho(cfg: RunConfig):
     if cfg.u is None:
         raise ValueError("rho needs --u (comma list)")
+    from .smooth import dickman_rho
+
     us = _float_list(cfg.u)
     rhos = [dickman_rho(u, cfg.tol) for u in us]
     return ["u", "rho", "tol"], [{"u": us, "rho": rhos, "tol": cfg.tol}]
 
 
 def _run_alpha(cfg: RunConfig):
+    from .smooth import saddle_alpha
+
     xs, ys = _xy_grid(cfg)
     sps = list(map(saddle_alpha, xs, ys))
     return ["x", "y", "alpha", "residual"], [{"x": xs, "y": ys, "alpha": [sp.alpha for sp in sps],
@@ -310,6 +316,8 @@ def _run_alpha(cfg: RunConfig):
 def _run_kloosterman(cfg: RunConfig):
     if cfg.M is None or cfg.x is None or cfg.a is None or cfg.q is None or cfg.y is None:
         raise ValueError("kloosterman needs --M, --x, --a, --q, --y")
+    from .expsums import KloostermanParams, kl_members, kl_smooth_average, kloos_bound_rhs, optimal_z
+
     cols = ["M", "x", "a", "q", "y", "value", "z", "bound_rhs", "ratio"]
     ys = _float_list(cfg.y)
     if len(ys) != 1:
@@ -334,11 +342,16 @@ def _run_kloosterman(cfg: RunConfig):
 def _run_dispersion(cfg: RunConfig):
     if cfg.q is None or cfg.a is None:
         raise ValueError("dispersion needs --q and --a")
+    from fractions import Fraction
+
+    from .dispersion import (DispersionParams, bilinear_B, check_pairs, sigma_qR, sigma_window, sums_report,
+                             type1_report, type2_report)
+
     cols = ["kind", "value", "main_term", "ratio", "truncation_error", "runtime_ms", "params"]
     theta = Fraction(cfg.theta) if cfg.theta else None
     Y = _parse_Y(cfg.Y)
     sigma = None  # sigma's checked (params, window), set below before any report runs
-    # kind → (params, budget) → SumReport, looked up per call so that rebound module names apply
+    # kind → (params, budget) → SumReport
     reporters = {"type1": type1_report, "type2": type2_report, "sums": sums_report, "bilinear": bilinear_B,
                  "sigma": lambda _, budget: sigma_qR(cfg.q, cfg.a, theta, cfg.C, Y, budget, sigma)}
     kinds = tuple(reporters) if cfg.report == "all" else (cfg.report,)

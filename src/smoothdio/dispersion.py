@@ -26,10 +26,10 @@ from math import ceil, exp, floor, gcd, log, pi
 
 import numpy as np
 
-from .arith import mod_inverse
+from .arith import mod_inverse, product_dtype
 from .diophantine import _sieve_classes, _target_window, derive_params
-from .errors import BudgetExceededError, NonConvergenceError
-from .smooth import smooth_sieve
+from .errors import BudgetExceededError, CapacityError, NonConvergenceError
+from .smooth import SIEVE_CAPACITY, smooth_sieve
 
 _TWO_PI = 2.0 * pi
 
@@ -275,15 +275,20 @@ def _in_S(ns: np.ndarray, Y: float, q: int) -> np.ndarray:
     return sv.smooth & sv.coprime
 
 
+def _weight_cut(q: int, R: float) -> int:
+    """min(q, ⌊3R/4⌋ + 1): the residues r below it are those with φ(r/R)
+    possibly nonzero, as φ vanishes from 3/4 on."""
+    return min(q, floor(3 * R / 4) + 1)
+
+
 def _residue_weights(q: int, R: float):
     """(table, cut) with table[min(r, cut)] = φ(r/R) for every residue r in
-    [0, q): φ(r/R) for r < cut = min(q, ⌊3R/4⌋ + 1), then one 0.0, as φ
-    vanishes from 3/4 on."""
-    cut = min(q, floor(3 * R / 4) + 1)
+    [0, q): φ(r/R) for r < cut = _weight_cut(q, R), then one 0.0."""
+    cut = _weight_cut(q, R)
     return np.append(bump_phi_array(np.arange(cut) / R), 0.0), cut
 
 
-_PAIR_BLOCK = 1 << 18  # m×n pairs weighed at once: bounds the block's temporaries
+_PAIR_BLOCK = 1 << 18  # m×n pairs weighed at once: bounds the block's buffers
 
 
 class _Context:
@@ -313,33 +318,52 @@ class _Context:
         w = bump_phi_array(ms / (3.0 * self.M))
         return ms[w > 0.0], w[w > 0.0]
 
-    def check_pairs(self, window: str, budget: int) -> np.ndarray:
-        """The m of the m-window "smooth" (m_smooth) or "phi" (m_phi), once
-        its m×n pairs are checked against the budget."""
+    def check_pairs(self, window: str, budget: int):
+        """(ms, dtype): the m of the m-window "smooth" (m_smooth) or "phi"
+        (m_phi), once its m×n pairs are checked against the budget and its
+        residues against capacity, and the dtype its residue products take.
+        The weight table holds at most SIEVE_CAPACITY entries, and both
+        products, m·(a mod q) and c_m·(n mod q) with c_m < q, are bounded from
+        the windows and q and given to product_dtype, which refuses past int64."""
         ms = self.m_smooth if window == "smooth" else self.m_phi[0]
         if len(ms) * len(self.n_all) > budget:
             raise BudgetExceededError(f"{len(ms)} x {len(self.n_all)} pair loop exceeds budget")
-        return ms
+        q = self.q
+        size = _weight_cut(q, self.R) + 1
+        if size > SIEVE_CAPACITY:
+            raise CapacityError(f"{size} residue weights at q = {q} exceed sieve capacity")
+        n_top = min(int(self.n_all.max(initial=0)), q - 1)
+        return ms, product_dtype((q - 1) * max(int(ms.max(initial=0)), n_top))
 
     def inner_sums(self, window: str, budget: int):
         """A_m = Σ_n 1_{S_q(Y)}(n)·Φ_a(mn, R) and B_m = Σ_n Φ_a(mn, R) over
-        an m-window, in blocks of at most _PAIR_BLOCK pairs, each Φ read from
-        _residue_weights by residue.  Both are pairwise sums of C-ordered rows
-        (compress keeps C order, W[:, mask] does not), so their bits do not
-        depend on the block; check_pairs charges the budget on every call."""
-        ms = self.check_pairs(window, budget)
+        an m-window, in blocks of at most _PAIR_BLOCK pairs.  Each block fills
+        one residue buffer, of check_pairs' dtype, in place with
+        min(c_m·(n mod q) mod q, cut), c_m = (m·a) mod q, and reads each Φ
+        from _residue_weights by residue: the smooth columns' weights for A_m,
+        then every weight for B_m.  Both are pairwise sums of C-ordered rows
+        (compress keeps C order, W[:, mask] does not), so their bits depend
+        neither on the block nor on the dtype; check_pairs charges the budget
+        on every call."""
+        ms, dtype = self.check_pairs(window, budget)
         n_all, q = self.n_all, self.q
         if window not in self._sums:
             A, B = np.zeros(len(ms)), np.zeros(len(ms))
-            if len(n_all):
-                n_mod = n_all % q
+            if len(n_all) and len(ms):
+                n_mod = (n_all % q).astype(dtype)
+                c = ms.astype(dtype)
+                c *= self.a % q
+                c %= q
                 table, cut = _residue_weights(q, self.R)
-                block = max(1, _PAIR_BLOCK // len(n_all))
+                block = min(max(1, _PAIR_BLOCK // len(n_all)), len(ms))
+                res = np.empty((block, len(n_all)), dtype)
                 for i in range(0, len(ms), block):
-                    res = (((ms[i : i + block] * (self.a % q)) % q)[:, None] * n_mod[None, :]) % q
-                    W = table[np.minimum(res, cut, out=res)]
-                    B[i : i + block] = W.sum(axis=1)
-                    A[i : i + block] = W.compress(self.smooth, axis=1).sum(axis=1)
+                    r = res[: min(block, len(ms) - i)]
+                    np.multiply(c[i : i + block, None], n_mod, out=r)
+                    np.remainder(r, q, out=r)
+                    np.minimum(r, cut, out=r)
+                    A[i : i + block] = table[r.compress(self.smooth, axis=1)].sum(axis=1)
+                    B[i : i + block] = table[r].sum(axis=1)
             self._sums[window] = A, B
         return self._sums[window]
 

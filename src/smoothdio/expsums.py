@@ -9,6 +9,8 @@ table per modulus.  The smooth average inverts only the distinct largest
 prime factors of its n's, for a block of moduli at once, and multiplies the
 rest out: its n's form a divisor-closed set, so n̄ = P⁺(n)̄ · (n/P⁺(n))̄, and
 since n/P⁺(n) ≤ n/2 the products go one dyadic range [2ᵏ, 2ᵏ⁺¹) at a time.
+Each block of moduli is then summed in one flat pass over its unit entries,
+in the narrowest dtype that holds every residue product (arith.product_dtype).
 """
 
 from dataclasses import dataclass
@@ -17,7 +19,7 @@ from math import ceil, floor, hypot, pi
 
 import numpy as np
 
-from .arith import inverse_mod
+from .arith import inverse_mod, product_dtype
 from .errors import BudgetExceededError, CapacityError
 from .smooth import smooth_sieve
 
@@ -108,13 +110,34 @@ def kl_smooth_average(M: float, x: float, a: int, q: int, y: float, budget: int 
     ns, pplus = kl_members(x, q, y) if members is None else members
     if (m_hi - m_lo + 1) * len(ns) > budget:
         raise BudgetExceededError("m x n loop exceeds budget")
-    inverses = _member_inverses(ns, pplus, m_lo, m_hi)
-    return sum((hypot(*_inverse_sum(inv, a, m)) for m, inv in inverses), 0.0)
+    return sum(_abs_inverse_sums(a, _member_inverses(ns, pplus, m_lo, m_hi)), 0.0)
+
+
+def _abs_inverse_sums(a: int, blocks):
+    """Yield |Σ e(a·n̄/m)| for each row of each (ms, inv) block, in m order,
+    with the bits of hypot(*_inverse_sum(row, a, m)).  A block's unit
+    entries are compressed once in C order, so each row's stay one
+    contiguous slice; their angles (a mod m)·n̄ mod m·(2π/m) are formed and
+    cos and sin taken once per block, and each slice is reduced by
+    np.add.reduce, pairwise like np.sum over the same elements."""
+    for ms, inv in blocks:
+        unit = inv >= 0
+        counts = np.count_nonzero(unit, axis=1)
+        inv = inv[unit]
+        inv *= np.repeat(np.array([a % m for m in ms.tolist()], inv.dtype), counts)
+        inv %= np.repeat(ms, counts)
+        ang = inv * np.repeat(_TWO_PI / ms, counts)
+        re, im = np.cos(ang), np.sin(ang)
+        ends = np.cumsum(counts).tolist()
+        for lo, hi in zip([0] + ends, ends):
+            yield hypot(float(np.add.reduce(re[lo:hi])), float(np.add.reduce(im[lo:hi])))
 
 
 def _member_inverses(ns: np.ndarray, pplus: np.ndarray, m_lo: int, m_hi: int):
-    """Yield (m, inverse_mod(ns, m)) for m = m_lo, …, m_hi, built from the
-    inverses of the primes alone.
+    """Yield blocks (ms, inv) with inv[i] = inverse_mod(ns, ms[i]), the
+    moduli ms running through m_lo, …, m_hi, built from the inverses of the
+    primes alone, both in the product_dtype of the residue products below
+    m_hi².
 
     ns ascends and is divisor-closed (n in ns ⇒ every divisor of n is), and
     pplus holds P⁺ of each entry (1 for n = 1).  Then n̄ = P⁺(n)̄ · (n/P⁺(n))̄
@@ -126,6 +149,7 @@ def _member_inverses(ns: np.ndarray, pplus: np.ndarray, m_lo: int, m_hi: int):
     passes to every multiple and becomes −1 at the end.  Moduli go in blocks
     of at most _INVERSE_BLOCK table entries.
     """
+    dtype = product_dtype((m_hi - 1) ** 2)
     seen = np.zeros(int(pplus.max(initial=0)) + 1, dtype=bool)
     seen[pplus] = True
     primes, prime_col = np.flatnonzero(seen), (np.cumsum(seen) - 1)[pplus]
@@ -133,9 +157,9 @@ def _member_inverses(ns: np.ndarray, pplus: np.ndarray, m_lo: int, m_hi: int):
     cuts = np.searchsorted(ns, 2 ** np.arange(int(ns.max(initial=1)).bit_length() + 1)).tolist()
     block = max(1, _INVERSE_BLOCK // max(len(ns), 1))
     for b0 in range(m_lo, m_hi + 1, block):
-        ms = np.arange(b0, min(b0 + block, m_hi + 1), dtype=np.int64)[:, None]
-        prime_inv = np.maximum(inverse_mod(primes, ms), 0)
-        inv = np.empty((len(ms), len(ns)), dtype=np.int64)
+        ms = np.arange(b0, min(b0 + block, m_hi + 1), dtype=dtype)[:, None]
+        prime_inv = np.maximum(inverse_mod(primes, ms), 0).astype(dtype)
+        inv = np.empty((len(ms), len(ns)), dtype=dtype)
         inv[:, : cuts[1]] = prime_inv[:, prime_col[: cuts[1]]]  # n = 1
         for lo, hi in zip(cuts[1:], cuts[2:]):
             cols = slice(lo, hi)
@@ -144,7 +168,7 @@ def _member_inverses(ns: np.ndarray, pplus: np.ndarray, m_lo: int, m_hi: int):
             prod %= ms
             inv[:, cols] = prod
         inv[(inv == 0) & (ms > 1)] = -1
-        yield from zip(ms[:, 0].tolist(), inv)
+        yield ms[:, 0], inv
 
 
 @dataclass

@@ -15,6 +15,7 @@ from smoothdio.arith import (
     largest_prime_factor,
     mod_inverse,
     prime_array,
+    product_dtype,
     sieve_primes,
 )
 from smoothdio.errors import CapacityError
@@ -315,6 +316,14 @@ def test_inverse_mod_broadcasts_the_modulus():
     for bad in ([3, 0, 5], [7, 11, -2], [[4], [0]]):
         with pytest.raises(ValueError):
             inverse_mod(np.arange(4), np.array(bad))
+
+
+def test_product_dtype_bounds():
+    # the largest product each dtype holds, and the first it does not
+    assert product_dtype(0) == product_dtype(2**31 - 1) == np.int32
+    assert product_dtype(2**31) == product_dtype(2**63 - 1) == np.int64
+    with pytest.raises(CapacityError):
+        product_dtype(2**63)
 
 
 def test_inverse_table_is_read_only():

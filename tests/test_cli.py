@@ -33,7 +33,7 @@ from smoothdio.diophantine import (
     dist_nearest,
     parse_alpha,
 )
-from smoothdio import dispersion
+from smoothdio import dispersion, expsums
 from smoothdio.dispersion import bump_phi_array, sigma_qR
 from smoothdio.errors import CapacityError
 from smoothdio.expsums import _inverse_sum, kl_members
@@ -379,7 +379,7 @@ def test_kloosterman_checks_z_before_any_sum(monkeypatch, capsys, y):
     def refuse(*args):
         raise AssertionError("kl_smooth_average ran before z was checked")
 
-    monkeypatch.setattr(cli, "kl_smooth_average", refuse)
+    monkeypatch.setattr(expsums, "kl_smooth_average", refuse)
     code = main(["kloosterman", "--M", "20000", "--x", "3003", "--a", "1", "--q", "1", "--y", y])
     assert code == EXIT_BAD_CONFIG
     captured = capsys.readouterr()
@@ -398,8 +398,8 @@ def test_kloosterman_checks_every_cells_budget_before_any_sum(monkeypatch, capsy
         sieved.append(x)
         return kl_members(x, q, y)
 
-    monkeypatch.setattr(cli, "kl_smooth_average", refuse)
-    monkeypatch.setattr(cli, "kl_members", count_members)
+    monkeypatch.setattr(expsums, "kl_smooth_average", refuse)
+    monkeypatch.setattr(expsums, "kl_members", count_members)
     code = main(["kloosterman", "--M", "20000,200000", "--x", "3003", "--a", "1", "--q", "1", "--y", "66",
                  "--budget", "100000000"])
     assert code == EXIT_BUDGET
@@ -416,7 +416,7 @@ def test_dispersion_checks_every_kind_before_any_sum(monkeypatch, capsys, report
         raise AssertionError("a report ran before every kind was checked")
 
     for name in ("type1_report", "type2_report", "sums_report", "bilinear_B", "sigma_qR"):
-        monkeypatch.setattr(cli, name, refuse)
+        monkeypatch.setattr(dispersion, name, refuse)
     code = main(["dispersion", "--q", "101", "--a", "2", "--M", "15", "--N", "15", "--R", "20", "--Y", "5",
                  "--report", report])
     assert code == EXIT_BAD_CONFIG
@@ -435,7 +435,7 @@ def test_dispersion_charges_every_kind_before_any_sum(monkeypatch, capsys):
         raise AssertionError("a report ran before every kind's pairs were checked")
 
     with monkeypatch.context() as patch:
-        patch.setattr(cli, "type1_report", refuse)
+        patch.setattr(dispersion, "type1_report", refuse)
         assert main(_SUMS_JOB + ["--budget", "1500000"]) == EXIT_BUDGET
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -444,6 +444,48 @@ def test_dispersion_charges_every_kind_before_any_sum(monkeypatch, capsys):
     assert main(_SUMS_JOB + ["--budget", "2176185"]) == EXIT_OK
     assert len(capsys.readouterr().out.splitlines()) == 6
     assert main(_SUMS_JOB + ["--budget", "2176184"]) == EXIT_BUDGET
+
+
+def test_dispersion_refuses_residue_products_past_int64(capsys):
+    # N = 1000: c_m·(n mod q) reaches (q − 1)·2000, below 2⁶³ at q = 4611686018427387 and past it two later
+    args = ["dispersion", "--a", "2", "--M", "2", "--N", "1000", "--R", "3000", "--Y", "50", "--report", "sums"]
+    assert main(args + ["--q", "4611686018427387"]) == EXIT_OK
+    capsys.readouterr()
+    assert main(args + ["--q", "4611686018427389"]) == EXIT_BUDGET
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: residue products up to 9223372036854776000 exceed int64\n"
+
+
+def test_dispersion_refuses_a_residue_weight_table_over_capacity(monkeypatch, capsys):
+    # R = 1e11 asks for ⌊3R/4⌋ + 2 weights (559 GiB as int64 residues), refused before the table is built
+    def refuse(*args):
+        raise AssertionError("the residue-weight table was built")
+
+    monkeypatch.setattr(dispersion, "_residue_weights", refuse)
+    code = main(["dispersion", "--q", "999999999989", "--a", "123456789011", "--M", "2", "--N", "1000", "--R", "1e11",
+                 "--Y", "1e9", "--report", "type1"])
+    assert code == EXIT_BUDGET
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: 75000000002 residue weights at q = 999999999989 exceed sieve capacity\n"
+
+
+def test_rho_imports_only_what_it_runs():
+    import os
+    import subprocess
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "smoothdio.cli", "rho", "--u", "1"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == EXIT_OK
+    assert json.loads(proc.stdout)["rows"] == [{"rho": 1.0, "tol": 1e-09, "u": 1.0}]
+    loaded = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines() if line.startswith("import time:")}
+    assert "smoothdio.smooth" in loaded
+    unused = {"smoothdio.diophantine", "smoothdio.dispersion", "smoothdio.expsums", "smoothdio.numfmt", "fractions"}
+    assert not loaded & unused
 
 
 def test_sigma_charges_the_budget_with_its_class_layout(capsys):
@@ -581,8 +623,8 @@ def test_sums_bytes_match_the_oracle_paths(monkeypatch, capsys):
     for argv in argvs:
         assert main(argv) == EXIT_OK
         texts.append(capsys.readouterr().out)
-    monkeypatch.setattr(cli, "kl_smooth_average", _kl_oracle)
-    monkeypatch.setattr(cli, "sigma_qR", _sigma_oracle)
+    monkeypatch.setattr(expsums, "kl_smooth_average", _kl_oracle)
+    monkeypatch.setattr(dispersion, "sigma_qR", _sigma_oracle)
     for argv, text in zip(argvs, texts):
         assert main(argv) == EXIT_OK
         assert capsys.readouterr().out == text

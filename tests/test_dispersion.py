@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 from math import ceil, gcd, pi
 
@@ -24,7 +25,7 @@ from smoothdio.dispersion import (
     type1_report,
     type2_report,
 )
-from smoothdio.errors import BudgetExceededError
+from smoothdio.errors import BudgetExceededError, CapacityError
 from smoothdio.smooth import local_density, smooth_sieve
 
 
@@ -591,6 +592,99 @@ def test_inner_sums_do_not_depend_on_the_pair_block(monkeypatch):
             ctx = dispersion._Context(p.M, p.N, p.q, p.a, p.R, p.Y)
             bits.append([s.tobytes() for window in ("smooth", "phi") for s in ctx.inner_sums(window, 10**9)])
         assert bits[0] == bits[1], p
+
+
+def _int64_inner_sums(ctx, ms):
+    """A_m, B_m by the int64 residue path that the in-place blocks replaced:
+    every pair at once, each step a fresh int64 array."""
+    q = ctx.q
+    table, cut = dispersion._residue_weights(q, ctx.R)
+    res = (((ms * (ctx.a % q)) % q)[:, None] * (ctx.n_all % q)[None, :]) % q
+    W = table[np.minimum(res, cut)]
+    return W.compress(ctx.smooth, axis=1).sum(axis=1), W.sum(axis=1)
+
+
+@pytest.mark.parametrize(
+    "q, M, N, dtype",
+    [
+        (4181, 1500.0, 300.0, np.int32),
+        (10946, 4438.0, 327.0, np.int32),
+        (46337, 20.0, 30000.0, np.int32),  # (q − 1)² = 2147024896 < 2³¹
+        (46349, 20.0, 30000.0, np.int64),  # (q − 1)² = 2148137104
+        (46349, 25000.0, 40.0, np.int64),  # (q − 1)·max m past 2³¹
+        (65537, 10.0, 40000.0, np.int64),
+    ],
+)
+def test_inner_sums_equal_the_int64_residue_path(monkeypatch, q, M, N, dtype):
+    rng = random.Random(q)
+    a = rng.randrange(1, q)
+    while gcd(a, q) != 1:
+        a = rng.randrange(1, q)
+    R, Y = rng.uniform(q**0.3, q / 2), rng.choice([50.0, 1367.0, float("inf")])
+    want = None
+    # the default block, blocks of 3 rows, and one row per block
+    for rows in (None, 3, 1):
+        ctx = dispersion._Context(M, N, q, a, R, Y)
+        if rows is not None:
+            monkeypatch.setattr(dispersion, "_PAIR_BLOCK", rows * len(ctx.n_all))
+        got = []
+        for window, ms in (("smooth", ctx.m_smooth), ("phi", ctx.m_phi[0])):
+            assert ctx.check_pairs(window, 10**9)[1] == dtype
+            got += [s.tobytes() for s in ctx.inner_sums(window, 10**9)]
+            if want is None:
+                assert got[-2:] == [s.tobytes() for s in _int64_inner_sums(ctx, ms)], window
+        want = want or got
+        assert got == want, rows
+
+
+def test_inner_sums_exact_below_int64_and_refused_past_it():
+    # N = 1000: c_m·(n mod q) < (q − 1)·2000, which is 2⁶³ − 3808 at the first q and 2⁶³ + 192 at the second
+    q = 4611686018427387
+    a = (q + 1) // 2  # the inverse of 2: m·n·ā ≡ mn/2 for even mn, so φ's window is met
+    ctx = dispersion._Context(2.0, 1000.0, q, a, 3000.0, 50.0)
+    for window, ms in (("smooth", ctx.m_smooth), ("phi", ctx.m_phi[0])):
+        assert ctx.check_pairs(window, 10**9)[1] == np.int64
+        A, B = ctx.inner_sums(window, 10**9)
+        res = np.array([[m * n * a % q for n in ctx.n_all.tolist()] for m in ms.tolist()])  # Python ints
+        W = bump_phi_array(res / ctx.R)
+        assert A.tobytes() == W.compress(ctx.smooth, axis=1).sum(axis=1).tobytes()
+        assert B.tobytes() == W.sum(axis=1).tobytes()
+        assert np.all(B > 0) and np.any(A > 0)
+    q = 4611686018427389
+    p = DispersionParams(2.0, 1000.0, q, (q + 1) // 2, 3000.0, 50.0, Fraction(1, 3))
+    for report in (type1_report, bilinear_B, dispersion_sums, type2_report):
+        with pytest.raises(CapacityError, match="residue products up to 9223372036854776000 exceed int64"):
+            report(p)
+
+
+def test_residue_weight_table_is_checked_against_capacity(monkeypatch):
+    # q = 101, R = 20: the table holds φ(r/R) for r < 16, then one 0.0
+    p = DispersionParams(40.0, 30.0, 101, 2, 20.0, 5.0, Fraction(1, 3))
+    assert len(dispersion._residue_weights(p.q, p.R)[0]) == 17
+    monkeypatch.setattr(dispersion, "SIEVE_CAPACITY", 17)
+    assert type1_report(p).value == _oracle_type1(p, 10**9)[0]
+    monkeypatch.setattr(dispersion, "SIEVE_CAPACITY", 16)
+    with pytest.raises(CapacityError, match="17 residue weights at q = 101 exceed sieve capacity"):
+        type1_report(p)
+
+
+def test_inner_sums_peak_bytes_per_pair():
+    """One call holds, per pair of a block, one int32 residue and then one
+    float64 weight: the smooth columns' residues and weights come first and
+    take no more while at most 2/3 of the n are smooth.  So the peak stays
+    below 16 bytes a pair, where fresh int64 products, remainders and
+    weights took about 32."""
+    ctx = dispersion._Context(4438.0, 327.0, 10946, 9149, 265.188, 1012.0)
+    pairs = dispersion._PAIR_BLOCK // len(ctx.n_all) * len(ctx.n_all)
+    assert ctx.check_pairs("phi", 10**9)[1] == np.int32
+    assert len(ctx.m_phi[0]) * len(ctx.n_all) > pairs and np.mean(ctx.smooth) < 2 / 3
+    tracemalloc.start()
+    try:
+        ctx.inner_sums("phi", 10**9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * pairs
 
 
 def test_context_sieves_each_window_once_and_reads_K_from_its_flags(monkeypatch):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from smoothdio import expsums
-from smoothdio.arith import euler_phi, inverse_mod, largest_prime_factor, sieve_primes
+from smoothdio.arith import euler_phi, inverse_mod, largest_prime_factor, product_dtype, sieve_primes
 from smoothdio.errors import BudgetExceededError
 from smoothdio.expsums import (
     KloostermanParams,
@@ -158,11 +158,39 @@ def test_member_inverses_equal_inverse_mod(monkeypatch, x, y, q):
     # the default block, blocks of 3 moduli, and one modulus per block
     for block in (expsums._INVERSE_BLOCK, 3 * len(ns) + 1, 1):
         monkeypatch.setattr(expsums, "_INVERSE_BLOCK", block)
-        rows = list(expsums._member_inverses(ns, pplus, 1, 61))
-        assert [m for m, _ in rows] == list(range(1, 62))
-        for m, inv in rows:
-            assert inv.dtype == np.int64
-            assert inv.tolist() == inverse_mod(ns, m).tolist(), (block, m)
+        blocks = list(expsums._member_inverses(ns, pplus, 1, 61))
+        assert np.concatenate([ms for ms, _ in blocks]).tolist() == list(range(1, 62))
+        for ms, inv in blocks:
+            assert ms.dtype == inv.dtype == product_dtype(60**2)  # every residue product is below m_hi²
+            for m, row in zip(ms.tolist(), inv):
+                assert row.tolist() == inverse_mod(ns, m).tolist(), (block, m)
+
+
+@pytest.mark.parametrize(
+    "x, a, q, y, m_lo, m_hi",
+    [
+        (300, -7, 6, 13, 41, 80),
+        (421, 5, 1, 30, 62, 122),
+        (1000, 10**21 + 7, 2, 1000, 98, 194),  # y >= x; a past int64
+        (40, 3, 1, 7, 46_201, 46_341),  # (m_hi - 1)² < 2³¹: int32
+        (40, -3, 5, 7, 46_202, 46_342),  # int64
+    ],
+)
+def test_kl_blocks_equal_the_per_modulus_path(monkeypatch, x, a, q, y, m_lo, m_hi):
+    """The block kernel of kl_smooth_average has the bits of
+    Σ_m hypot(*_inverse_sum(n̄ row, a, m)), one modulus at a time from
+    inverse_mod, whatever the block and the dtype."""
+    ns, pplus = expsums.kl_members(x, q, y)
+    ms = range(m_lo, m_hi + 1)
+    want = sum((math.hypot(*expsums._inverse_sum(inverse_mod(ns, m), a, m)) for m in ms), 0.0)
+    assert product_dtype((m_hi - 1) ** 2) == (np.int32 if m_hi <= 46_341 else np.int64)
+    # the default block, blocks of 3 moduli, and one modulus per block
+    for block in (expsums._INVERSE_BLOCK, 3 * len(ns), 1):
+        monkeypatch.setattr(expsums, "_INVERSE_BLOCK", block)
+        got = sum(expsums._abs_inverse_sums(a, expsums._member_inverses(ns, pplus, m_lo, m_hi)), 0.0)
+        assert got.hex() == want.hex(), block
+    if m_hi == 2 * (m_lo - 1):  # the moduli (M, 2M] of M = m_lo - 1: through kl_smooth_average too
+        assert kl_smooth_average(m_lo - 1, x, a, q, y).hex() == want.hex()
 
 
 def kl_naive_tail(M, x, a, q, y, z):
