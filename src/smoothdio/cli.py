@@ -196,6 +196,23 @@ def _finite_float(text) -> float:
     return v
 
 
+def _exact_int(text) -> int:
+    """int(text), or the integer that a decimal literal such as 1e8 or 2.5e3
+    is exactly; refuses one that is not an integer, and one of 4300 digits
+    or more, as int refuses a literal that long."""
+    try:
+        return int(text)
+    except ValueError:
+        from decimal import Decimal  # here, so that a plain integer never imports it
+    try:
+        value = Decimal(text)
+    except ArithmeticError:  # decimal.InvalidOperation: not a decimal literal
+        value = None
+    if value is None or not value.is_finite() or value.adjusted() >= 4300 or value != value.to_integral_value():
+        raise ValueError(f"{text!r} is not an integer")
+    return int(value)
+
+
 def _float_list(text: str):
     return [_finite_float(t) for t in text.split(",") if t.strip() != ""]
 
@@ -209,7 +226,8 @@ def _parse_Y(text):
 
 
 # every RunConfig field but `command` is a flag and a config-file key, cast by its annotation
-_FLAGS = {f.name: {float: _finite_float, int: int}.get(f.type, str) for f in fields(RunConfig) if f.name != "command"}
+_FLAGS = {f.name: {float: _finite_float, int: _exact_int}.get(f.type, str) for f in fields(RunConfig)
+          if f.name != "command"}
 
 
 def _check_writable(path: str) -> None:
@@ -244,7 +262,10 @@ def build_config(argv) -> RunConfig:
 
     cfg = RunConfig(command=ns.command)
     for key, val in merged.items():
-        setattr(cfg, key, _FLAGS[key](val))
+        try:
+            setattr(cfg, key, _FLAGS[key](val))
+        except ValueError as exc:
+            raise ValueError(f"--{key}: {exc}") from None
     if cfg.format not in ("json", "csv"):
         raise ValueError(f"bad format {cfg.format!r}")
     if cfg.budget <= 0:
@@ -396,46 +417,56 @@ _JSON_KEY_LINE = "\n      "
 _JSON_ROW_OPEN = "\n    {" + _JSON_KEY_LINE
 _JSON_ROW_SEP = "," + _JSON_KEY_LINE
 _JSON_ROW_CLOSE = "\n    }"
-# the most rows formatted at once: bounds the block's byte matrix, about
-# 400 bytes a row (1.6 MB a block) for `search` in json
+# the most rows formatted at once: bounds the cells a block holds, about 60
+# bytes a row for `search` (250 KB a block)
 _BLOCK_ROWS = 1 << 12
+# the most rows assembled at once: bounds the byte matrix written, about 310
+# bytes a row for `search` in json (320 KB), and its NUL mask
+_SUB_ROWS = 1 << 10
 _BOOL_CELLS = np.frombuffer(b"false" b"true\0", np.uint8).reshape(2, 5)
 
 
 def _emit(cfg: RunConfig, cols, tables) -> int:
     """Write the header, then each table's rows in blocks of at most
-    _BLOCK_ROWS, each as soon as it is formatted, to --out or stdout; return
-    the number of rows written."""
+    _BLOCK_ROWS, each as soon as it is formatted, as bytes to --out or to
+    stdout's binary buffer; return the number of rows written."""
     as_json = cfg.format == "json"
-    # json output goes through newline translation, csv output does not
-    sink = open(cfg.out, "w", newline=None if as_json else "") if cfg.out else nullcontext(sys.stdout)
+    if cfg.out:
+        sink = open(cfg.out, "wb")
+    else:
+        sys.stdout.flush()  # whatever went to the text layer first
+        sink = nullcontext(sys.stdout.buffer)
     with sink as fh:
         if as_json:
             keys = sorted(cols)
-            fh.write('{\n  "command": ' + json.dumps(cfg.command) + ',\n  "rows": [')
+            fh.write(b'{\n  "command": ' + json.dumps(cfg.command).encode() + b',\n  "rows": [')
         else:
             keys = cols
-            fh.write(",".join(map(_csv_quote, cols)) + "\n")
-        total = 0
+            fh.write((",".join(map(_csv_quote, cols)) + "\n").encode())
+        total, skip = 0, int(as_json)  # the first json row takes no comma
         for table in tables:
             size = max((len(v) for v in table.values() if isinstance(v, (list, np.ndarray))), default=0)
             for lo in range(0, size, _BLOCK_ROWS):
                 n = min(size - lo, _BLOCK_ROWS)
                 block = {k: v[lo:lo + n] if isinstance(v, (list, np.ndarray)) else v for k, v in table.items()}
-                text = _block_text(keys, block, n, as_json)
-                fh.write(text[1:] if as_json and total == 0 else text)  # the first json row takes no comma
+                for data in _block_text(keys, block, n, as_json):
+                    fh.write(data[skip:])
+                    del data  # freed before the next run of rows is assembled
+                    skip = 0
                 total += n
         if as_json:
-            fh.write("\n  ]\n}\n" if total else "]\n}\n")
+            fh.write(b"\n  ]\n}\n" if total else b"]\n}\n")
+        fh.flush()  # stdout's buffer too, so that a closed pipe is reported here
     return total
 
 
-def _block_text(keys, block: dict, size: int, as_json: bool) -> str:
-    """The block's `size` rows, each json row as ",\n    {...}" and each csv
-    row ending in a newline.  The rows share the text between their per-row
-    cells, with each repeated value formatted once into it, so the block is
-    one uint8 matrix: that text broadcast, each column's cells NUL-padded,
-    its NULs dropped once."""
+def _block_text(keys, block: dict, size: int, as_json: bool):
+    """Yield the block's `size` rows as uint8 arrays of at most _SUB_ROWS
+    rows each, each json row as ",\n    {...}" and each csv row ending in a
+    newline.  The rows share the text between their per-row cells, with each
+    repeated value formatted once into it, so a run of rows is one uint8
+    matrix: that text broadcast, each column's cells NUL-padded to the
+    block's widest, its NULs dropped once."""
     parts, text = [], "," + _JSON_ROW_OPEN if as_json else ""
     for i, key in enumerate(keys):
         if i:
@@ -449,9 +480,12 @@ def _block_text(keys, block: dict, size: int, as_json: bool) -> str:
         else:
             text += _cells([col], as_json)[0]
     parts.append(_repeated(text + (_JSON_ROW_CLOSE if as_json else "\n"), size))
-    rows = np.concatenate(parts, axis=1).ravel()
-    del parts  # the cells now live in rows: free them before the NUL mask, the block's peak
-    return rows[rows != 0].tobytes().decode()
+    rows = np.empty((min(size, _SUB_ROWS), sum(p.shape[1] for p in parts)), np.uint8)
+    for lo in range(0, size, _SUB_ROWS):
+        sub = rows[:min(size - lo, _SUB_ROWS)]
+        np.concatenate([p[lo:lo + len(sub)] for p in parts], axis=1, out=sub)
+        flat = sub.ravel()
+        yield flat[flat != 0]
 
 
 def _repeated(text: str, size: int) -> np.ndarray:

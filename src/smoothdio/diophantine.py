@@ -370,22 +370,38 @@ def _target_window(q: int, X: float, r_lo: int, r_hi: int, sieved: bool = True, 
     return lo, hi, rows, rs[np.gcd(rs, q) == 1]
 
 
-def _sieve_classes(q: int, a: int, window, Y: float):
-    """(ns, pplus, members, rs) for a sieved _target_window: the (rows,
-    classes) layout of the classes n ≡ ā·r (mod q), ordered by their first
-    n so that it ascends row by row; P⁺ from largest_prime_factor_array with
-    the primes up to min(⌊Y⌋, hi), exact wherever P⁺ ≤ Y; the mask of the
-    n ≤ hi with P⁺(n) ≤ Y; and rs in column order."""
-    lo, hi, rows, rs = window
+# layout entries sieved at once: bounds a chunk's arrays (a 7 MB peak at 2¹⁸)
+_LAYOUT_CHUNK = 1 << 18
+
+
+def _class_starts(q: int, a: int, window):
+    """(starts, rs) for a sieved _target_window: each class n ≡ ā·r (mod q)
+    by its first n ≥ lo, ascending, and its r, so that the (rows, classes)
+    layout ns = starts + q·row ascends row by row."""
+    lo, _, _, rs = window
     abar = mod_inverse(a, q)
     starts = np.array([lo + (abar * r - lo) % q for r in rs.tolist()], dtype=np.int64)
     order = np.argsort(starts)
-    starts, rs = starts[order], rs[order]
-    ns = starts + q * np.arange(rows, dtype=np.int64)[:, None]
-    pplus = largest_prime_factor_array(starts, q, rows, int(min(Y, hi)))
-    members = pplus <= Y
-    members[-1] &= ns[-1] <= hi  # every start lies in [lo, lo + q): only the last row may pass hi
-    return ns, pplus, members, rs
+    return starts[order], rs[order]
+
+
+def _sieve_classes(q: int, starts, window, Y: float):
+    """Yield (ns, pplus, members) for the layout rows of `starts` (from
+    _class_starts) in chunks of about _LAYOUT_CHUNK entries, rows ascending:
+    P⁺ from largest_prime_factor_array with the primes up to min(⌊Y⌋, hi),
+    exact wherever P⁺ ≤ Y, and the mask of the n ≤ hi with P⁺(n) ≤ Y.  The
+    last chunk holds the layout's top, so it has the whole layout's P⁺ dtype."""
+    _, hi, rows, _ = window
+    pmax = int(min(Y, hi))
+    step = max(1, _LAYOUT_CHUNK // len(starts))
+    for row in range(0, rows, step):
+        count = min(step, rows - row)
+        first = starts + row * q
+        ns = first + q * np.arange(count, dtype=np.int64)[:, None]
+        pplus = largest_prime_factor_array(first, q, count, pmax)
+        members = pplus <= Y
+        members[-1] &= ns[-1] <= hi  # every start lies in [lo, lo + q): only the layout's last row may pass hi
+        yield ns, pplus, members
 
 
 def check_target_set(params: ApproxParams, budget: int) -> None:
@@ -405,7 +421,7 @@ def build_target_set(params: ApproxParams, a: int):
     """(n, P⁺(n)) for all n in [X/4, 4X] with P⁺(n) ≤ Y, gcd(n, q) = 1 and
     (na mod q) in [1, ⌊R⌋], n ascending: the members of the classes
     n ≡ ā·r (mod q), r ≤ ⌊R⌋ coprime to q, as _sieve_classes lays them out
-    and sieves them.
+    and sieves them, each chunk's members in turn.
     """
     q = params.q
     if gcd(a, q) != 1:
@@ -413,8 +429,9 @@ def build_target_set(params: ApproxParams, a: int):
     window = _target_window(q, params.X, 1, floor(params.R))
     if window is None:
         return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-    ns, pplus, members, _ = _sieve_classes(q, a, window, params.Y)
-    return ns[members], pplus[members]
+    starts, _ = _class_starts(q, a, window)
+    chunks = [(ns[members], pplus[members]) for ns, pplus, members in _sieve_classes(q, starts, window, params.Y)]
+    return tuple(np.concatenate(column) for column in zip(*chunks))
 
 
 def connection_bound(params: ApproxParams) -> float:

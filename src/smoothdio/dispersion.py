@@ -27,7 +27,7 @@ from math import ceil, exp, floor, gcd, log, pi
 import numpy as np
 
 from .arith import mod_inverse, product_dtype
-from .diophantine import _sieve_classes, _target_window, derive_params
+from .diophantine import _class_starts, _sieve_classes, _target_window, derive_params
 from .errors import BudgetExceededError, CapacityError, NonConvergenceError
 from .smooth import SIEVE_CAPACITY, smooth_sieve
 
@@ -291,6 +291,16 @@ def _residue_weights(q: int, R: float):
 _PAIR_BLOCK = 1 << 18  # m×n pairs weighed at once: bounds the block's buffers
 
 
+def _check_ranges(q: int, R: float, N: float) -> None:
+    """Refuse what q, R and N decide alone: a residue-weight table of more
+    than SIEVE_CAPACITY entries, and n-side residue products c_m·(n mod q),
+    with c_m < q and n ≤ ⌊2N⌋, past int64 (product_dtype)."""
+    size = _weight_cut(q, R) + 1
+    if size > SIEVE_CAPACITY:
+        raise CapacityError(f"{size} residue weights at q = {q} exceed sieve capacity")
+    product_dtype((q - 1) * min(floor(2 * N), q - 1))
+
+
 class _Context:
     """What the Type I, bilinear and Type II reports share for one set of
     ranges: the n-window (N, 2N] with its 1_{S_q(Y)} flags, the local density
@@ -329,9 +339,7 @@ class _Context:
         if len(ms) * len(self.n_all) > budget:
             raise BudgetExceededError(f"{len(ms)} x {len(self.n_all)} pair loop exceeds budget")
         q = self.q
-        size = _weight_cut(q, self.R) + 1
-        if size > SIEVE_CAPACITY:
-            raise CapacityError(f"{size} residue weights at q = {q} exceed sieve capacity")
+        _check_ranges(q, self.R, self.N)
         n_top = min(int(self.n_all.max(initial=0)), q - 1)
         return ms, product_dtype((q - 1) * max(int(ms.max(initial=0)), n_top))
 
@@ -382,7 +390,10 @@ _REPORT_WINDOWS = {"type1": ("smooth",), "type2": ("smooth", "phi"), "sums": ("p
 
 def check_pairs(kind: str, params: DispersionParams, budget: int) -> None:
     """Refuse, before any sum, a type1, type2, sums or bilinear report whose
-    m×n pairs exceed the budget, by the count its inner sums charge."""
+    m×n pairs exceed the budget, by the count its inner sums charge, or
+    whose weight table or residue products exceed capacity: what q, R and N
+    decide alone is checked first, before the n-window is sieved."""
+    _check_ranges(params.q, params.R, params.N)
     for window in _REPORT_WINDOWS[kind]:
         _context(params).check_pairs(window, budget)
 
@@ -417,8 +428,9 @@ def sigma_qR(q: int, a: int, theta, C: float = 10.0, Y: float = None, budget: in
         abar = mod_inverse(a, q)
         counts = [(hi - c) // q - (lo - 1 - c) // q for c in (abar * r % q for r in rs.tolist())]  # #{n ≡ c} in [lo, hi]
     else:
-        _, _, members, rs = _sieve_classes(q, a, window, pr.Y)
-        counts = np.count_nonzero(members, axis=0).tolist()
+        starts, rs = _class_starts(q, a, window)
+        counts = sum(np.count_nonzero(members, axis=0) for _, _, members in _sieve_classes(q, starts, window, pr.Y))
+        counts = counts.tolist()
     ratios = [w.as_integer_ratio() for w in bump_phi_array(rs / R).tolist()]  # every denominator is a power of 2
     den = max((d for _, d in ratios), default=1)
     value = sum(c * n * (den // d) for (n, d), c in zip(ratios, counts)) / den  # one rounding

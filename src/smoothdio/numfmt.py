@@ -10,20 +10,24 @@ writes with an exponent) are formatted by the caller's fallback, as is any
 value whose digits the kernel could not check to lie in its interval.
 
 A cell is built as a row of 4-byte quads, gathered from one table: the
-4 digits of a number below 10⁴, or a sign or point quad padded with NULs.
-Leading and trailing zeros are then cut by one mask per row, looked up as
-uint64 words.
+4 digits of a number below 10⁴, or a sign quad padded with NULs.  Leading
+and trailing zeros are then cut by one mask per row, looked up as uint64
+words.  A column's cells are only as wide as its values need: no byte
+before its longest integer part or past its longest fraction is returned,
+and the minus sign only where a value is negative.  The digit quads before
+the longest integer part, and past the most fraction digits a value's
+exponent allows, are not computed either.
 """
 
 import numpy as np
 
 _WORD = np.dtype("<u8")
 # _QUADS[i]: the 4 ASCII digits of i < 10⁴, zero-padded, as one uint32; then
-# the quads NUL NUL NUL NUL, NUL NUL NUL '-' and '.' NUL NUL NUL
-_NUL, _MINUS, _POINT = 10000, 10001, 10002
-_QUADS = np.zeros((10003, 4), np.uint8)
+# the quads NUL NUL NUL NUL and NUL NUL NUL '-'
+_NUL, _MINUS = 10000, 10001
+_QUADS = np.zeros((10002, 4), np.uint8)
 _QUADS[:_NUL] = np.stack(np.meshgrid(*[np.arange(48, 58, dtype=np.uint8)] * 4, indexing="ij"), axis=-1).reshape(-1, 4)
-_QUADS[_MINUS, 3], _QUADS[_POINT, 0] = 45, 46
+_QUADS[_MINUS, 3] = ord("-")
 # trailing zeros of i < 10⁴ written with 4 digits (4 for 0)
 _ZERO = _QUADS[:_NUL] == 48
 _TZ4 = _ZERO[:, 3] * (1 + _ZERO[:, 2] * (1 + _ZERO[:, 1] * (1 + _ZERO[:, 0].astype(np.intp))))
@@ -36,14 +40,14 @@ _POW10 = np.uint64(10) ** np.arange(20, dtype=np.uint64)
 _BYTE24 = np.arange(24)
 _INT_KEEP = np.where((_BYTE24 < 4) | (_BYTE24 >= np.arange(4, 24)[:, None]), 0xFF, 0).astype(np.uint8).view(_WORD)
 
-# a float cell: the sign quad, 16 integer digits, the point quad, then 20
-# digits, the first always 0, that hold the fraction's 19, and a NUL quad;
-# _FLOAT_KEEP[19·lead + last − 1] keeps the sign and point quads, the integer
-# digits from index `lead` < 16 on, and the fraction digits 1 to `last` ≤ 19
-_BYTE48 = np.arange(48)
+# a float cell: the sign quad, 16 integer digits, then 20 digits that hold the
+# fraction's 19 after the first, always 0, which is overwritten by the point;
+# _FLOAT_KEEP[19·lead + last − 1] keeps the sign quad, the integer digits from
+# index `lead` < 16 on, the point and the fraction digits 1 to `last` ≤ 19
+_BYTE40 = np.arange(40)
 _LEAD, _LAST = np.arange(16)[:, None, None], np.arange(1, 20)[None, :, None]
-_FLOAT_KEEP = np.where((_BYTE48 < 4) | ((_BYTE48 >= 4 + _LEAD) & (_BYTE48 < 20)) | ((_BYTE48 >= 20) & (_BYTE48 < 24))
-                       | ((_BYTE48 >= 25) & (_BYTE48 <= 24 + _LAST)), 0xFF, 0).astype(np.uint8).reshape(-1, 48).view(_WORD)
+_FLOAT_KEEP = np.where((_BYTE40 < 4) | ((_BYTE40 >= 4 + _LEAD) & (_BYTE40 <= 20 + _LAST)), 0xFF, 0
+                       ).astype(np.uint8).reshape(-1, 40).view(_WORD)
 
 # x = m·2^e with m = 2^52 + fraction bits, e = biased exponent − 1075.  The
 # kernel takes e in [−63, 1]: |x| in [2^-11, 2^54), which holds every x ≥ 2^-11
@@ -74,21 +78,40 @@ def _put_digits(text: np.ndarray, u: np.ndarray) -> list:
     return values
 
 
-def _signed(v: np.ndarray, quads: int) -> np.ndarray:
-    """(n, quads) uint32 text, the sign quad of v in column 0."""
-    text = np.empty((len(v), quads), np.uint32)
-    text[:, 0] = np.where(v < 0, _QUADS[_MINUS], _QUADS[_NUL])
+def _signed(negative: np.ndarray, quads: int) -> np.ndarray:
+    """(n, quads) uint32 text, the sign quad of each row in column 0."""
+    text = np.empty((len(negative), quads), np.uint32)
+    text[:, 0] = np.where(negative, _QUADS[_MINUS], _QUADS[_NUL])
     return text
 
 
+def _narrow(cells: np.ndarray, negative: np.ndarray, start: int, stop: int, width: int = 0) -> np.ndarray:
+    """(n, max(w, width)) uint8: each row's minus byte if any row is
+    negative, then its bytes [start, stop) of `cells`, NUL-padded; w is the
+    width of those bytes."""
+    signed = int(negative.any())
+    w = signed + stop - start
+    out = np.empty((len(cells), max(w, width)), np.uint8)
+    out[:, signed:w] = cells[:, start:stop]
+    out[:, w:] = 0
+    if signed:
+        out[:, 0] = cells[:, 3]
+    return out
+
+
 def int_cells(v: np.ndarray) -> np.ndarray:
-    """(n, 24) uint8 cells of an integer array, as str writes each value."""
+    """(n, w) uint8 cells of an integer array, as str writes each value; w
+    is the longest value's width."""
     u = v.astype(np.uint64)
-    np.negative(u, out=u, where=v < 0)  # two's complement: |v|, also for the least int64
-    text = _signed(v, 6)
-    _put_digits(text[:, 1:], u)
+    negative = v < 0
+    np.negative(u, out=u, where=negative)  # two's complement: |v|, also for the least int64
     lead = np.minimum(20 - np.searchsorted(_POW10, u, "right"), 19)  # 0 keeps one digit
-    return (text.view(_WORD) & _INT_KEEP.take(lead, axis=0)).view(np.uint8)
+    first = int(lead.min(initial=19))
+    text = _signed(negative, 6)
+    _put_digits(text[:, 1 + first // 4:], u)  # the quads before `first` are masked off unwritten
+    words = text.view(_WORD)
+    words &= _INT_KEEP.take(lead, axis=0)
+    return _narrow(words.view(np.uint8), negative, 4 + first, 24)
 
 
 def _scaled(N: np.ndarray, F: np.ndarray, s: np.ndarray):
@@ -141,33 +164,41 @@ def _shortest(x: np.ndarray):
 
 
 def float_cells(x: np.ndarray, fallback) -> np.ndarray:
-    """(n, 48) uint8 cells of a float64 array, as repr writes each value;
+    """(n, w) uint8 cells of a float64 array, as repr writes each value;
     `fallback(values)` formats the list of values the kernel leaves, one
-    string each.  The integer part is digits // 10^k, and the fraction's 19
-    digits are (digits mod 10^k)·10^(19−k)."""
+    string each, and w is the longest cell's width.  The integer part is
+    digits // 10^k, and the fraction, of at most k digits, is
+    (digits mod 10^k)·10^(4c−1−k) written in c quads, c the fewest that hold
+    the column's largest k after the leading 0."""
     digits, k, ok = _shortest(x)
     decimal_exponent = np.searchsorted(_POW10, digits, "right") - k
     ok &= decimal_exponent <= 16  # repr's fixed notation: above 2^-11 it is also > −4
-    digits[~ok] = 0
+    bad = ~ok
+    digits[bad], k[bad], decimal_exponent[bad] = 0, 0, 1  # the fallback's rows widen no kernel span
     unit = _POW10.take(k)
     whole = digits // unit
-    frac = (digits - whole * unit) * _POW10.take(19 - k)
+    quads = int(k.max(initial=0)) // 4 + 1
+    frac = (digits - whole * unit) * _POW10.take(4 * quads - 1 - k)
 
-    text = _signed(x, 12)
-    _put_digits(text[:, 1:5], whole)
-    text[:, 5], text[:, 11] = _QUADS[_POINT], _QUADS[_NUL]
+    negative = x < 0
+    text = _signed(negative, 10)
     lead = 16 - np.clip(decimal_exponent, 1, 16)  # the integer part's first digit: 0 keeps one
-    end = np.full(len(x), 20, np.intp)  # one past the fraction's last nonzero digit, quad by quad
+    first = int(lead.min(initial=15))
+    _put_digits(text[:, 1 + first // 4:5], whole)  # the quads before `first` are masked off unwritten
+    end = np.full(len(x), 4 * quads, np.intp)  # one past the fraction's last nonzero digit, quad by quad
     zeros = np.ones(len(x), bool)
-    for quad in _put_digits(text[:, 6:11], frac):
+    for quad in _put_digits(text[:, 5:5 + quads], frac):
         end -= _TZ4.take(quad) * zeros
         zeros &= quad == 0
     last = np.maximum(end - 1, 1)  # the last fraction digit kept: at least the first
-    cells = (text.view(_WORD) & _FLOAT_KEEP.take(19 * lead + last - 1, axis=0)).view(np.uint8)
+    cells = text.view(np.uint8)
+    cells[:, 20] = ord(".")  # over the fraction's leading 0
+    words = text.view(_WORD)
+    words &= _FLOAT_KEEP.take(19 * lead + last - 1, axis=0)  # and the quads past `quads`, unwritten
 
-    if not ok.all():
-        bad = ~ok
-        texts = np.array([t.encode() for t in fallback(x[bad].tolist())])
+    texts = np.array([t.encode() for t in fallback(x[bad].tolist())]) if bad.any() else np.zeros(0, "S1")
+    cells = _narrow(cells, negative, 4 + first, 21 + int(last.max(initial=1)), texts.itemsize)
+    if len(texts):
         cells[bad] = 0
         cells[bad, :texts.itemsize] = texts.view(np.uint8).reshape(len(texts), -1)
     return cells

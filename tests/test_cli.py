@@ -5,6 +5,7 @@ import json
 import math
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -1015,3 +1016,98 @@ def test_emit_cuts_every_command_into_blocks(case, fmt, monkeypatch, capsys):
     assert main(args) == EXIT_OK
     assert capsys.readouterr().out == _oracle(_EMIT_CASES[case], fmt)
     assert sizes == {"psi": [2, 2, 2], "dispersion": [2, 2, 1]}[case]
+
+
+# columns whose cells need different widths within one block and from block to
+# block: negative ints and floats, kernel values beside the fallback's, integer
+# parts of 5 digits and more, the least int64, and narrow columns
+_WIDTH_TABLE = {
+    "i": np.array([-2**63, 12345, 0, -7, 10**17, 3, 99999, -10**4], dtype=np.int64),
+    "f": np.array([-1.5, 0.0, float("inf"), float("nan"), 1e-5, 1e17, -float("inf"), 123456.789]),
+    "g": np.array([0.5, 0.25, 0.125, 0.75, 1e-4, 2.0**-11, 0.375, 0.0625]),
+    "k": np.array([1, 2, 3, 4, 5, 6, 7, 8], dtype=np.int32),
+    "s": "label",
+    "p": np.array([4.0, 12345.5, 1e15 + 0.5, 0.1, 2.5e-4, 7.0, 1 / 3, 99999.25]),
+    "flag": np.array([True, False] * 4),
+}
+
+
+@pytest.mark.parametrize("sink", ["stdout", "out"])
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("block_rows, sub_rows", [(1, 1), (3, 2), (4, 1), (4096, 1024)])
+def test_emit_narrow_cells_match_row_oracle(block_rows, sub_rows, fmt, sink, monkeypatch, tmp_path, capsys):
+    # each block's cells are only as wide as its own values need; the first
+    # json row follows an empty table and opens a sub-block
+    monkeypatch.setattr(cli, "_BLOCK_ROWS", block_rows)
+    monkeypatch.setattr(cli, "_SUB_ROWS", sub_rows)
+    path = tmp_path / f"w.{fmt}"
+    cfg = build_config(["psi", "--format", fmt] + (["--out", str(path)] if sink == "out" else []))
+    cols = list(_WIDTH_TABLE)
+    empty = {c: np.zeros(0) for c in cols} | {"s": "label"}
+    assert cli._emit(cfg, cols, [empty, _WIDTH_TABLE, _WIDTH_TABLE]) == 16
+    data = path.read_bytes() if sink == "out" else capsys.readouterr().out.encode()
+    assert data == _oracle_text("psi", fmt, cols, _table_rows([_WIDTH_TABLE] * 2)).encode()
+
+
+def test_emit_holds_a_few_hundred_bytes_a_row(tmp_path):
+    """One 4096-row `search` block in json: its cells are only as wide as its
+    values, and its rows are assembled, NUL-compacted and written _SUB_ROWS
+    at a time straight from the byte matrix, so the peak stays below 400
+    bytes a row, about the block's own 300 bytes of output a row.  One
+    padded matrix of the whole block, its mask, and its text decoded and
+    encoded again took about 1100."""
+    (res,) = search_results(parse_alpha("quad:1,1,5,2"), Fraction(1, 4), 987, 987)
+    table = {k: v[:cli._BLOCK_ROWS] if isinstance(v, np.ndarray) else v for k, v in vars(res).items()}
+    assert len(table["n"]) == cli._BLOCK_ROWS == 4096
+    cfg = build_config(["search", "--out", str(tmp_path / "s.json")])
+    cli._emit(cfg, list(table), [table])  # the kernels' tables are built once, before the measure
+    tracemalloc.start()
+    try:
+        cli._emit(cfg, list(table), [table])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 400 * 4096
+
+
+@pytest.mark.parametrize("flag, value, parsed", [("budget", "1e8", 10**8), ("qmin", "2.5e3", 2500), ("q", "1.0E2", 100),
+                                                  ("q", "-3e1", -30), ("budget", "007", 7)])
+def test_integer_flags_take_exact_e_notation(flag, value, parsed, tmp_path):
+    assert getattr(build_config(["search", f"--{flag}={value}"]), flag) == parsed
+    (tmp_path / "c.cfg").write_text(f"{flag} = {value}\n")
+    assert getattr(build_config(["search", "--config", str(tmp_path / "c.cfg")]), flag) == parsed
+
+
+def test_budget_in_e_notation_runs(capsys):
+    assert main(["rho", "--u", "1", "--budget", "1e8"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["rows"] == [{"rho": 1.0, "tol": 1e-09, "u": 1.0}]
+
+
+@pytest.mark.parametrize("flag", ["budget", "qmin", "q"])
+@pytest.mark.parametrize("value", ["1.5", "2.5e0", "1e-3", "nan", "inf", "1e5000", "1/4", "abc"])
+def test_integer_flags_refuse_non_integers_by_name(flag, value, tmp_path, capsys):
+    assert main(["rho", "--u", "1", f"--{flag}", value]) == EXIT_BAD_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --{flag}: {value!r} is not an integer\n"
+    (tmp_path / "c.cfg").write_text(f"{flag}={value}\n")
+    assert main(["rho", "--u", "1", "--config", str(tmp_path / "c.cfg")]) == EXIT_BAD_CONFIG
+    assert capsys.readouterr().err == f"error: --{flag}: {value!r} is not an integer\n"
+
+
+@pytest.mark.parametrize("N, R, report, message", [
+    ("1e7", "1e6", "sums", "residue products up to 19999999999760000000 exceed int64"),
+    ("1e7", "1e11", "type1", "75000000002 residue weights at q = 999999999989 exceed sieve capacity"),
+])
+def test_dispersion_refuses_from_the_ranges_before_it_sieves(N, R, report, message, monkeypatch, capsys):
+    # q, R and N alone decide both refusals, so the 1e7-integer n-window is never sieved
+    def refuse(params):
+        raise AssertionError("the dispersion context was built")
+
+    monkeypatch.setattr(dispersion, "_context", refuse)
+    code = main(["dispersion", "--q", "999999999989", "--a", "123456789011", "--M", "2", "--N", N, "--R", R,
+                 "--Y", "1e9", "--report", report])
+    assert code == EXIT_BUDGET
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"

@@ -22,7 +22,9 @@ from smoothdio.diophantine import (
     floor_surd,
     parse_alpha,
 )
+from smoothdio import diophantine, smooth
 from smoothdio.arith import largest_prime_factor
+from smoothdio.dispersion import bump_phi_array, sigma_qR
 from smoothdio.errors import CapacityError
 
 GOLDEN = QuadIrr(1, 1, 5, 2)
@@ -298,6 +300,79 @@ def test_build_target_set_matches_window_scan(params, a):
     ns, pplus = build_target_set(params, a)
     assert ns.dtype == np.int64
     assert (ns.tolist(), pplus.tolist()) == target_set_scan(params, a)
+
+
+def whole_layout(q, a, window, Y):
+    """(ns, pplus, members, rs): the class layout of a sieved _target_window
+    in one largest_prime_factor_array call, the classes ordered by their
+    first n."""
+    lo, hi, rows, rs = window
+    abar = pow(a, -1, q)
+    starts = np.array([lo + (abar * r - lo) % q for r in rs.tolist()], dtype=np.int64)
+    order = np.argsort(starts)
+    ns = starts[order] + q * np.arange(rows, dtype=np.int64)[:, None]
+    pplus = smooth.largest_prime_factor_array(starts[order], q, rows, int(min(Y, hi)))
+    return ns, pplus, (pplus <= Y) & (ns <= hi), rs[order]
+
+
+_LAYOUTS = [
+    (ApproxParams(_Q101.theta, 101, _Q101.X, _Q101.R, 40.0, 10.0), 37),
+    (ApproxParams(Fraction(1, 4), 30030, 60000.0, 600.0, 300.0, 10.0), 17),
+    (derive_params(610, Fraction(1, 4), Y=60.0), 377),
+    (ApproxParams(Fraction(1, 4), 100000007, 6e8, 60.0, 1000.0, 10.0), 12345),  # its top, 2.4e9, passes 2³¹
+]
+
+
+def _chunk_calls(monkeypatch, rows_per_chunk, classes):
+    """Set the layout chunk to `rows_per_chunk` rows of `classes` (None
+    keeps the default), and record (count, P⁺ dtype) of every call the
+    chunks make through diophantine's largest_prime_factor_array alias."""
+    calls = []
+
+    def recorded(starts, step, count, pmax):
+        pplus = smooth.largest_prime_factor_array(starts, step, count, pmax)
+        calls.append((count, pplus.dtype))
+        return pplus
+
+    monkeypatch.setattr(diophantine, "largest_prime_factor_array", recorded)
+    if rows_per_chunk is not None:
+        monkeypatch.setattr(diophantine, "_LAYOUT_CHUNK", rows_per_chunk * classes)
+    return calls
+
+
+def _check_chunks(calls, window, rows_per_chunk):
+    _, hi, rows, rs = window
+    step = rows_per_chunk or max(1, diophantine._LAYOUT_CHUNK // len(rs))
+    assert [count for count, _ in calls] == [min(step, rows - row) for row in range(0, rows, step)]
+    if hi >= 2**31 and rows_per_chunk == 1:  # the first rows fit int32, the last do not
+        assert [dtype for _, dtype in calls[::len(calls) - 1]] == [np.int32, np.int64]
+
+
+@pytest.mark.parametrize("rows_per_chunk", [1, 3, None])
+@pytest.mark.parametrize("params, a", _LAYOUTS)
+def test_chunked_target_set_matches_the_whole_layout(params, a, rows_per_chunk, monkeypatch):
+    window = diophantine._target_window(params.q, params.X, 1, floor(params.R))
+    ns, pplus, members, _ = whole_layout(params.q, a, window, params.Y)
+    calls = _chunk_calls(monkeypatch, rows_per_chunk, len(window[3]))
+    got_ns, got_pplus = build_target_set(params, a)
+    assert (got_ns.dtype, got_pplus.dtype) == (np.int64, pplus.dtype)
+    assert (got_ns.tolist(), got_pplus.tolist()) == (ns[members].tolist(), pplus[members].tolist())
+    assert len(got_ns) > 0
+    _check_chunks(calls, window, rows_per_chunk)
+
+
+@pytest.mark.parametrize("rows_per_chunk", [1, 3, None])
+@pytest.mark.parametrize("params, a", _LAYOUTS)
+def test_chunked_sigma_matches_the_whole_layout(params, a, rows_per_chunk, monkeypatch):
+    # Σ(q, R) over the classes r in [⌊R/4⌋, ⌈3R/4⌉]: the per-class counts summed over chunks, rounded once
+    window = diophantine._target_window(params.q, params.X, floor(params.R / 4), ceil(3 * params.R / 4))
+    _, _, members, rs = whole_layout(params.q, a, window, params.Y)
+    weights = bump_phi_array(rs / params.R).tolist()
+    expect = float(sum(Fraction(w) * int(c) for w, c in zip(weights, np.count_nonzero(members, axis=0))))
+    calls = _chunk_calls(monkeypatch, rows_per_chunk, len(rs))
+    got = sigma_qR(params.q, a, params.theta, params.C, params.Y, checked=(params, window)).value
+    assert got == expect > 0
+    _check_chunks(calls, window, rows_per_chunk)
 
 
 def test_connection_bound_membership():
