@@ -203,12 +203,13 @@ def _exact_int(text) -> int:
     try:
         return int(text)
     except ValueError:
-        from decimal import Decimal  # here, so that a plain integer never imports it
+        from decimal import Decimal, InvalidOperation  # here, so that a plain integer never imports them
     try:
         value = Decimal(text)
-    except ArithmeticError:  # decimal.InvalidOperation: not a decimal literal
-        value = None
-    if value is None or not value.is_finite() or value.adjusted() >= 4300 or value != value.to_integral_value():
+        exact = value.is_finite() and value.adjusted() < 4300 and value == value.to_integral_value()
+    except InvalidOperation:  # not a decimal literal
+        exact = False
+    if not exact:
         raise ValueError(f"{text!r} is not an integer")
     return int(value)
 

@@ -429,8 +429,8 @@ def sigma_qR(q: int, a: int, theta, C: float = 10.0, Y: float = None, budget: in
         counts = [(hi - c) // q - (lo - 1 - c) // q for c in (abar * r % q for r in rs.tolist())]  # #{n ≡ c} in [lo, hi]
     else:
         starts, rs = _class_starts(q, a, window)
-        counts = sum(np.count_nonzero(members, axis=0) for _, _, members in _sieve_classes(q, starts, window, pr.Y))
-        counts = counts.tolist()
+        chunks = _sieve_classes(q, starts, window, pr.Y)
+        counts = sum(np.count_nonzero(members, axis=0) for _, _, members in chunks).tolist()
     ratios = [w.as_integer_ratio() for w in bump_phi_array(rs / R).tolist()]  # every denominator is a power of 2
     den = max((d for _, d in ratios), default=1)
     value = sum(c * n * (den // d) for (n, d), c in zip(ratios, counts)) / den  # one rounding
