@@ -183,9 +183,9 @@ def inverse_mod(ns, c) -> np.ndarray:
 
 def product_dtype(largest: int) -> np.dtype:
     """The narrowest of int32 and int64 that holds every residue product of
-    a kernel, given the largest one its operand bounds admit: int32 below
-    2³¹, int64 below 2⁶³.  A larger product would wrap around silently, so
-    it raises CapacityError."""
+    a kernel (or every integer a P⁺ kernel divides), given the largest one
+    its operand bounds admit: int32 below 2³¹, int64 below 2⁶³.  A larger
+    value would wrap around silently, so it raises CapacityError."""
     if largest < 2**31:
         return np.dtype(np.int32)
     if largest < 2**63:

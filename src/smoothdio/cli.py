@@ -372,10 +372,9 @@ def _run_dispersion(cfg: RunConfig):
     cols = ["kind", "value", "main_term", "ratio", "truncation_error", "runtime_ms", "params"]
     theta = Fraction(cfg.theta) if cfg.theta else None
     Y = _parse_Y(cfg.Y)
-    sigma = None  # sigma's checked (params, window), set below before any report runs
     # kind → (params, budget) → SumReport
     reporters = {"type1": type1_report, "type2": type2_report, "sums": sums_report, "bilinear": bilinear_B,
-                 "sigma": lambda _, budget: sigma_qR(cfg.q, cfg.a, theta, cfg.C, Y, budget, sigma)}
+                 "sigma": lambda _, budget: sigma_qR(cfg.q, cfg.a, theta, cfg.C, Y, budget)}
     kinds = tuple(reporters) if cfg.report == "all" else (cfg.report,)
     # every kind is checked before the first sum runs
     if cfg.report != "all" and cfg.report not in reporters:
@@ -392,7 +391,7 @@ def _run_dispersion(cfg: RunConfig):
         params = DispersionParams(Ms[0], cfg.N, cfg.q, cfg.a, cfg.R, Y, theta, cfg.delta, cfg.eta)
     for kind in kinds:  # each kind's budget charge too: its m×n pairs, or sigma's class layout
         if kind == "sigma":
-            sigma = sigma_window(cfg.q, cfg.a, theta, cfg.C, Y, cfg.budget)
+            sigma_window(cfg.q, cfg.a, theta, cfg.C, Y, cfg.budget)
         else:
             check_pairs(kind, params, cfg.budget)
     reports = [reporters[kind](params, cfg.budget) for kind in kinds]

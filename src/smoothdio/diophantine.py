@@ -5,9 +5,9 @@ entries and d a positive nonsquare, so continued-fraction convergents, the
 nearest integer to nα, and the distance ‖nα‖ can all be decided by integer
 comparisons — no floating point in any decision path.  A decimal literal with
 an explicit precision exponent is accepted as a fallback representation; its
-error interval is propagated instead of ignored.  The target set is built
-with P⁺ of each member by the one residue-class sieve, which under the same
-capacity rule also counts the members of a finite-Y Σ(q, R) in dispersion.
+error interval is propagated instead of ignored.  The target set and
+dispersion's Σ(q, R) share one residue-class layout, checked from counts,
+built in one place, and sieved by one class sieve for P⁺ ≤ Y.
 
 ‖nα‖ of a whole member array comes from one kernel for both kinds of α,
 dist_from_convergent, with the bits of the scalar dist_nearest, which stays
@@ -343,13 +343,13 @@ def derive_params(q: int, theta, C: float = 10.0, Y: float = None) -> ApproxPara
 
 
 def _target_window(q: int, X: float, r_lo: int, r_hi: int, sieved: bool = True, budget: float = inf):
-    """(lo, hi, rows, rs): the window [⌈X/4⌉, ⌊4X⌋], where each class
-    n ≡ ā·r (mod q) has `rows` terms from its first n ≥ lo, and the r in
-    [max(1, r_lo), min(r_hi, q − 1)] coprime to q; None when either is empty.
-    The one capacity rule, checked before rs is built: a sieved layout needs
-    hi ≤ 2⁶² and rows × classes ≤ SIEVE_CAPACITY, whatever Y is; an unsieved
-    one holds only its residues, at most SIEVE_CAPACITY.  The same count is
-    checked against `budget`."""
+    """(lo, hi, rows, r_lo, r_hi, classes): each class n ≡ ā·r (mod q), r in
+    [max(1, r_lo), min(r_hi, q − 1)], has `rows` terms in [⌈X/4⌉, ⌊4X⌋] from
+    its first n ≥ lo; `classes` counts the r coprime to q if sieved.  None
+    when either is empty.  The one capacity rule, from counts alone: a sieved
+    layout needs hi ≤ 2⁶² and rows × classes ≤ SIEVE_CAPACITY, whatever Y is;
+    an unsieved one, whose q is not factored, at most SIEVE_CAPACITY residues.
+    The same count is checked against `budget`."""
     lo, hi = ceil(X / 4), floor(4 * X)
     r_lo, r_hi = max(1, r_lo), min(r_hi, q - 1)
     if sieved and hi > 2**62:
@@ -357,6 +357,7 @@ def _target_window(q: int, X: float, r_lo: int, r_hi: int, sieved: bool = True, 
     if r_hi < r_lo or hi < lo:
         return None
     rows = (hi - lo) // q + 1
+    classes = None
     if sieved:
         classes = coprime_count(r_hi, q) - coprime_count(r_lo - 1, q)
         size, what = rows * classes, f"{rows} rows × {classes} classes"
@@ -366,8 +367,7 @@ def _target_window(q: int, X: float, r_lo: int, r_hi: int, sieved: bool = True, 
         raise CapacityError(f"{what} at q = {q} exceed sieve capacity")
     if size > budget:
         raise BudgetExceededError(f"{what} at q = {q} exceed budget")
-    rs = np.arange(r_lo, r_hi + 1, dtype=np.int64)
-    return lo, hi, rows, rs[np.gcd(rs, q) == 1]
+    return lo, hi, rows, r_lo, r_hi, classes
 
 
 # layout entries sieved at once: bounds a chunk's arrays (a 7 MB peak at 2¹⁸)
@@ -375,33 +375,46 @@ _LAYOUT_CHUNK = 1 << 18
 
 
 def _class_starts(q: int, a: int, window):
-    """(starts, rs) for a sieved _target_window: each class n ≡ ā·r (mod q)
-    by its first n ≥ lo, ascending, and its r, so that the (rows, classes)
-    layout ns = starts + q·row ascends row by row."""
-    lo, _, _, rs = window
-    abar = mod_inverse(a, q)
-    starts = np.array([lo + (abar * r - lo) % q for r in rs.tolist()], dtype=np.int64)
-    order = np.argsort(starts)
-    return starts[order], rs[order]
+    """(offsets, rs), the one build of a _target_window's classes n ≡ ā·r
+    (mod q), r coprime to q: the offset (ā·r − lo) mod q of each one's first
+    n ≥ lo, ascending, so ns = lo + offsets + q·row ascends row by row, and
+    its r.  An offset is below q: int64 holds it where lo passes 2⁶³."""
+    lo, _, _, r_lo, r_hi, _ = window
+    rs = np.arange(r_lo, r_hi + 1, dtype=np.int64)
+    rs = rs[np.gcd(rs, q) == 1]
+    x = rs if (q - 1) * r_hi < _INT64_TOP else rs.astype(object)  # ā·r in Python ints past int64
+    offsets = ((mod_inverse(a, q) * x - lo % q) % q).astype(np.int64)
+    order = np.argsort(offsets)
+    return offsets[order], rs[order]
 
 
-def _sieve_classes(q: int, starts, window, Y: float):
-    """Yield (ns, pplus, members) for the layout rows of `starts` (from
+def _sieve_classes(q: int, offsets, window, Y: float):
+    """Yield (ns, pplus, members) for the layout rows of `offsets` (from
     _class_starts) in chunks of about _LAYOUT_CHUNK entries, rows ascending:
-    P⁺ from largest_prime_factor_array with the primes up to min(⌊Y⌋, hi),
-    exact wherever P⁺ ≤ Y, and the mask of the n ≤ hi with P⁺(n) ≤ Y.  The
-    last chunk holds the layout's top, so it has the whole layout's P⁺ dtype."""
-    _, hi, rows, _ = window
+    P⁺ from largest_prime_factor_array, exact wherever P⁺ ≤ Y, and the mask
+    of the n ≤ hi with P⁺(n) ≤ Y.  The last chunk holds the layout's top, so
+    it has the whole layout's P⁺ dtype."""
+    lo, hi, rows = window[:3]
     pmax = int(min(Y, hi))
-    step = max(1, _LAYOUT_CHUNK // len(starts))
+    step = max(1, _LAYOUT_CHUNK // len(offsets))
     for row in range(0, rows, step):
         count = min(step, rows - row)
-        first = starts + row * q
+        first = offsets + (lo + row * q)
         ns = first + q * np.arange(count, dtype=np.int64)[:, None]
         pplus = largest_prime_factor_array(first, q, count, pmax)
         members = pplus <= Y
-        members[-1] &= ns[-1] <= hi  # every start lies in [lo, lo + q): only the layout's last row may pass hi
+        members[-1] &= ns[-1] <= hi  # every offset is below q: only the layout's last row may pass hi
         yield ns, pplus, members
+
+
+def _class_counts(q: int, a: int, window, Y: float):
+    """(rs, counts): the r of `window`'s classes (_class_starts) and the n in
+    [lo, hi] with P⁺(n) ≤ Y each holds, from its offset when Y ≥ hi."""
+    lo, hi, rows = window[:3]
+    offsets, rs = _class_starts(q, a, window)
+    if Y >= hi:
+        return rs, rows - 1 + (offsets <= (hi - lo) % q)
+    return rs, sum(np.count_nonzero(members, axis=0) for _, _, members in _sieve_classes(q, offsets, window, Y))
 
 
 def check_target_set(params: ApproxParams, budget: int) -> None:
@@ -411,8 +424,8 @@ def check_target_set(params: ApproxParams, budget: int) -> None:
     window = _target_window(params.q, params.X, 1, floor(params.R))
     if window is None or not params.Y >= window[1]:
         return  # empty, or a finite-Y layout within capacity
-    lo, hi, _, rs = window
-    least = len(rs) * ((hi - lo + 1) // params.q)
+    lo, hi, _, _, _, classes = window
+    least = classes * ((hi - lo + 1) // params.q)
     if least > budget:
         raise BudgetExceededError(f"at least {least} members at q = {params.q} exceed budget")
 
@@ -420,17 +433,15 @@ def check_target_set(params: ApproxParams, budget: int) -> None:
 def build_target_set(params: ApproxParams, a: int):
     """(n, P⁺(n)) for all n in [X/4, 4X] with P⁺(n) ≤ Y, gcd(n, q) = 1 and
     (na mod q) in [1, ⌊R⌋], n ascending: the members of the classes
-    n ≡ ā·r (mod q), r ≤ ⌊R⌋ coprime to q, as _sieve_classes lays them out
-    and sieves them, each chunk's members in turn.
-    """
+    n ≡ ā·r (mod q), r ≤ ⌊R⌋ coprime to q, each sieved chunk's in turn."""
     q = params.q
     if gcd(a, q) != 1:
         raise ValueError("a must be coprime to q")
     window = _target_window(q, params.X, 1, floor(params.R))
     if window is None:
         return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-    starts, _ = _class_starts(q, a, window)
-    chunks = [(ns[members], pplus[members]) for ns, pplus, members in _sieve_classes(q, starts, window, params.Y)]
+    offsets, _ = _class_starts(q, a, window)
+    chunks = [(ns[members], pplus[members]) for ns, pplus, members in _sieve_classes(q, offsets, window, params.Y)]
     return tuple(np.concatenate(column) for column in zip(*chunks))
 
 

@@ -15,8 +15,9 @@ requested tolerance.
 
 Σ(q, R) is counted over residue classes: only n with na mod q in
 (R/4, 3R/4) carry weight, so each such class mod q adds its weight times its
-member count, and the total is formed exactly and rounded once.  With finite
-Y the members come from the target set's residue-class sieve in diophantine.
+member count, and the total is formed exactly and rounded once.  The classes
+are the target set's layout in diophantine: with vacuous Y each is counted
+from its offset, with finite Y in the layout's sieve.
 """
 
 from dataclasses import asdict, dataclass, field
@@ -26,12 +27,13 @@ from math import ceil, exp, floor, gcd, log, pi
 
 import numpy as np
 
-from .arith import mod_inverse, product_dtype
-from .diophantine import _class_starts, _sieve_classes, _target_window, derive_params
+from .arith import product_dtype
+from .diophantine import _class_counts, _target_window, derive_params
 from .errors import BudgetExceededError, CapacityError, NonConvergenceError
 from .smooth import SIEVE_CAPACITY, smooth_sieve
 
 _TWO_PI = 2.0 * pi
+_WINDOW_CAPACITY = SIEVE_CAPACITY  # smooth_sieve's cap on a window, which the unsieved φ window takes too
 
 
 # ---------------------------------------------------------------------------
@@ -259,18 +261,16 @@ def _report(value, main, params) -> SumReport:
 
 
 def _window_ints(lo: float, hi: float) -> np.ndarray:
-    """Integers in (lo, hi]."""
+    """Integers in (lo, hi], refused from the ends past _WINDOW_CAPACITY."""
     a = int(floor(lo)) + 1
     b = int(floor(hi))
-    if b < a:
-        return np.zeros(0, dtype=np.int64)
+    if b - a + 1 > _WINDOW_CAPACITY:
+        raise CapacityError(f"window ({lo:g}, {hi:g}] of {b - a + 1} integers exceeds capacity {_WINDOW_CAPACITY}")
     return np.arange(a, b + 1, dtype=np.int64)
 
 
 def _in_S(ns: np.ndarray, Y: float, q: int) -> np.ndarray:
-    """1_{S_q(Y)}(n) over the consecutive integers ns."""
-    if len(ns) == 0:
-        return np.zeros(0, dtype=bool)
+    """1_{S_q(Y)}(n) over the consecutive integers ns, never empty (M, N ≥ 2)."""
     sv = smooth_sieve(int(ns[0]), int(ns[-1]), Y, q)
     return sv.smooth & sv.coprime
 
@@ -401,39 +401,28 @@ def check_pairs(kind: str, params: DispersionParams, budget: int) -> None:
 def sigma_window(q: int, a: int, theta, C: float = 10.0, Y: float = None, budget: int = 10**9):
     """(params, window) of Σ(q, R): the _target_window of the residues in
     [⌊R/4⌋, ⌈3R/4⌉], sieved unless Y is vacuous, its capacity and budget
-    charge checked."""
+    charge checked from counts, before any array is built."""
     pr = derive_params(q, theta, C, Y)
     _check_weight_args(pr.R, q, a)  # so the window is never None
     return pr, _target_window(q, pr.X, floor(pr.R / 4), ceil(3 * pr.R / 4), pr.Y < floor(4 * pr.X), budget)
 
 
-def sigma_qR(q: int, a: int, theta, C: float = 10.0, Y: float = None, budget: int = 10**9,
-             checked=None) -> SumReport:
+def sigma_qR(q: int, a: int, theta, C: float = 10.0, Y: float = None, budget: int = 10**9) -> SumReport:
     """Σ(q, R) = Σ_{X/4 ≤ n ≤ 4X} 1_{S_q(Y)}(n) Φ_a(n, R), exact, with the
     benchmark main term R^{2 − (1−θ)/(2C)} for the diagnostic ratio.
 
     The sum is Σ_r φ(r/R)·#{members n ≡ ā·r (mod q)} over the r in
-    [⌊R/4⌋, ⌈3R/4⌉] coprime to q, added exactly and rounded once.  With
-    Y ≥ 4X a class counts all its n in the window; with finite Y its members
-    are counted in the layout of the target set's residue-class sieve.  The
-    budget is charged the count of the capacity rule (sigma_window): rows ×
-    classes, or the residues when Y is vacuous.  `checked` is what
-    sigma_window already returned for these arguments, if the caller has it,
-    so that the window is built once.
+    [⌊R/4⌋, ⌈3R/4⌉] coprime to q (_class_counts), added exactly and rounded
+    once: each weight is m·2^(e − 53) with m an integer (np.frexp), so over
+    the denominator 2^(53 − min e) every term is an integer.
     """
-    pr, window = checked or sigma_window(q, a, theta, C, Y, budget)
+    pr, window = sigma_window(q, a, theta, C, Y, budget)
     R, X = pr.R, pr.X
-    lo, hi, _, rs = window
-    if pr.Y >= hi:
-        abar = mod_inverse(a, q)
-        counts = [(hi - c) // q - (lo - 1 - c) // q for c in (abar * r % q for r in rs.tolist())]  # #{n ≡ c} in [lo, hi]
-    else:
-        starts, rs = _class_starts(q, a, window)
-        chunks = _sieve_classes(q, starts, window, pr.Y)
-        counts = sum(np.count_nonzero(members, axis=0) for _, _, members in chunks).tolist()
-    ratios = [w.as_integer_ratio() for w in bump_phi_array(rs / R).tolist()]  # every denominator is a power of 2
-    den = max((d for _, d in ratios), default=1)
-    value = sum(c * n * (den // d) for (n, d), c in zip(ratios, counts)) / den  # one rounding
+    rs, counts = _class_counts(q, a, window, pr.Y)
+    mant, exps = np.frexp(bump_phi_array(rs / R))
+    low = int(exps.min(initial=0))
+    terms = zip(counts.tolist(), np.ldexp(mant, 53).astype(np.int64).tolist(), (exps - low).tolist())
+    value = sum(c * m << k for c, m, k in terms) / 2 ** (53 - low)  # one rounding
 
     if Y is not None and Y <= 1:
         main = 0.0  # the limit of R^expo as c_eff = log Y / log log X → 0⁺

@@ -18,7 +18,7 @@ from math import ceil, exp, floor, frexp, isqrt, ldexp, log
 
 import numpy as np
 
-from .arith import distinct_prime_factors, factorize, prime_array
+from .arith import distinct_prime_factors, factorize, prime_array, product_dtype
 from .errors import BudgetExceededError, CapacityError, NonConvergenceError
 
 SIEVE_CAPACITY = 20_000_000
@@ -43,9 +43,9 @@ def pplus_sieve(lo: int, hi: int, pmax: int) -> np.ndarray:
 
     That is P⁺(n) when pmax ≥ √hi.  For a smaller pmax it still decides
     P⁺(n) ≤ y exactly for every y ≤ pmax: a cofactor above 1 exceeds pmax.
-    Works in int32 when hi < 2³¹, one cache-sized segment at a time.
+    Works in product_dtype(hi), int32 below 2³¹, one cache-sized segment at a time.
     """
-    dtype = np.int32 if hi < 2**31 else np.int64
+    dtype = product_dtype(hi)
     out = np.empty(hi - lo + 1, dtype=dtype)
     primes = prime_array(pmax).tolist()
     for a in range(lo, hi + 1, _PPLUS_SEGMENT):
@@ -75,7 +75,7 @@ def largest_prime_factor_array(starts, step: int, count: int, pmax: int) -> np.n
     if len(starts) and (int(starts.min()) < 1 or int(np.gcd(starts, step).max()) > 1):
         raise ValueError("starts must be positive and coprime to step")
     top = int(starts.max()) + (count - 1) * step if len(starts) and count else 0
-    dtype = np.int32 if top < 2**31 else np.int64
+    dtype = product_dtype(top)
     rem = starts.astype(dtype) + np.arange(0, count * step, step, dtype=dtype)[:, None]
     big = np.ones_like(rem)  # largest sieved prime so far (primes ascend)
     flat_rem, flat_big, cols = rem.reshape(-1), big.reshape(-1), np.arange(len(starts))

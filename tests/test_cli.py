@@ -34,7 +34,7 @@ from smoothdio.diophantine import (
     dist_nearest,
     parse_alpha,
 )
-from smoothdio import dispersion, expsums
+from smoothdio import diophantine, dispersion, expsums
 from smoothdio.dispersion import bump_phi_array, sigma_qR
 from smoothdio.errors import CapacityError
 from smoothdio.expsums import _inverse_sum, kl_members
@@ -584,7 +584,7 @@ def _kl_oracle(M, x, a, q, y, budget, members):
     return sum((math.hypot(*_inverse_sum(inverse_mod(ns, m), a, m)) for m in ms), 0.0)
 
 
-def _sigma_oracle(q, a, theta, C, Y, budget, checked=None):
+def _sigma_oracle(q, a, theta, C, Y, budget):
     """sigma_qR with its value from math.fsum over every member of the whole window."""
     rep = sigma_qR(q, a, theta, C, Y, budget)
     pr = derive_params(q, theta, C, Y)
@@ -595,15 +595,15 @@ def _sigma_oracle(q, a, theta, C, Y, budget, checked=None):
 
 @pytest.mark.parametrize("Y", ["inf", "7"])
 def test_sigma_report_builds_its_window_once(monkeypatch, capsys, Y):
-    # the budget check's window is the one the report sums over
+    # the budget check builds no residues: the report builds them once
     calls = []
-    target_window = dispersion._target_window
+    class_starts = diophantine._class_starts
 
     def counted(*args, **kwargs):
         calls.append(args)
-        return target_window(*args, **kwargs)
+        return class_starts(*args, **kwargs)
 
-    monkeypatch.setattr(dispersion, "_target_window", counted)
+    monkeypatch.setattr(diophantine, "_class_starts", counted)
     argv = ["dispersion", "--q", "31", "--a", "12", "--theta", "1/4", "--Y", Y, "--report", "sigma"]
     assert main(argv) == EXIT_OK
     assert len(calls) == 1
@@ -817,6 +817,34 @@ def test_main_exit_codes_property(fuzz_dir, case):
     if config is not None:
         argv = argv + ["--config", str(fuzz_dir / config)]
     assert main(argv) in (EXIT_OK, EXIT_EMPTY, EXIT_BUDGET, EXIT_BAD_CONFIG)
+
+
+_D = ["dispersion", "--q", "101", "--a", "2", "--Y", "5", "--theta", "1/4"]
+_BIG_Q = ["--q", "1000000000000037", "--a", "2"]
+
+
+@pytest.mark.parametrize("argv", [
+    _D + ["--M", "1e12", "--N", "30", "--R", "20", "--report", "type1"],  # (M, 2M] past the window cap
+    _D + ["--M", "40", "--N", "1e12", "--R", "20", "--report", "type1"],  # (N, 2N]
+    _D + ["--M", "1e12", "--N", "30", "--R", "20", "--report", "sums"],  # the φ window (3M/4 − 1, 9M/4 + 1]
+    _D + ["--M", "1e15", "--N", "1e15", "--R", "1e15", "--report", "all"],
+    ["dispersion", *_BIG_Q, "--Y", "5", "--M", "1e15", "--N", "1e15", "--R", "1e15", "--report", "bilinear"],
+    ["dispersion", *_BIG_Q, "--Y", "5", "--M", "1e15", "--N", "2", "--R", "1e3", "--report", "type2"],
+    ["dispersion", *_BIG_Q, "--Y", "inf", "--M", "2", "--N", "1e15", "--R", "1e6", "--theta", "1/4", "--report", "all"],
+    ["dispersion", *_BIG_Q, "--Y", "inf", "--theta", "1/4", "--report", "sigma"],
+    ["dispersion", *_BIG_Q, "--Y", "50", "--theta", "1/4", "--report", "sigma"],
+    ["kloosterman", "--M", "1e15", "--x", "1e15", "--a", "3", "--q", "2", "--y", "7"],
+    ["kloosterman", "--M", "5", "--x", "1e15", "--a", "3", "--q", "1e15", "--y", "1e15"],
+    ["search", "--alpha", "quad:1,1,5,2", "--theta", "1/4", "--qmin", "1e15", "--qmax", "1e16"],
+    ["search", "--alpha", "quad:1,1,5,2", "--theta", "1/4", "--qmax", "1e15", "--Y", "50"],
+])
+def test_extreme_ranges_exit_with_a_documented_code(argv, capsys):
+    # each is answered from its ranges, before a window or a table is allocated
+    code = main(argv + ["--budget", "1000"])
+    captured = capsys.readouterr()
+    assert code in (EXIT_OK, EXIT_EMPTY, EXIT_BUDGET, EXIT_BAD_CONFIG)
+    assert code in (EXIT_OK, EXIT_EMPTY) or captured.out == ""
+    assert "Traceback" not in captured.err
 
 
 # ---------------------------------------------------------------------------

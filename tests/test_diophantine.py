@@ -2,7 +2,7 @@ import random
 from decimal import ROUND_FLOOR, Decimal, localcontext
 from fractions import Fraction
 from itertools import islice
-from math import ceil, floor, gcd, isqrt, log
+from math import ceil, floor, gcd, inf, isqrt, log
 
 import numpy as np
 import pytest
@@ -22,7 +22,7 @@ from smoothdio.diophantine import (
     floor_surd,
     parse_alpha,
 )
-from smoothdio import diophantine, smooth
+from smoothdio import diophantine, dispersion, smooth
 from smoothdio.arith import largest_prime_factor
 from smoothdio.dispersion import bump_phi_array, sigma_qR
 from smoothdio.errors import CapacityError
@@ -306,7 +306,8 @@ def whole_layout(q, a, window, Y):
     """(ns, pplus, members, rs): the class layout of a sieved _target_window
     in one largest_prime_factor_array call, the classes ordered by their
     first n."""
-    lo, hi, rows, rs = window
+    lo, hi, rows, r_lo, r_hi, _ = window
+    rs = np.array([r for r in range(r_lo, r_hi + 1) if gcd(r, q) == 1], dtype=np.int64)
     abar = pow(a, -1, q)
     starts = np.array([lo + (abar * r - lo) % q for r in rs.tolist()], dtype=np.int64)
     order = np.argsort(starts)
@@ -341,8 +342,8 @@ def _chunk_calls(monkeypatch, rows_per_chunk, classes):
 
 
 def _check_chunks(calls, window, rows_per_chunk):
-    _, hi, rows, rs = window
-    step = rows_per_chunk or max(1, diophantine._LAYOUT_CHUNK // len(rs))
+    _, hi, rows, _, _, classes = window
+    step = rows_per_chunk or max(1, diophantine._LAYOUT_CHUNK // classes)
     assert [count for count, _ in calls] == [min(step, rows - row) for row in range(0, rows, step)]
     if hi >= 2**31 and rows_per_chunk == 1:  # the first rows fit int32, the last do not
         assert [dtype for _, dtype in calls[::len(calls) - 1]] == [np.int32, np.int64]
@@ -353,7 +354,7 @@ def _check_chunks(calls, window, rows_per_chunk):
 def test_chunked_target_set_matches_the_whole_layout(params, a, rows_per_chunk, monkeypatch):
     window = diophantine._target_window(params.q, params.X, 1, floor(params.R))
     ns, pplus, members, _ = whole_layout(params.q, a, window, params.Y)
-    calls = _chunk_calls(monkeypatch, rows_per_chunk, len(window[3]))
+    calls = _chunk_calls(monkeypatch, rows_per_chunk, window[5])
     got_ns, got_pplus = build_target_set(params, a)
     assert (got_ns.dtype, got_pplus.dtype) == (np.int64, pplus.dtype)
     assert (got_ns.tolist(), got_pplus.tolist()) == (ns[members].tolist(), pplus[members].tolist())
@@ -370,9 +371,33 @@ def test_chunked_sigma_matches_the_whole_layout(params, a, rows_per_chunk, monke
     weights = bump_phi_array(rs / params.R).tolist()
     expect = float(sum(Fraction(w) * int(c) for w, c in zip(weights, np.count_nonzero(members, axis=0))))
     calls = _chunk_calls(monkeypatch, rows_per_chunk, len(rs))
-    got = sigma_qR(params.q, a, params.theta, params.C, params.Y, checked=(params, window)).value
+    monkeypatch.setattr(dispersion, "derive_params", lambda *args: params)
+    got = sigma_qR(params.q, a, params.theta, params.C, params.Y).value
     assert got == expect > 0
     _check_chunks(calls, window, rows_per_chunk)
+
+
+@pytest.mark.parametrize(
+    "q, a, X, r_lo, r_hi",
+    [
+        (101, 37, 10.0, 1, 100),  # [3, 40]: most classes are empty
+        (30030, 17, 2000.0, 100, 700),  # [500, 8000], a q with six primes
+        (101, 37, 400.0, 10, 60),  # [100, 1600]: 15 full rows and a partial one
+    ],
+)
+@pytest.mark.parametrize("Y", [5.0, 40.0, inf])
+def test_class_counts_match_a_window_scan(q, a, X, r_lo, r_hi, Y):
+    window = diophantine._target_window(q, X, r_lo, r_hi, sieved=Y < floor(4 * X))
+    lo, hi = window[:2]
+    rs, counts = diophantine._class_counts(q, a, window, Y)
+    assert sorted(rs.tolist()) == [r for r in range(r_lo, r_hi + 1) if gcd(r, q) == 1]
+    scan = dict.fromkeys(rs.tolist(), 0)
+    for n in range(lo, hi + 1):
+        if n * a % q in scan and largest_prime_factor(n) <= Y:
+            scan[n * a % q] += 1
+    assert counts.tolist() == [scan[r] for r in rs.tolist()]
+    if Y >= hi:  # every class holds its window's terms: some none exactly when the window is shorter than q
+        assert (0 in scan.values()) == (hi - lo + 1 < q)
 
 
 def test_connection_bound_membership():

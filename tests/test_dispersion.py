@@ -9,7 +9,7 @@ import pytest
 
 from smoothdio import dispersion, smooth
 from smoothdio.arith import largest_prime_factor
-from smoothdio.diophantine import derive_params
+from smoothdio.diophantine import ApproxParams, derive_params
 from smoothdio.dispersion import (
     DispersionParams,
     bilinear_B,
@@ -239,6 +239,26 @@ def test_sigma_qR_is_the_correctly_rounded_member_sum(q, a, theta, Y, regime):
     rep = sigma_qR(q, a, theta, Y=Y)
     assert rep.value == sigma_fsum_oracle(q, a, theta, Y)
     assert rep.ratio == rep.value / rep.main_term
+
+
+@pytest.mark.parametrize("q, value", [
+    (10**12 + 39, 3126080275.4932194),
+    (2**61 - 1, None),  # ā·r passes int64 too: the offsets are formed in Python ints
+])
+def test_vacuous_sigma_counts_each_class_past_int64(q, value, monkeypatch):
+    # lo = 10¹⁹ passes 2⁶³: each class is counted from its offset from lo, below q, never from lo + offset
+    params = ApproxParams(Fraction(1, 4), q, 4e19, 50.0, math.inf, 10.0)
+    monkeypatch.setattr(dispersion, "derive_params", lambda *args: params)
+    a = 7
+    lo, hi = ceil(params.X / 4), math.floor(4 * params.X)
+    assert lo > 2**63
+    rs = [r for r in range(12, 39) if gcd(r, q) == 1]
+    firsts = [pow(a, -1, q) * r % q for r in rs]  # n ≡ ā·r (mod q)
+    counts = [(hi - c) // q - (lo - 1 - c) // q for c in firsts]
+    weights = bump_phi_array(np.array(rs) / params.R).tolist()
+    expect = float(sum(Fraction(w) * c for w, c in zip(weights, counts)))
+    got = sigma_qR(q, a, params.theta).value
+    assert got == expect and value in (None, got)
 
 
 def test_sigma_positivity_containment():

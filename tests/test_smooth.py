@@ -579,6 +579,20 @@ def test_largest_prime_factor_array_against_scalar_oracle(starts, step, count):
     assert out.tolist() == progression_oracle(starts, step, count)
 
 
+@pytest.mark.parametrize(
+    "kernel, below, past",
+    [
+        (pplus_sieve, (2**63 - 3, 2**63 - 1, 10), (2**63 - 3, 2**63 + 2, 10)),
+        (largest_prime_factor_array, ([2**62 + 1], 2**61, 2, 10), ([2**62 + 1], 2**61, 3, 10)),  # top 2⁶³ + 1
+    ],
+)
+def test_pplus_kernels_refuse_tops_past_int64(kernel, below, past):
+    # int64 holds a top of 2⁶³ − 1 or less; past it the integers would wrap, so nothing is allocated
+    assert kernel(*below).dtype == np.int64
+    with pytest.raises(CapacityError, match="exceed int64"):
+        kernel(*past)
+
+
 def test_largest_prime_factor_array_capped_and_empty():
     starts, step = [1, 29, 30031, 2**20 + 1], 30030
     full = np.array(progression_oracle(starts, step, 500))
