@@ -27,20 +27,6 @@ class PrimeTable:
     primes: list
 
 
-@dataclass
-class Factorization:
-    """n = Π pᵉ with primes strictly increasing; n = 1 ⇔ empty factor list."""
-
-    n: int
-    factors: list  # [(prime, exponent), ...]
-
-    def value(self) -> int:
-        out = 1
-        for p, e in self.factors:
-            out *= p**e
-        return out
-
-
 def sieve_primes(limit: int) -> PrimeTable:
     """All primes ≤ limit; limit < 2 yields an empty table."""
     if limit < 0:
@@ -76,8 +62,9 @@ def prime_array(limit: int) -> np.ndarray:
 _FACTOR_TABLE = PrimeTable(1, [])  # the cached primes as a list, for factorize
 
 
-def factorize(n: int, table: PrimeTable = None) -> Factorization:
-    """Trial division of n against the table.
+def factorize(n: int, table: PrimeTable = None) -> list:
+    """[(p, e), …] with n = Π pᵉ and the primes strictly increasing, empty
+    for n = 1: trial division of n against the table.
 
     The default table is the cached primes, grown (at least doubling, but
     never past FACTOR_PRIME_LIMIT) to cover min(√n, FACTOR_PRIME_LIMIT), so
@@ -113,18 +100,18 @@ def factorize(n: int, table: PrimeTable = None) -> Factorization:
         if exhausted and rem > table.limit * (table.limit + 2):
             raise CapacityError(f"prime table (limit {table.limit}) cannot certify cofactor {rem}")
         factors.append((rem, 1))
-    return Factorization(n, factors)
+    return factors
 
 
 def largest_prime_factor(n: int) -> int:
     """P⁺(n), with P⁺(1) = 1."""
-    factors = factorize(n).factors
+    factors = factorize(n)
     return factors[-1][0] if factors else 1
 
 
 def distinct_prime_factors(n: int) -> list:
     """Distinct prime divisors of n, increasing."""
-    return [p for p, _ in factorize(n).factors]
+    return [p for p, _ in factorize(n)]
 
 
 def euler_phi(n: int) -> int:
@@ -181,16 +168,17 @@ def inverse_mod(ns, c) -> np.ndarray:
     return np.where(r0 == 1, t0 % c, -1)
 
 
-def product_dtype(largest: int) -> np.dtype:
-    """The narrowest of int32 and int64 that holds every residue product of
-    a kernel (or every integer a P⁺ kernel divides), given the largest one
-    its operand bounds admit: int32 below 2³¹, int64 below 2⁶³.  A larger
-    value would wrap around silently, so it raises CapacityError."""
+def product_dtype(largest: int, what: str) -> np.dtype:
+    """The narrowest of int32 and int64 that holds every value a kernel
+    forms, given the largest one its operand bounds admit: int32 below 2³¹,
+    int64 below 2⁶³.  A larger value would wrap around silently, so it
+    raises CapacityError, naming the values as `what`: "residue products"
+    for the pair kernels, "integers" for the P⁺ kernels."""
     if largest < 2**31:
         return np.dtype(np.int32)
     if largest < 2**63:
         return np.dtype(np.int64)
-    raise CapacityError(f"residue products up to {largest} exceed int64")
+    raise CapacityError(f"{what} up to {largest} exceed int64")
 
 
 def gcd_sum(U: int, k: int, q: int) -> int:

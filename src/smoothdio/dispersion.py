@@ -28,7 +28,7 @@ from math import ceil, exp, floor, gcd, log, pi
 import numpy as np
 
 from .arith import product_dtype
-from .diophantine import _class_counts, _target_window, derive_params
+from .diophantine import _LAYOUT_CHUNK, _class_counts, _target_window, derive_params
 from .errors import BudgetExceededError, CapacityError, NonConvergenceError
 from .smooth import SIEVE_CAPACITY, smooth_sieve
 
@@ -269,12 +269,6 @@ def _window_ints(lo: float, hi: float) -> np.ndarray:
     return np.arange(a, b + 1, dtype=np.int64)
 
 
-def _in_S(ns: np.ndarray, Y: float, q: int) -> np.ndarray:
-    """1_{S_q(Y)}(n) over the consecutive integers ns, never empty (M, N ≥ 2)."""
-    sv = smooth_sieve(int(ns[0]), int(ns[-1]), Y, q)
-    return sv.smooth & sv.coprime
-
-
 def _weight_cut(q: int, R: float) -> int:
     """min(q, ⌊3R/4⌋ + 1): the residues r below it are those with φ(r/R)
     possibly nonzero, as φ vanishes from 3/4 on."""
@@ -298,7 +292,7 @@ def _check_ranges(q: int, R: float, N: float) -> None:
     size = _weight_cut(q, R) + 1
     if size > SIEVE_CAPACITY:
         raise CapacityError(f"{size} residue weights at q = {q} exceed sieve capacity")
-    product_dtype((q - 1) * min(floor(2 * N), q - 1))
+    product_dtype((q - 1) * min(floor(2 * N), q - 1), "residue products")
 
 
 class _Context:
@@ -311,7 +305,7 @@ class _Context:
     def __init__(self, M: float, N: float, q: int, a: int, R: float, Y: float):
         self.M, self.N, self.q, self.a, self.R, self.Y = M, N, q, a, R, Y
         self.n_all = _window_ints(N, 2 * N)
-        self.smooth = _in_S(self.n_all, Y, q)
+        self.smooth = smooth_sieve(int(self.n_all[0]), int(self.n_all[-1]), Y, q)[0]
         self.K = np.count_nonzero(self.smooth) / N
         self._sums = {}
 
@@ -319,7 +313,7 @@ class _Context:
     def m_smooth(self) -> np.ndarray:
         """m ∼ M in S_q(Y)."""
         ms = _window_ints(self.M, 2 * self.M)
-        return ms[_in_S(ms, self.Y, self.q)]
+        return ms[smooth_sieve(int(ms[0]), int(ms[-1]), self.Y, self.q)[0]]
 
     @cached_property
     def m_phi(self):
@@ -341,7 +335,7 @@ class _Context:
         q = self.q
         _check_ranges(q, self.R, self.N)
         n_top = min(int(self.n_all.max(initial=0)), q - 1)
-        return ms, product_dtype((q - 1) * max(int(ms.max(initial=0)), n_top))
+        return ms, product_dtype((q - 1) * max(int(ms.max(initial=0)), n_top), "residue products")
 
     def inner_sums(self, window: str, budget: int):
         """A_m = Σ_n 1_{S_q(Y)}(n)·Φ_a(mn, R) and B_m = Σ_n Φ_a(mn, R) over
@@ -414,15 +408,23 @@ def sigma_qR(q: int, a: int, theta, C: float = 10.0, Y: float = None, budget: in
     The sum is Σ_r φ(r/R)·#{members n ≡ ā·r (mod q)} over the r in
     [⌊R/4⌋, ⌈3R/4⌉] coprime to q (_class_counts), added exactly and rounded
     once: each weight is m·2^(e − 53) with m an integer (np.frexp), so over
-    the denominator 2^(53 − min e) every term is an integer.
+    the denominator 2^(53 − min e) every term is an integer.  The terms go
+    into one Python int _LAYOUT_CHUNK residues at a time, the total shifted
+    up when a block lowers min e, so only one block's terms are held.
     """
     pr, window = sigma_window(q, a, theta, C, Y, budget)
     R, X = pr.R, pr.X
     rs, counts = _class_counts(q, a, window, pr.Y)
-    mant, exps = np.frexp(bump_phi_array(rs / R))
-    low = int(exps.min(initial=0))
-    terms = zip(counts.tolist(), np.ldexp(mant, 53).astype(np.int64).tolist(), (exps - low).tolist())
-    value = sum(c * m << k for c, m, k in terms) / 2 ** (53 - low)  # one rounding
+    total, low = 0, 0  # the exact sum so far is total / 2^(53 − low)
+    for i in range(0, len(rs), _LAYOUT_CHUNK):
+        block = slice(i, i + _LAYOUT_CHUNK)
+        mant, exps = np.frexp(bump_phi_array(rs[block] / R))
+        least = int(exps.min(initial=low))
+        total <<= low - least
+        low = least
+        terms = zip(counts[block].tolist(), np.ldexp(mant, 53).astype(np.int64).tolist(), (exps - low).tolist())
+        total += sum(c * m << k for c, m, k in terms)
+    value = total / 2 ** (53 - low)  # one rounding
 
     if Y is not None and Y <= 1:
         main = 0.0  # the limit of R^expo as c_eff = log Y / log log X → 0⁺

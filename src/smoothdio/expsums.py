@@ -83,9 +83,8 @@ def _inverse_sum(inv: np.ndarray, b: int, c: int):
 def kl_members(x: float, q: int, y: float) -> tuple:
     """(ns, pplus): the n < x with P⁺(n) ≤ y and gcd(n, q) = 1, ascending,
     and their P⁺ (1 for n = 1).  Needs x > 1."""
-    sv = smooth_sieve(1, int(ceil(x)) - 1, y, q)
-    ns = sv.members()
-    return ns, sv.pplus[ns - 1]
+    members, pplus = smooth_sieve(1, int(ceil(x)) - 1, y, q)
+    return np.flatnonzero(members) + 1, pplus[members]
 
 
 def kl_smooth_average(M: float, x: float, a: int, q: int, y: float, budget: int = 10**9, members: tuple = None) -> float:
@@ -149,7 +148,7 @@ def _member_inverses(ns: np.ndarray, pplus: np.ndarray, m_lo: int, m_hi: int):
     passes to every multiple and becomes −1 at the end.  Moduli go in blocks
     of at most _INVERSE_BLOCK table entries.
     """
-    dtype = product_dtype((m_hi - 1) ** 2)
+    dtype = product_dtype((m_hi - 1) ** 2, "residue products")
     seen = np.zeros(int(pplus.max(initial=0)) + 1, dtype=bool)
     seen[pplus] = True
     primes, prime_col = np.flatnonzero(seen), (np.cumsum(seen) - 1)[pplus]

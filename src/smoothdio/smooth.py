@@ -45,7 +45,7 @@ def pplus_sieve(lo: int, hi: int, pmax: int) -> np.ndarray:
     P⁺(n) ≤ y exactly for every y ≤ pmax: a cofactor above 1 exceeds pmax.
     Works in product_dtype(hi), int32 below 2³¹, one cache-sized segment at a time.
     """
-    dtype = product_dtype(hi)
+    dtype = product_dtype(hi, "integers")
     out = np.empty(hi - lo + 1, dtype=dtype)
     primes = prime_array(pmax).tolist()
     for a in range(lo, hi + 1, _PPLUS_SEGMENT):
@@ -75,7 +75,7 @@ def largest_prime_factor_array(starts, step: int, count: int, pmax: int) -> np.n
     if len(starts) and (int(starts.min()) < 1 or int(np.gcd(starts, step).max()) > 1):
         raise ValueError("starts must be positive and coprime to step")
     top = int(starts.max()) + (count - 1) * step if len(starts) and count else 0
-    dtype = product_dtype(top)
+    dtype = product_dtype(top, "integers")
     rem = starts.astype(dtype) + np.arange(0, count * step, step, dtype=dtype)[:, None]
     big = np.ones_like(rem)  # largest sieved prime so far (primes ascend)
     flat_rem, flat_big, cols = rem.reshape(-1), big.reshape(-1), np.arange(len(starts))
@@ -94,40 +94,11 @@ def largest_prime_factor_array(starts, step: int, count: int, pmax: int) -> np.n
     return np.maximum(big, rem, out=big)
 
 
-@dataclass
-class SmoothSieve:
-    """Per-integer smoothness and coprimality flags on [lo, hi].
-
-    smooth[i] ⇔ P⁺(lo + i) ≤ y;  coprime[i] ⇔ gcd(lo + i, q) = 1;
-    pplus[i] is the pplus_sieve value behind smooth, so P⁺(lo + i) exactly
-    wherever smooth[i] holds.
-    """
-
-    lo: int
-    hi: int
-    y: float
-    q: int
-    smooth: np.ndarray
-    coprime: np.ndarray
-    pplus: np.ndarray
-
-    def is_smooth(self, n: int) -> bool:
-        return bool(self.smooth[n - self.lo])
-
-    def coprime_to_q(self, n: int) -> bool:
-        return bool(self.coprime[n - self.lo])
-
-    def members(self) -> np.ndarray:
-        """All n in [lo, hi] that are y-smooth and coprime to q, ascending."""
-        return np.flatnonzero(self.smooth & self.coprime) + self.lo
-
-    def count(self) -> int:
-        return int(np.count_nonzero(self.smooth & self.coprime))
-
-
-def smooth_sieve(lo: int, hi: int, y: float, q: int = 1) -> SmoothSieve:
-    """Sieve [lo, hi] by pplus_sieve with pmax = min(y, √hi); coprimality to
-    q strikes the multiples of each prime of q."""
+def smooth_sieve(lo: int, hi: int, y: float, q: int = 1) -> tuple:
+    """(members, pplus) on [lo, hi]: members[i] ⇔ lo + i is y-smooth and
+    coprime to q, and pplus is pplus_sieve with pmax = min(y, √hi), so
+    pplus[i] = P⁺(lo + i) wherever pplus[i] ≤ y.  Coprimality to q strikes
+    the multiples of each prime of q from the smooth flags."""
     if not (1 <= lo <= hi):
         raise ValueError("need 1 <= lo <= hi")
     if q < 1:
@@ -139,10 +110,10 @@ def smooth_sieve(lo: int, hi: int, y: float, q: int = 1) -> SmoothSieve:
 
     root = isqrt(hi)
     pplus = pplus_sieve(lo, hi, root if y >= root else int(floor(y)))
-    coprime = np.ones(hi - lo + 1, dtype=bool)
+    members = pplus <= y
     for p in distinct_prime_factors(q):
-        coprime[-lo % p :: p] = False
-    return SmoothSieve(lo, hi, y, q, pplus <= y, coprime, pplus)
+        members[-lo % p :: p] = False
+    return members, pplus
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +237,7 @@ def local_density(N: float, Y: float, q: int) -> float:
     hi = int(floor(2 * N))
     if hi < lo:
         return 0.0
-    return smooth_sieve(lo, hi, Y, q).count() / N
+    return np.count_nonzero(smooth_sieve(lo, hi, Y, q)[0]) / N
 
 
 # ---------------------------------------------------------------------------
@@ -336,12 +307,6 @@ class RhoTable:
 
     def u_grid(self) -> np.ndarray:
         return self.step * np.arange(len(self.values))
-
-    def to_csv(self, path: str) -> None:
-        with open(path, "w") as fh:
-            fh.write("u,rho,tol\n")
-            for u, r in zip(self.u_grid().tolist(), self.values.tolist()):
-                fh.write(f"{u!r},{r!r},{self.tol!r}\n")
 
 
 def rho_table(u_max: float, tol: float = 1e-9) -> RhoTable:
@@ -537,7 +502,7 @@ def smooth_decompose(n: int, x: int, y: float, z: float):
     """
     if not (2 <= y <= z < n <= x):
         raise ValueError("need 2 <= y <= z < n <= x")
-    factors = factorize(n).factors
+    factors = factorize(n)
     if factors[-1][0] > y:
         raise ValueError(f"n = {n} is not {y}-smooth")
     desc = [p for p, e in reversed(factors) for _ in range(e)]

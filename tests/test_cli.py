@@ -579,7 +579,7 @@ def test_sigma_bounds_the_class_layout_not_the_window(capsys):
 def _kl_oracle(M, x, a, q, y, budget, members):
     """kl_smooth_average with every n̄ from inverse_mod(ns, m), one modulus at a
     time, over the n's of its own sieve rather than the presieved members."""
-    ns = smooth_sieve(1, math.ceil(x) - 1, y, q).members()
+    ns = np.flatnonzero(smooth_sieve(1, math.ceil(x) - 1, y, q)[0]) + 1
     ms = range(math.floor(M) + 1, math.floor(2 * M) + 1)
     return sum((math.hypot(*_inverse_sum(inverse_mod(ns, m), a, m)) for m in ms), 0.0)
 
@@ -588,7 +588,8 @@ def _sigma_oracle(q, a, theta, C, Y, budget):
     """sigma_qR with its value from math.fsum over every member of the whole window."""
     rep = sigma_qR(q, a, theta, C, Y, budget)
     pr = derive_params(q, theta, C, Y)
-    ns = smooth_sieve(math.ceil(pr.X / 4), math.floor(4 * pr.X), pr.Y, q).members()
+    lo = math.ceil(pr.X / 4)
+    ns = np.flatnonzero(smooth_sieve(lo, math.floor(4 * pr.X), pr.Y, q)[0]) + lo
     value = math.fsum(bump_phi_array(((ns % q) * (a % q)) % q / pr.R).tolist())
     return dataclasses.replace(rep, value=value, ratio=value / rep.main_term)
 

@@ -213,7 +213,8 @@ def test_sigma_qR_sieved_path_matches_residue_path():
 def sigma_fsum_oracle(q, a, theta, Y):
     """Σ(q, R) as math.fsum of the weights of every member of the whole window."""
     pr = derive_params(q, theta, 10.0, Y)
-    ns = smooth_sieve(ceil(pr.X / 4), math.floor(4 * pr.X), pr.Y, q).members()
+    lo = ceil(pr.X / 4)
+    ns = np.flatnonzero(smooth_sieve(lo, math.floor(4 * pr.X), pr.Y, q)[0]) + lo
     return math.fsum(bump_phi_array(((ns % q) * (a % q)) % q / pr.R).tolist())
 
 
@@ -259,6 +260,40 @@ def test_vacuous_sigma_counts_each_class_past_int64(q, value, monkeypatch):
     expect = float(sum(Fraction(w) * c for w, c in zip(weights, counts)))
     got = sigma_qR(q, a, params.theta).value
     assert got == expect and value in (None, got)
+
+
+@pytest.mark.parametrize("q, a, theta, Y", [
+    (13, 8, Fraction(1, 3), math.inf),
+    (2310, 13, Fraction(1, 3), math.inf),
+    (237, 2, Fraction(1, 5), 30.0),
+    (1009, 5, Fraction(1, 5), 3000.0),
+])
+def test_sigma_qR_block_sum_is_the_exact_member_sum_rounded_once(q, a, theta, Y, monkeypatch):
+    # blocks of one residue lower the least exponent many times over: each shift keeps the sum exact
+    pr = derive_params(q, theta, 10.0, Y)
+    lo = ceil(pr.X / 4)
+    ns = np.flatnonzero(smooth_sieve(lo, math.floor(4 * pr.X), pr.Y, q)[0]) + lo
+    exact = float(sum(map(Fraction, bump_phi_array(ns * a % q / pr.R).tolist())))
+    for block in (dispersion._LAYOUT_CHUNK, 7, 1):
+        monkeypatch.setattr(dispersion, "_LAYOUT_CHUNK", block)
+        assert sigma_qR(q, a, theta, Y=Y).value == exact, block
+
+
+def test_vacuous_sigma_holds_one_block_of_terms(monkeypatch):
+    # q = 10⁹ + 7, θ = 1/4: 125 594 residues.  The class counts and their residues take under
+    # 40 bytes a residue; the exact terms, about 130 bytes each as Python ints, are held one block at a time
+    q, block = 10**9 + 7, 1 << 12
+    pr, window = dispersion.sigma_window(q, 1, Fraction(1, 4), Y=math.inf)
+    residues = window[4] - window[3] + 1
+    assert 120_000 < residues < 130_000
+    monkeypatch.setattr(dispersion, "_LAYOUT_CHUNK", block)
+    tracemalloc.start()
+    try:
+        sigma_qR(q, 1, Fraction(1, 4), Y=math.inf)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * residues + 200 * block
 
 
 def test_sigma_positivity_containment():
@@ -471,15 +506,13 @@ def _oracle_smooth_members(lo, hi, Y, q):
     ns = _oracle_window_ints(lo, hi)
     if len(ns) == 0:
         return ns
-    sv = smooth_sieve(int(ns[0]), int(ns[-1]), Y, q)
-    return ns[sv.smooth & sv.coprime]
+    return ns[smooth_sieve(int(ns[0]), int(ns[-1]), Y, q)[0]]
 
 
 def _oracle_n_flags(params):
     n_all = _oracle_window_ints(params.N, 2 * params.N)
     if len(n_all):
-        sv = smooth_sieve(int(n_all[0]), int(n_all[-1]), params.Y, params.q)
-        return n_all, (sv.smooth & sv.coprime).astype(np.float64)
+        return n_all, smooth_sieve(int(n_all[0]), int(n_all[-1]), params.Y, params.q)[0].astype(np.float64)
     return n_all, np.zeros(0)
 
 

@@ -151,9 +151,9 @@ def test_kl_budget():
     ],
 )
 def test_member_inverses_equal_inverse_mod(monkeypatch, x, y, q):
-    sv = smooth_sieve(1, math.ceil(x) - 1, y, q)
-    ns = sv.members()
-    pplus = sv.pplus[ns - 1]
+    members, pplus = smooth_sieve(1, math.ceil(x) - 1, y, q)
+    ns = np.flatnonzero(members) + 1
+    pplus = pplus[members]
     assert pplus.tolist() == [largest_prime_factor(n) for n in ns.tolist()]
     # the default block, blocks of 3 moduli, and one modulus per block
     for block in (expsums._INVERSE_BLOCK, 3 * len(ns) + 1, 1):
@@ -161,7 +161,7 @@ def test_member_inverses_equal_inverse_mod(monkeypatch, x, y, q):
         blocks = list(expsums._member_inverses(ns, pplus, 1, 61))
         assert np.concatenate([ms for ms, _ in blocks]).tolist() == list(range(1, 62))
         for ms, inv in blocks:
-            assert ms.dtype == inv.dtype == product_dtype(60**2)  # every residue product is below m_hi²
+            assert ms.dtype == inv.dtype == product_dtype(60**2, "residue products")  # every residue product is below m_hi²
             for m, row in zip(ms.tolist(), inv):
                 assert row.tolist() == inverse_mod(ns, m).tolist(), (block, m)
 
@@ -183,7 +183,7 @@ def test_kl_blocks_equal_the_per_modulus_path(monkeypatch, x, a, q, y, m_lo, m_h
     ns, pplus = expsums.kl_members(x, q, y)
     ms = range(m_lo, m_hi + 1)
     want = sum((math.hypot(*expsums._inverse_sum(inverse_mod(ns, m), a, m)) for m in ms), 0.0)
-    assert product_dtype((m_hi - 1) ** 2) == (np.int32 if m_hi <= 46_341 else np.int64)
+    assert product_dtype((m_hi - 1) ** 2, "residue products") == (np.int32 if m_hi <= 46_341 else np.int64)
     # the default block, blocks of 3 moduli, and one modulus per block
     for block in (expsums._INVERSE_BLOCK, 3 * len(ns), 1):
         monkeypatch.setattr(expsums, "_INVERSE_BLOCK", block)

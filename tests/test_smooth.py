@@ -52,19 +52,19 @@ def smooth_members_oracle(limit, y):
 
 
 def test_smooth_sieve_examples():
-    sv = smooth_sieve(1, 10, 3, 1)
-    assert [n for n in range(1, 11) if sv.is_smooth(n)] == [1, 2, 3, 4, 6, 8, 9]
-    sv = smooth_sieve(5, 30, 50, 1)
-    assert all(sv.is_smooth(n) for n in range(5, 31))  # y >= hi
-    sv = smooth_sieve(100, 110, 7, 1)
-    assert [n for n in range(100, 111) if sv.is_smooth(n)] == [100, 105, 108]
+    members, pplus = smooth_sieve(1, 10, 3, 1)
+    assert (np.flatnonzero(members) + 1).tolist() == [1, 2, 3, 4, 6, 8, 9]
+    assert pplus[members].tolist() == [1, 2, 3, 2, 3, 2, 3]
+    assert smooth_sieve(5, 30, 50, 1)[0].all()  # y >= hi
+    members, _ = smooth_sieve(100, 110, 7, 1)
+    assert (np.flatnonzero(members) + 100).tolist() == [100, 105, 108]
 
 
 def test_smooth_sieve_coprime_flags():
-    sv = smooth_sieve(1, 50, 10, 6)
+    members, pplus = smooth_sieve(1, 50, 10, 6)
     for n in range(1, 51):
-        assert sv.coprime_to_q(n) == (gcd(n, 6) == 1)
-        assert sv.is_smooth(n) == (largest_prime_factor(n) <= 10)
+        assert members[n - 1] == (gcd(n, 6) == 1 and largest_prime_factor(n) <= 10)
+        assert (pplus[n - 1] <= 10) == (largest_prime_factor(n) <= 10)
 
 
 def test_smooth_sieve_against_scalar_oracle():
@@ -82,15 +82,15 @@ def test_smooth_sieve_against_scalar_oracle():
         hi = lo + rng.randint(0, 700)
         cases.append((lo, hi, rng.choice([rng.uniform(1, 90), rng.randint(2, 200)]), rng.randint(1, 4000)))
     for lo, hi, y, q in cases:
-        sv = smooth_sieve(lo, hi, y, q)
-        expected = []
+        members, pplus = smooth_sieve(lo, hi, y, q)
+        assert len(members) == len(pplus) == hi - lo + 1
         for n in range(lo, hi + 1):
-            assert sv.is_smooth(n) == (largest_prime_factor(n) <= y), (lo, hi, y, q, n)
-            assert sv.coprime_to_q(n) == (gcd(n, q) == 1), (lo, hi, y, q, n)
-            if sv.is_smooth(n) and sv.coprime_to_q(n):
-                expected.append(n)
-        assert sv.members().tolist() == expected
-        assert sv.count() == len(expected)
+            big = largest_prime_factor(n)
+            assert members[n - lo] == (big <= y and gcd(n, q) == 1), (lo, hi, y, q, n)
+            # P⁺ ≤ y is read from pplus, which is then P⁺ itself
+            assert (pplus[n - lo] <= y) == (big <= y), (lo, hi, y, q, n)
+            if big <= y:
+                assert pplus[n - lo] == big, (lo, hi, y, q, n)
 
 
 @pytest.mark.parametrize("segment", [smooth._PPLUS_SEGMENT, 97])
@@ -208,7 +208,7 @@ def test_psi_q_against_the_sieve():
         x = rng.choice([rng.randint(1, 3000), rng.randint(1, 200_000)])
         y = rng.choice([rng.randint(2, 60), rng.randint(2, 5000), x + 1])
         q = rng.choice([rng.randint(1, 10**6), 2 * 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23, rng.randint(1, 100) * 4099])
-        assert psi_q(x, y, q) == smooth_sieve(1, x, y, q).count(), (x, y, q)
+        assert psi_q(x, y, q) == np.count_nonzero(smooth_sieve(1, x, y, q)[0]), (x, y, q)
     assert psi_q(0.5, 7, 6) == 0
 
 
@@ -297,24 +297,15 @@ def test_rho_domain_and_tol():
         rho_table(3.0, 1e-13)
 
 
-def test_rho_table_csv(tmp_path):
+def test_rho_table_grid():
     tab = rho_table(3.0, 1e-9)
     assert tab.tol <= 1e-9
     assert tab.values[0] == 1.0
     g = tab.u_grid()
+    assert len(g) == len(tab.values) == 3 * 512 + 1
     i2 = int(round(2.0 / tab.step))
     assert g[i2] == pytest.approx(2.0)
     assert tab.values[i2] == pytest.approx(1 - log(2), abs=1e-9)
-    path = tmp_path / "rho.csv"
-    tab.to_csv(str(path))
-    lines = path.read_text().splitlines()
-    assert lines[0] == "u,rho,tol"
-    assert len(lines) == len(tab.values) + 1
-    # every cell is a plain float literal that reads back to the table's value
-    rows = [tuple(map(float, line.split(","))) for line in lines[1:]]
-    assert [u for u, _, _ in rows] == g.tolist()
-    assert [r for _, r, _ in rows] == tab.values.tolist()
-    assert {t for _, _, t in rows} == {tab.tol}
     # the certified bound over all of [0, RHO_U_MAX] meets the 1e-12 floor
     for t in (tab, rho_table(RHO_U_MAX, 1e-12)):
         assert t.tol <= 1e-12
@@ -589,7 +580,7 @@ def test_largest_prime_factor_array_against_scalar_oracle(starts, step, count):
 def test_pplus_kernels_refuse_tops_past_int64(kernel, below, past):
     # int64 holds a top of 2⁶³ − 1 or less; past it the integers would wrap, so nothing is allocated
     assert kernel(*below).dtype == np.int64
-    with pytest.raises(CapacityError, match="exceed int64"):
+    with pytest.raises(CapacityError, match=r"^integers up to \d+ exceed int64$"):
         kernel(*past)
 
 
