@@ -1,20 +1,16 @@
 """Integer-arithmetic substrate: primes, factorization, P⁺, modular inverses.
 
 Everything here is exact.  One cached sieve of Eratosthenes is the only prime
-source, factorization is plain trial division against it (desk scale), and
-the pair-correlation gcd sum is evaluated by a literal double loop
-(vectorized in blocks), since it serves as an oracle for the analytic bound
-it mirrors, not as a hot path.
+source, and factorization is plain trial division against it (desk scale).
 """
 
 from dataclasses import dataclass
-from math import gcd, isqrt
+from math import isqrt
 
 import numpy as np
 
 from .errors import CapacityError
 
-GCD_SUM_MAX_U = 100_000
 # the default factor table's reach: every n < 1e14 factors without CapacityError
 FACTOR_PRIME_LIMIT = 10_000_000
 
@@ -62,24 +58,23 @@ def prime_array(limit: int) -> np.ndarray:
 _FACTOR_TABLE = PrimeTable(1, [])  # the cached primes as a list, for factorize
 
 
-def factorize(n: int, table: PrimeTable = None) -> list:
+def factorize(n: int) -> list:
     """[(p, e), …] with n = Π pᵉ and the primes strictly increasing, empty
-    for n = 1: trial division of n against the table.
+    for n = 1: trial division of n against the cached table.
 
-    The default table is the cached primes, grown (at least doubling, but
-    never past FACTOR_PRIME_LIMIT) to cover min(√n, FACTOR_PRIME_LIMIT), so
-    the answer does not depend on what earlier calls grew it to.  A leftover
-    cofactor with no prime factor ≤ table.limit is prime when it is below
+    The table is the cached primes, grown (at least doubling, but never past
+    FACTOR_PRIME_LIMIT) to cover min(√n, FACTOR_PRIME_LIMIT), so the answer
+    does not depend on what earlier calls grew it to.  A leftover cofactor
+    with no prime factor ≤ table.limit is prime when it is below
     (table.limit + 1)²; one the table cannot certify raises CapacityError.
     """
     global _FACTOR_TABLE
     if n < 1:
         raise ValueError("n must be >= 1")
-    if table is None:
-        limit = min(isqrt(n), FACTOR_PRIME_LIMIT)
-        if limit > _FACTOR_TABLE.limit:
-            _FACTOR_TABLE = sieve_primes(min(max(limit, 2 * _FACTOR_TABLE.limit), FACTOR_PRIME_LIMIT))
-        table = _FACTOR_TABLE
+    limit = min(isqrt(n), FACTOR_PRIME_LIMIT)
+    if limit > _FACTOR_TABLE.limit:
+        _FACTOR_TABLE = sieve_primes(min(max(limit, 2 * _FACTOR_TABLE.limit), FACTOR_PRIME_LIMIT))
+    table = _FACTOR_TABLE
     factors = []
     rem = n
     exhausted = True
@@ -112,14 +107,6 @@ def largest_prime_factor(n: int) -> int:
 def distinct_prime_factors(n: int) -> list:
     """Distinct prime divisors of n, increasing."""
     return [p for p, _ in factorize(n)]
-
-
-def euler_phi(n: int) -> int:
-    """Euler totient φ(n)."""
-    out = n
-    for p in distinct_prime_factors(n):
-        out -= out // p
-    return out
 
 
 def coprime_count(n: int, q: int) -> int:
@@ -179,31 +166,3 @@ def product_dtype(largest: int, what: str) -> np.dtype:
     if largest < 2**63:
         return np.dtype(np.int64)
     raise CapacityError(f"{what} up to {largest} exceed int64")
-
-
-def gcd_sum(U: int, k: int, q: int) -> int:
-    """Σ gcd(u₁−u₂, k·u₁·u₂) over u₁ ≠ u₂ in (U, 2U] with gcd(u₁u₂, q) = 1.
-
-    Exact O(U²) evaluation, blocked through numpy; U is capped because this
-    is an enumeration oracle.
-    """
-    if U < 1:
-        raise ValueError("U must be >= 1")
-    if k == 0:
-        raise ValueError("k must be nonzero")
-    if q < 1:
-        raise ValueError("q must be >= 1")
-    if U > GCD_SUM_MAX_U:
-        raise CapacityError(f"U = {U} exceeds the oracle cap {GCD_SUM_MAX_U}")
-
-    us = np.array([u for u in range(U + 1, 2 * U + 1) if gcd(u, q) == 1], dtype=np.int64)
-    # gcd(u₁ − u₂, k·u₁·u₂) = gcd(|u₁ − u₂|, (k mod |u₁ − u₂|)·u₁·u₂), and the
-    # product is below U·(2U)² ≤ 4·10¹⁵ for every k; the diagonal is gcd(0, 0) = 0
-    k_mod = np.array([0] + [k % g for g in range(1, U)], dtype=np.int64)
-    total = 0
-    block = max(1, 10_000_000 // max(len(us), 1))
-    for i in range(0, len(us), block):
-        u1 = us[i : i + block, None]
-        diff = np.abs(u1 - us[None, :])
-        total += int(np.gcd(diff, k_mod[diff] * u1 * us[None, :]).sum(dtype=np.int64))
-    return total

@@ -403,7 +403,8 @@ def sigma_window(q: int, a: int, theta, C: float = 10.0, Y: float = None, budget
 
 def sigma_qR(q: int, a: int, theta, C: float = 10.0, Y: float = None, budget: int = 10**9) -> SumReport:
     """Σ(q, R) = Σ_{X/4 ≤ n ≤ 4X} 1_{S_q(Y)}(n) Φ_a(n, R), exact, with the
-    benchmark main term R^{2 − (1−θ)/(2C)} for the diagnostic ratio.
+    benchmark main term R^{2 − (1−θ)/(2C)} for the diagnostic ratio, 0.0 when
+    the effective Y ≤ 1 (C ≤ 0 included).
 
     The sum is Σ_r φ(r/R)·#{members n ≡ ā·r (mod q)} over the r in
     [⌊R/4⌋, ⌈3R/4⌉] coprime to q (_class_counts), added exactly and rounded
@@ -426,7 +427,7 @@ def sigma_qR(q: int, a: int, theta, C: float = 10.0, Y: float = None, budget: in
         total += sum(c * m << k for c, m, k in terms)
     value = total / 2 ** (53 - low)  # one rounding
 
-    if Y is not None and Y <= 1:
+    if pr.Y <= 1:
         main = 0.0  # the limit of R^expo as c_eff = log Y / log log X → 0⁺
     else:
         c_eff = C if Y is None else log(Y) / log(log(X))  # log log X > 0: X > 2^(34/23) > e

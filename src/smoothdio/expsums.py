@@ -1,11 +1,10 @@
-"""Kloosterman-sum kernels: complete sums, incomplete inverse-exponential
-sums over an interval, the smooth-number Kloosterman average, and the proved
-upper bound as a comparator.
+"""Kloosterman-sum kernels: complete sums, the smooth-number Kloosterman
+average, and the proved upper bound as a comparator.
 
 All sums are evaluated directly (no Salié/stationary-phase tricks) in double
 precision; modular inverses come from one vectorized extended Euclid
-(`arith.inverse_mod`).  Complete and interval sums share a whole residue
-table per modulus.  The smooth average inverts only the distinct largest
+(`arith.inverse_mod`).  A complete sum reads a whole residue table per
+modulus.  The smooth average inverts only the distinct largest
 prime factors of its n's, for a block of moduli at once, and multiplies the
 rest out: its n's form a divisor-closed set, so n̄ = P⁺(n)̄ · (n/P⁺(n))̄, and
 since n/P⁺(n) ≤ n/2 the products go one dyadic range [2ᵏ, 2ᵏ⁺¹) at a time.
@@ -55,22 +54,6 @@ def complete_kloosterman(a: int, b: int, c: int) -> float:
     if abs(im) > 1e-9:
         raise ArithmeticError(f"Kloosterman sum imaginary residue {im} too large")
     return re
-
-
-def incomplete_inverse_sum(b: int, c: int, Z1: float, Z2: float) -> complex:
-    """Σ_{Z1 < n ≤ Z2, (n,c)=1} e(b·n̄/c), evaluated term by term."""
-    if c < 2:
-        raise ValueError("c must be >= 2")
-    if Z2 <= Z1:
-        return 0j
-    n_lo = int(floor(Z1)) + 1
-    n_hi = int(floor(Z2))
-    if n_hi < n_lo:
-        return 0j
-    if n_hi - n_lo + 1 > 10**8:
-        raise BudgetExceededError("interval too long")
-    ns = np.arange(n_lo, n_hi + 1, dtype=np.int64)
-    return complex(*_inverse_sum(inverse_table(c)[ns % c], b, c))
 
 
 def _inverse_sum(inv: np.ndarray, b: int, c: int):

@@ -1,20 +1,18 @@
 """Smooth-number engine: the P⁺ sieve over an interval and over progressions,
-exact Ψ(x,y) and Ψ_q(x,y), the local density K, Dickman ρ, the saddle point
-α(x,y), product-formula estimates, and the unique largest-factors-first
-decomposition.
+exact Ψ(x,y), the local density K, Dickman ρ, the saddle point α(x,y), and
+the unique largest-factors-first decomposition.
 
 Interval counts (smooth_sieve, K) sieve an explicit interval or set of
-progressions.  Ψ(x, y) and Ψ_q(x, y) are exact without a sieve: a Buchstab-type
-recursion over a small table of Ψ(t, p) for t ≤ 2¹¹, with the sieve as the
-oracle the tests hold it to.  The analytic objects (ρ, α) carry certified or
+progressions.  Ψ(x, y) is exact without a sieve: a Buchstab-type recursion
+over a small table of Ψ(t, p) for t ≤ 2¹¹, with the sieve as the oracle the
+tests hold it to.  The analytic objects (ρ, α) carry certified or
 residual-checked accuracy so they can serve as diagnostics against the exact
 counts.
 """
 
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
-from math import ceil, exp, floor, frexp, isqrt, ldexp, log
+from math import ceil, floor, frexp, isqrt, ldexp, log
 
 import numpy as np
 
@@ -24,12 +22,6 @@ from .errors import BudgetExceededError, CapacityError, NonConvergenceError
 SIEVE_CAPACITY = 20_000_000
 SADDLE_PRIME_CAPACITY = 10_000_000
 _PPLUS_SEGMENT = 1 << 18  # integers sieved at once: 1 MB of int32 stays in cache
-
-
-class EstimateRangeWarning(UserWarning):
-    """An estimate was evaluated outside the range where its error term is
-
-    backed by theory; the value is still returned."""
 
 
 # ---------------------------------------------------------------------------
@@ -213,22 +205,6 @@ def _expand(V, K, ends, primes, leaf, stack) -> int:
     return total
 
 
-def psi_q(x: float, y: float, q: int) -> int:
-    """Ψ_q(x, y): y-smooth n ≤ x with gcd(n, q) = 1, exact, as the
-    inclusion–exclusion Σ μ(d) Ψ(⌊x/d⌋, y) over the squarefree d | q with
-    P⁺(d) ≤ y (a prime of q above y divides no y-smooth n)."""
-    if q < 1:
-        raise ValueError("q must be >= 1")
-    if x < 0:
-        raise ValueError("x must be >= 0")
-    xi = int(floor(x))
-    terms = [(1, 1)]  # (d, μ(d)); a d above x adds Ψ(0, y) = 0
-    for p in distinct_prime_factors(q):
-        if p <= y:
-            terms += [(d * p, -mu) for d, mu in terms if d * p <= xi]
-    return sum(mu * psi(xi // d, y) for d, mu in terms)
-
-
 def local_density(N: float, Y: float, q: int) -> float:
     """K(N, Y) = (1/N) · #{N < n ≤ 2N : P⁺(n) ≤ Y, gcd(n, q) = 1}."""
     if N < 1:
@@ -324,7 +300,7 @@ def rho_table(u_max: float, tol: float = 1e-9) -> RhoTable:
 
 
 # ---------------------------------------------------------------------------
-# saddle point and product-formula estimates
+# saddle point
 # ---------------------------------------------------------------------------
 
 
@@ -432,60 +408,6 @@ def saddle_alpha(x: float, y: float) -> SaddlePoint:
             nxt = 0.5 * (lo_a + hi_a)
         a = nxt
     raise NonConvergenceError(f"saddle iteration failed for (x={x}, y={y})")
-
-
-def hildebrand_estimate(x: float, y: float) -> float:
-    """x·ρ(log x / log y).  Outside the classical validity range
-    exp((log log x)^{5/3}) ≤ y ≤ x a warning is emitted, never an error."""
-    if y < 2:
-        raise ValueError("y must be >= 2")
-    if x < 1:
-        raise ValueError("x must be >= 1")
-    u = log(x) / log(y)
-    if u <= 1.0:
-        return float(x)
-    if x > exp(exp(1.0)) and (y < exp(log(log(x)) ** (5.0 / 3.0)) or y > x):
-        warnings.warn(f"(x={x:g}, y={y:g}) outside the smooth-count estimate range", EstimateRangeWarning, stacklevel=2)
-    return x * dickman_rho(u)
-
-
-# past this x the estimate's base is x·ρ(u), not the exact Ψ; a fixed cut, not a
-# capacity: psi counts exactly past it too
-_ESTIMATE_EXACT_LIMIT = 20_000_000
-
-
-def psi_q_estimate(x: float, y: float, q: int, alpha: float = None) -> float:
-    """Ψ(x,y) · Π_{p | q, p ≤ y} (1 − p^{−α(x,y)}).
-
-    The base is the exact count psi(x, y) for x ≤ _ESTIMATE_EXACT_LIMIT
-    (2e7) and the ρ-based estimate x·ρ(u) past it.  The Euler product is
-    restricted to p ≤ y (the y-smooth part of q carries all the coprimality
-    information); primes of q above y trigger a warning.  `alpha` overrides
-    the saddle point (test hook).
-    """
-    if q < 1:
-        raise ValueError("q must be >= 1")
-    if y < 2 or x < 2:
-        raise ValueError("need x, y >= 2")
-    if not ((log(x)) ** 4 <= y <= x):
-        warnings.warn(f"(x={x:g}, y={y:g}) violates (log x)^4 <= y <= x", EstimateRangeWarning, stacklevel=2)
-    base = float(psi(x, y)) if floor(x) <= _ESTIMATE_EXACT_LIMIT else hildebrand_estimate(x, y)
-    if q == 1:
-        return base
-    ps = distinct_prime_factors(q)
-    if len(ps) > log(x):
-        warnings.warn(f"omega(q) = {len(ps)} exceeds log x", EstimateRangeWarning, stacklevel=2)
-    if ps and max(ps) > y:
-        warnings.warn(f"P+(q) = {max(ps)} exceeds y = {y:g}; product restricted to p <= y", EstimateRangeWarning, stacklevel=2)
-        ps = [p for p in ps if p <= y]
-    if not ps:
-        return base
-    if alpha is None:
-        alpha = saddle_alpha(x, y).alpha
-    prod = 1.0
-    for p in ps:
-        prod *= 1.0 - p ** (-alpha)
-    return base * prod
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,7 @@ from smoothdio import arith
 from smoothdio.arith import (
     coprime_count,
     distinct_prime_factors,
-    euler_phi,
     factorize,
-    gcd_sum,
     inverse_mod,
     largest_prime_factor,
     mod_inverse,
@@ -20,7 +18,6 @@ from smoothdio.arith import (
 )
 from smoothdio.errors import CapacityError
 from smoothdio.expsums import inverse_table
-from smoothdio.smooth import psi_q
 
 
 def trial_division_primes(limit):
@@ -89,17 +86,23 @@ def test_prime_array_growth(monkeypatch):
         _check_prime_table(top)
 
 
-def test_factorize_examples():
-    t = sieve_primes(1000)
-    assert factorize(1, t) == []
-    assert factorize(12, t) == [(2, 2), (3, 1)]
-    assert factorize(9991, t) == [(97, 1), (103, 1)]
+def _small_factor_table(monkeypatch, limit):
+    # the cached factor table, capped at `limit` and empty until factorize grows it
+    monkeypatch.setattr(arith, "FACTOR_PRIME_LIMIT", limit)
+    monkeypatch.setattr(arith, "_FACTOR_TABLE", arith.PrimeTable(1, []))
 
 
-def test_factorize_insufficient_table():
-    t = sieve_primes(10)
+def test_factorize_examples(monkeypatch):
+    _small_factor_table(monkeypatch, 1000)
+    assert factorize(1) == []
+    assert factorize(12) == [(2, 2), (3, 1)]
+    assert factorize(9991) == [(97, 1), (103, 1)]
+
+
+def test_factorize_insufficient_table(monkeypatch):
+    _small_factor_table(monkeypatch, 10)
     with pytest.raises(CapacityError):
-        factorize(10007 * 10009, t)
+        factorize(10007 * 10009)
 
 
 @pytest.mark.parametrize("grow_first", [False, True])
@@ -114,15 +117,14 @@ def test_factorize_answer_does_not_depend_on_earlier_calls(monkeypatch, grow_fir
     n = 10000019 * 10000079
     with pytest.raises(CapacityError):
         factorize(n)
-    with pytest.raises(CapacityError):
-        psi_q(1000, 50, n)
 
 
-def test_factorize_certifies_cofactors_below_next_square():
+def test_factorize_certifies_cofactors_below_next_square(monkeypatch):
     # no prime factor <= 10 and below 11²: prime; 11² itself is not certified
-    assert factorize(113, sieve_primes(10)) == [(113, 1)]
+    _small_factor_table(monkeypatch, 10)
+    assert factorize(113) == [(113, 1)]
     with pytest.raises(CapacityError):
-        factorize(121, sieve_primes(10))
+        factorize(121)
 
 
 def oracle_factors(n):
@@ -156,17 +158,13 @@ def test_largest_prime_factor_against_trial_division():
     for n in range(1, 5001):
         expected = oracle_factors(n)
         assert largest_prime_factor(n) == (expected[-1][0] if expected else 1)
-        phi = n
-        for p, _ in expected:
-            phi = phi // p * (p - 1)
-        assert euler_phi(n) == phi
         assert distinct_prime_factors(n) == [p for p, _ in expected]
 
 
-def test_factorize_reconstruct_identity_to_1e6():
-    t = sieve_primes(1000)
+def test_factorize_reconstruct_identity_to_1e6(monkeypatch):
+    _small_factor_table(monkeypatch, 1000)
     for n in range(1, 1_000_001):
-        assert prod(p**e for p, e in factorize(n, t)) == n
+        assert prod(p**e for p, e in factorize(n)) == n
 
 
 def test_largest_prime_factor():
@@ -197,39 +195,6 @@ def test_mod_inverse_random_pairs():
         assert (a * inv) % q == 1 % q
 
 
-def gcd_sum_oracle(U, k, q):
-    us = [u for u in range(U + 1, 2 * U + 1) if gcd(u, q) == 1]
-    return sum(gcd(u1 - u2, k * u1 * u2) for u1 in us for u2 in us if u1 != u2)
-
-
-def test_gcd_sum_examples():
-    assert gcd_sum(2, 1, 1) == 2  # pairs from {3,4}: gcd(1,12) twice
-    assert gcd_sum(1, 1, 2) == 0  # (2,2] grid coprime to 2 is empty
-    assert gcd_sum(5, 3, 1) == gcd_sum_oracle(5, 3, 1) == 38
-
-
-def test_gcd_sum_oracle_random():
-    rng = random.Random(1001)
-    for _ in range(25):
-        U = rng.randint(1, 40)
-        k = rng.choice([kk for kk in range(-50, 51) if kk != 0])
-        q = rng.randint(1, 30)
-        assert gcd_sum(U, k, q) == gcd_sum_oracle(U, k, q)
-
-
-@pytest.mark.parametrize("k", [10**15, -(2**61), 3**50, -(7**40)])
-@pytest.mark.parametrize("U, q", [(40, 1), (37, 6), (100, 7)])
-def test_gcd_sum_oracle_large_k(U, k, q):
-    # |k|·4U² ≥ 2⁶²: k·u₁·u₂ leaves int64, k mod |u₁ − u₂| keeps it inside
-    assert abs(k) * 4 * U * U >= 2**62
-    assert gcd_sum(U, k, q) == gcd_sum_oracle(U, k, q)
-
-
-def test_gcd_sum_cap():
-    with pytest.raises(CapacityError):
-        gcd_sum(200_000, 1, 1)
-
-
 def test_gcd_substitution_identity():
     # gcd(u, k·u2·(u+u2)) == gcd(u, k·u2²) on random triples
     rng = random.Random(1001)
@@ -238,23 +203,6 @@ def test_gcd_substitution_identity():
         u2 = rng.randint(1, 10**6)
         k = rng.choice([kk for kk in range(-1000, 1001) if kk != 0])
         assert gcd(u, k * u2 * (u + u2)) == gcd(u, k * u2 * u2)
-
-
-def test_gcd_sum_growth_diagnostic():
-    # Report-style: gcd_sum(U,k,q) / ((phi(q)/q) U^{2.1}) should stay bounded
-    # through U = 1e2, 1e3, 1e4 (eta = 0.1 fixed here).
-    k, q = 3, 6
-    ratios = []
-    for U in (100, 1000, 10_000):
-        val = gcd_sum(U, k, q)
-        ratios.append(val / ((euler_phi(q) / q) * U**2.1))
-    print("gcd_sum growth diagnostic (U=1e2,1e3,1e4):", ratios)
-    assert all(r > 0 for r in ratios)
-    assert max(ratios) < 100 * min(ratios)
-
-
-def test_euler_phi():
-    assert [euler_phi(n) for n in (1, 2, 6, 12, 97)] == [1, 1, 2, 4, 96]
 
 
 def test_inverse_table_against_pow():

@@ -503,10 +503,12 @@ def test_sigma_charges_the_budget_with_its_class_layout(capsys):
     assert "179 residues at q = 17711 exceed budget" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("Y", ["1", "0.5", "-3"])
-def test_sigma_main_term_vanishes_for_Y_at_most_1(capsys, Y):
-    # c_eff = log Y / log log X ≤ 0: the main term is its limit 0 as c_eff → 0⁺, the ratio null
-    assert main(["dispersion", "--q", "13", "--a", "8", "--theta", "1/3", "--Y", Y, "--report", "sigma"]) == EXIT_OK
+@pytest.mark.parametrize("flag, value", [("--Y", "1"), ("--Y", "0.5"), ("--Y", "-3"), ("--C", "0"), ("--C", "-2")],
+                         ids=["1", "0.5", "-3", "C0", "C-2"])
+def test_sigma_main_term_vanishes_for_Y_at_most_1(capsys, flag, value):
+    # c_eff = log Y / log log X ≤ 0: the main term is its limit 0 as c_eff → 0⁺, the ratio null.
+    # C ≤ 0 gives the effective Y = (log X)^C ≤ 1 the same way.
+    assert main(["dispersion", "--q", "13", "--a", "8", "--theta", "1/3", flag, value, "--report", "sigma"]) == EXIT_OK
     row = json.loads(capsys.readouterr().out)["rows"][0]
     assert (row["value"], row["main_term"], row["ratio"]) == (0.0, 0.0, None)
 

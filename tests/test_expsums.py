@@ -7,12 +7,11 @@ import numpy as np
 import pytest
 
 from smoothdio import expsums
-from smoothdio.arith import euler_phi, inverse_mod, largest_prime_factor, product_dtype, sieve_primes
+from smoothdio.arith import coprime_count, inverse_mod, largest_prime_factor, product_dtype, sieve_primes
 from smoothdio.errors import BudgetExceededError
 from smoothdio.expsums import (
     KloostermanParams,
     complete_kloosterman,
-    incomplete_inverse_sum,
     kl_smooth_average,
     kloos_bound_rhs,
     optimal_z,
@@ -59,7 +58,7 @@ def ramanujan_sum(b, c):
 
 def test_complete_kloosterman_examples():
     for c in (1, 2, 7, 12, 36):
-        assert complete_kloosterman(0, 0, c) == pytest.approx(euler_phi(c), abs=1e-9)
+        assert complete_kloosterman(0, 0, c) == pytest.approx(coprime_count(c, c), abs=1e-9)
     assert complete_kloosterman(1, 1, 2) == pytest.approx(1.0, abs=1e-12)
     assert complete_kloosterman(1, 1, 5) == pytest.approx(2 + 2 * cos(4 * pi / 5), abs=1e-12)
 
@@ -88,19 +87,12 @@ def test_weil_bound_slice():
             assert abs(complete_kloosterman(a, 1, p)) <= 2 * sqrt(p) + 1e-9
 
 
-def test_incomplete_inverse_sum_examples():
-    assert incomplete_inverse_sum(0, 12, 0, 12) == pytest.approx(euler_phi(12))
-    assert incomplete_inverse_sum(1, 4, 0, 4) == pytest.approx(0.0, abs=1e-12)
-    assert incomplete_inverse_sum(3, 7, 5.5, 5.6) == 0j  # empty interval
-
-
-def test_incomplete_full_period_is_ramanujan():
+def test_complete_kloosterman_zero_a_is_ramanujan():
+    # S(0, b; c) is the Ramanujan sum c_c(b); complete_kloosterman refuses an imaginary part above 1e-9
     rng = random.Random(4004)
     for c in range(2, 201):
         for b in rng.sample(range(0, 201), 12):
-            got = incomplete_inverse_sum(b, c, 0, c)
-            assert got.real == pytest.approx(ramanujan_sum(b, c), abs=1e-8)
-            assert abs(got.imag) <= 1e-8
+            assert complete_kloosterman(0, b, c) == pytest.approx(ramanujan_sum(b, c), abs=1e-8)
 
 
 def test_kl_smooth_average_trivial_x():

@@ -1,6 +1,5 @@
 import math
 import random
-import warnings
 from math import floor, gcd, isqrt, log
 
 import numpy as np
@@ -12,16 +11,12 @@ from smoothdio.errors import CapacityError, NonConvergenceError
 from smoothdio.smooth import (
     RHO_U_MAX,
     SADDLE_PRIME_CAPACITY,
-    EstimateRangeWarning,
     SaddlePoint,
     dickman_rho,
-    hildebrand_estimate,
     largest_prime_factor_array,
     local_density,
     pplus_sieve,
     psi,
-    psi_q,
-    psi_q_estimate,
     rho_table,
     saddle_alpha,
     smooth_decompose,
@@ -188,28 +183,6 @@ def test_psi_oracle_slice():
         members = smooth_members_oracle(1500, y)
         for x in rng.sample(range(1, 1501), 200):
             assert psi(x, y) == bisect.bisect_right(members, x)
-
-
-def test_psi_q():
-    assert psi_q(10, 3, 1) == psi(10, 3)
-    assert psi_q(10, 3, 2) == 3  # members 1, 3, 9
-    assert psi_q(1000, 5, 30) == 1  # q divisible by every prime <= y
-    rng = random.Random(3003)
-    for _ in range(50):
-        x = rng.randint(1, 3000)
-        y = rng.randint(2, 50)
-        q = rng.randint(1, 100)
-        assert psi_q(x, y, q) <= psi(x, y)
-
-
-def test_psi_q_against_the_sieve():
-    rng = random.Random(3006)
-    for _ in range(120):
-        x = rng.choice([rng.randint(1, 3000), rng.randint(1, 200_000)])
-        y = rng.choice([rng.randint(2, 60), rng.randint(2, 5000), x + 1])
-        q = rng.choice([rng.randint(1, 10**6), 2 * 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23, rng.randint(1, 100) * 4099])
-        assert psi_q(x, y, q) == np.count_nonzero(smooth_sieve(1, x, y, q)[0]), (x, y, q)
-    assert psi_q(0.5, 7, 6) == 0
 
 
 def test_local_density():
@@ -437,44 +410,11 @@ def test_saddle_out_of_bracket_with_the_bracket_cached(monkeypatch):
     assert smooth._saddle_bracket.cache_info().hits == hits + 2
 
 
-def test_hildebrand():
-    assert hildebrand_estimate(10, 100) == 10.0  # u <= 1
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", EstimateRangeWarning)
-        assert hildebrand_estimate(1e4, 100) == pytest.approx(1e4 * (1 - log(2)), rel=1e-9)
-        assert hildebrand_estimate(1e6, 100) == pytest.approx(1e6 * 0.0486083882911, rel=1e-6)
-        # u = 13: ρ(13) ≈ 2.7e-16, so the estimate must stay positive
-        est = hildebrand_estimate(1e13, 10)
-        assert est > 0.0
-        assert est == pytest.approx(1e13 * dickman_rho(13), rel=1e-13)
-
-
-def test_hildebrand_warns_out_of_range():
-    with pytest.warns(EstimateRangeWarning):
-        hildebrand_estimate(1e10, 2.2)
-
-
-def test_psi_q_estimate():
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", EstimateRangeWarning)
-        assert psi_q_estimate(1e4, 50, 1) == psi(1e4, 50)
-        # test hook: alpha forced to 1 makes the q = 2 factor exactly 1/2
-        assert psi_q_estimate(100, 10, 2, alpha=1.0) == pytest.approx(psi(100, 10) / 2)
-        est = psi_q_estimate(1e4, 50, 6)
-        exact = psi_q(1e4, 50, 6)
-        assert 0.7 <= est / exact <= 1.4
-    with pytest.warns(EstimateRangeWarning):
-        # P+(q) > y: product restricted to p <= y
-        psi_q_estimate(10**6, 40, 53 * 2, alpha=0.9)
-
-
 def test_doubling_factor():
     # the doubling law Ψ(2x, y) ≈ 2^α Ψ(x, y) against exact counts
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", EstimateRangeWarning)
-        d = 2.0 ** saddle_alpha(1e6, 1e3).alpha
-        exact = psi(2e6, 1e3) / psi(1e6, 1e3)
-        assert 0.9 <= d / exact <= 1.1
+    d = 2.0 ** saddle_alpha(1e6, 1e3).alpha
+    exact = psi(2e6, 1e3) / psi(1e6, 1e3)
+    assert 0.9 <= d / exact <= 1.1
     for x, y in ((100, 10), (10**4, 100)):
         assert 1.0 < 2.0 ** saddle_alpha(x, y).alpha <= 2.0
 
