@@ -11,7 +11,7 @@ import importlib
 
 # module → the public names it defines
 _EXPORTS = {
-    "arith": ("PrimeTable", "factorize", "largest_prime_factor", "mod_inverse", "sieve_primes"),
+    "arith": ("PrimeTable", "factorize", "largest_prime_factor", "sieve_primes"),
     "diophantine": ("ApproxParams", "Convergent", "DecimalAlpha", "QuadIrr", "build_target_set", "cf_convergents",
                     "connection_bound", "convergents", "derive_params", "dist_from_convergent", "dist_nearest",
                     "parse_alpha"),
@@ -19,8 +19,8 @@ _EXPORTS = {
                    "phi_weight", "phi_weight_poisson", "sigma_qR", "sums_report", "type1_report", "type2_report"),
     "errors": ("BudgetExceededError", "CapacityError", "NonConvergenceError"),
     "expsums": ("KloostermanParams", "complete_kloosterman", "kl_smooth_average", "kloos_bound_rhs", "optimal_z"),
-    "smooth": ("RhoTable", "SaddlePoint", "dickman_rho", "local_density", "psi", "rho_table", "saddle_alpha",
-               "smooth_decompose", "smooth_sieve"),
+    "smooth": ("SaddlePoint", "dickman_rho", "local_density", "psi", "saddle_alpha", "smooth_decompose",
+               "smooth_sieve"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

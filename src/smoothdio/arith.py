@@ -118,20 +118,6 @@ def coprime_count(n: int, q: int) -> int:
     return sum(mu * (n // d) for d, mu in terms)
 
 
-def mod_inverse(a: int, q: int) -> int:
-    """ā with a·ā ≡ 1 (mod q), normalized into [1, q].
-
-    Raises ValueError when gcd(a, q) > 1.
-    """
-    if q < 1:
-        raise ValueError("q must be >= 1")
-    try:
-        inv = pow(a, -1, q)
-    except ValueError as exc:
-        raise ValueError(f"{a} is not invertible mod {q}") from exc
-    return inv if inv != 0 else q  # q = 1 gives pow(...) = 0; report 1
-
-
 def inverse_mod(ns, c) -> np.ndarray:
     """n̄ mod c for every entry of ns, as int64: the inverse in [0, c) for a
     unit, −1 for a non-unit, and 0 for every n when c = 1.

@@ -24,7 +24,7 @@ from math import ceil, exp, floor, gcd, inf, isqrt, log, sqrt
 
 import numpy as np
 
-from .arith import coprime_count, mod_inverse
+from .arith import coprime_count
 from .errors import BudgetExceededError, CapacityError
 from .smooth import SIEVE_CAPACITY, largest_prime_factor_array
 
@@ -72,13 +72,6 @@ class QuadIrr:
             self.s //= g
             self.r //= g
 
-    def mirror(self) -> "QuadIrr":
-        """The surd −α."""
-        return QuadIrr(-self.p, -self.s, self.d, self.r)
-
-    def to_float(self) -> float:
-        return (self.p + self.s * sqrt(self.d)) / self.r
-
 
 @dataclass
 class DecimalAlpha:
@@ -90,9 +83,6 @@ class DecimalAlpha:
     @property
     def width(self) -> Fraction:
         return Fraction(1, 10**self.prec)
-
-    def to_float(self) -> float:
-        return float(self.value)
 
 
 def parse_alpha(text: str):
@@ -126,12 +116,6 @@ class Convergent:
     q: int
     err_num: int
     err_den: int
-
-    def error_bounds(self):
-        return (Fraction(self.err_num - 1, self.err_den), Fraction(self.err_num + 1, self.err_den))
-
-    def error_float(self) -> float:
-        return self.err_num / self.err_den
 
 
 def convergents(alpha):
@@ -383,7 +367,7 @@ def _class_starts(q: int, a: int, window):
     rs = np.arange(r_lo, r_hi + 1, dtype=np.int64)
     rs = rs[np.gcd(rs, q) == 1]
     x = rs if (q - 1) * r_hi < _INT64_TOP else rs.astype(object)  # ā·r in Python ints past int64
-    offsets = ((mod_inverse(a, q) * x - lo % q) % q).astype(np.int64)
+    offsets = ((pow(a, -1, q) * x - lo % q) % q).astype(np.int64)
     order = np.argsort(offsets)
     return offsets[order], rs[order]
 

@@ -169,26 +169,13 @@ def phi_weight(n: int, R: float, q: int, a: int) -> float:
     return bump_phi(r / R)
 
 
-def phi_weight_poisson(
-    n: int, R: float, q: int, a: int, Kmax: int = None, tol: float = 1e-10
-) -> float:
+def phi_weight_poisson(n: int, R: float, q: int, a: int, Kmax: int, tol: float = 1e-10) -> float:
     """Poisson-expanded weight (R/q)·Σ_{|k| ≤ Kmax} φ̂(kR/q) e(nak/q).
 
-    With Kmax omitted, the truncation starts at ⌈10q/R⌉ and doubles until
-    the value moves by ≤ 1e-8 (the bump's transform still carries ~1e-2 mass
-    near ξ = 10, so a fixed 10q/R cut is far from converged).
+    The caller picks the truncation: the bump's transform still carries ~1e-2
+    mass near ξ = 10, so a cut at ⌈10q/R⌉ is far from converged (criterion 05).
     """
     _check_weight_args(R, q, a)
-    if Kmax is None:
-        K = ceil(10 * q / R)
-        v1 = phi_weight_poisson(n, R, q, a, K, tol)
-        while K <= 1 << 22:
-            K *= 2
-            v2 = phi_weight_poisson(n, R, q, a, K, tol)
-            if abs(v1 - v2) <= 1e-8:
-                return v2
-            v1 = v2
-        raise NonConvergenceError("Poisson tail did not certify")
     if Kmax < 0:
         raise ValueError("Kmax must be >= 0")
 

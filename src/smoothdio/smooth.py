@@ -257,8 +257,9 @@ def dickman_rho(u: float, tol: float = 1e-9) -> float:
 
     tol is an absolute request, at least 1e-12.  The certified relative error
     is at most 3.7e-14·u, and below 1e-12 absolute for every u
-    (rho_table(RHO_U_MAX).tol), so every tol is met.  From u ≈ 127 ρ(u) is
-    below the normal doubles: the value is subnormal or 0.0, good to tol."""
+    (tests/test_smooth.py::test_rho_certificate), so every tol is met.
+    From u ≈ 127 ρ(u) is below the normal doubles: the value is subnormal or
+    0.0, good to tol."""
     if not (0 <= u <= RHO_U_MAX):
         raise ValueError(f"u must lie in [0, {RHO_U_MAX}]")
     if tol < 1e-12:
@@ -271,32 +272,6 @@ def dickman_rho(u: float, tol: float = 1e-9) -> float:
     for c in reversed(d):
         r = r * x + c
     return ldexp(r, e)
-
-
-@dataclass
-class RhoTable:
-    """Uniform samples of ρ on [0, u_max] with one certified error bound."""
-
-    step: float
-    values: np.ndarray
-    tol: float
-
-    def u_grid(self) -> np.ndarray:
-        return self.step * np.arange(len(self.values))
-
-
-def rho_table(u_max: float, tol: float = 1e-9) -> RhoTable:
-    """dickman_rho at spacing 2⁻⁹ on [0, u_max].  The table's tol bounds the
-    absolute error at every u ≤ u_max, on the grid or not: on [k − 1, k], the
-    series' relative bound times ρ(k − 1)."""
-    if not (0 < u_max <= RHO_U_MAX):
-        raise ValueError(f"u_max must lie in (0, {RHO_U_MAX}]")
-    values = np.array([dickman_rho(u, tol) for u in (np.arange(int(u_max * 512) + 1) / 512).tolist()])
-    bound = 0.0
-    for k in range(2, ceil(u_max) + 1):
-        err = _rho_series(k)[2]
-        bound = max(bound, err * dickman_rho(k - 1) / (1 - err))
-    return RhoTable(1 / 512, values, bound)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ from smoothdio.arith import (
     factorize,
     inverse_mod,
     largest_prime_factor,
-    mod_inverse,
     prime_array,
     product_dtype,
     sieve_primes,
@@ -172,27 +171,6 @@ def test_largest_prime_factor():
     assert largest_prime_factor(12) == 3
     assert largest_prime_factor(1024) == 2
     assert largest_prime_factor(9991) == 103
-
-
-def test_mod_inverse_examples():
-    assert mod_inverse(3, 7) == 5
-    assert mod_inverse(1, 5) == 1
-    assert mod_inverse(1, 1) == 1
-    assert mod_inverse(21, 13) == 5
-    with pytest.raises(ValueError):
-        mod_inverse(6, 9)
-
-
-def test_mod_inverse_random_pairs():
-    rng = random.Random(1001)
-    for _ in range(10_000):
-        q = rng.randint(1, 10**6)
-        a = rng.randint(1, 10**9)
-        if gcd(a, q) != 1:
-            continue
-        inv = mod_inverse(a, q)
-        assert 1 <= inv <= q
-        assert (a * inv) % q == 1 % q
 
 
 def test_gcd_substitution_identity():

@@ -2,7 +2,7 @@ import random
 from decimal import ROUND_FLOOR, Decimal, localcontext
 from fractions import Fraction
 from itertools import islice
-from math import ceil, floor, gcd, inf, isqrt, log
+from math import ceil, floor, gcd, inf, isqrt, log, sqrt
 
 import numpy as np
 import pytest
@@ -136,17 +136,17 @@ def test_convergent_invariants(alpha):
     assert list(islice(convergents(alpha), 14)) == convs
     for c in convs:
         assert gcd(c.a, c.q) == 1
-        lo, hi = c.error_bounds()
+        lo, hi = Fraction(c.err_num - 1, c.err_den), Fraction(c.err_num + 1, c.err_den)
         # the exact slot must certify |alpha - a/q| <= 1/q^2
         assert max(abs(lo), abs(hi)) <= Fraction(1, c.q * c.q)
         # and must actually contain alpha - a/q
-        approx = alpha.to_float() - c.a / c.q
+        approx = (alpha.p + alpha.s * sqrt(alpha.d)) / alpha.r - c.a / c.q
         assert float(lo) - 1e-12 <= approx <= float(hi) + 1e-12
     # CF determinant identity
     for c0, c1 in zip(convs, convs[1:]):
         assert abs(c0.a * c1.q - c1.a * c0.q) == 1
     # nested errors: |alpha - a_k/q_k| strictly decreasing
-    errs = [abs(c.error_float()) for c in convs]
+    errs = [abs(c.err_num / c.err_den) for c in convs]
     assert all(e0 > e1 for e0, e1 in zip(errs, errs[1:]))
 
 
@@ -188,7 +188,7 @@ def test_dist_nearest_examples():
 def test_dist_nearest_mirror():
     rng = random.Random(2002)
     for alpha in (GOLDEN, SQRT2, QuadIrr(3, -2, 7, 5)):
-        mirrored = alpha.mirror()
+        mirrored = QuadIrr(-alpha.p, -alpha.s, alpha.d, alpha.r)
         for _ in range(300):
             n = rng.randint(0, 10**9)
             a = dist_nearest(n, alpha)
@@ -518,5 +518,5 @@ def test_decimal_convergents_certified():
     exact = cf_convergents(SQRT2, 10)
     assert [(c.a, c.q) for c in convs] == [(c.a, c.q) for c in exact]
     for c in convs:
-        lo, hi = c.error_bounds()
+        lo, hi = Fraction(c.err_num - 1, c.err_den), Fraction(c.err_num + 1, c.err_den)
         assert max(abs(lo), abs(hi)) <= Fraction(1, c.q * c.q)

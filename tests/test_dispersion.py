@@ -170,12 +170,6 @@ def test_phi_weight_poisson_converges_to_direct():
     assert worst <= 1e-6
 
 
-def test_phi_weight_poisson_adaptive_default():
-    q, R, a, n = 9973, 80.0, 2, 123456
-    v = phi_weight_poisson(n, R, q, a)  # doubling until certified
-    assert v == pytest.approx(phi_weight(n, R, q, a), abs=1e-7)
-
-
 # ---------------------------------------------------------------------------
 # sums
 # ---------------------------------------------------------------------------

@@ -1,15 +1,20 @@
-"""Every module-level import in src/smoothdio is read by its module.
+"""Every module-level import in src/smoothdio is read by its module, and
+every public name the library defines is read by something that runs.
 
-A stand-in for a linter's unused-import rule, with the standard library
-alone: a removal that leaves its `from math import exp` behind fails here.
+Stand-ins for a linter's unused-import and dead-code rules, with the
+standard library alone: a removal that leaves its `from math import exp`
+behind fails here, and so does a function or method that only unit tests
+call.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "smoothdio"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "smoothdio"
 
 
 def unused_imports(source: str) -> list:
@@ -34,3 +39,59 @@ def test_every_module_level_import_is_read(path):
 def test_unused_imports_finds_a_leftover():
     assert unused_imports("import warnings\nfrom math import exp, log\n\nprint(log(2))\n") == ["warnings", "exp"]
     assert unused_imports("import numpy as np\n\nx = np.zeros(3)\n") == []
+
+
+def read_names(source: str) -> set:
+    """The names the source loads, as `name` or as `obj.name`, or imports."""
+    read = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            read.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            read.update(alias.name.split(".")[-1] for alias in node.names)
+    return read
+
+
+def public_names(source: str):
+    """Each public top-level def or class, then each public method of a
+    public class as `Class.method`."""
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield node.name
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                        yield f"{node.name}.{item.name}"
+
+
+def unread_names(modules: dict, readers: list, traced: set) -> list:
+    """The public names of `modules` (module name → source), as
+    `module.name`, that no module and no reader source loads and `traced`
+    (the tracer's "module.function" strings) does not name."""
+    read = set().union(*(read_names(source) for source in [*modules.values(), *readers]))
+    return [f"{module}.{name}" for module, source in modules.items() for name in public_names(source)
+            if name.split(".")[-1] not in read and f"{module}.{name}" not in traced]
+
+
+def test_every_public_name_is_read():
+    # read means run by a command (src), an acceptance criterion or a tracer span
+    modules = {path.stem: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))
+               if path.stem != "__init__"}
+    tracing = ast.parse((ROOT / "perfbench" / "tracing.py").read_text(encoding="utf-8"))
+    traced = {node.value for node in ast.walk(tracing)
+              if isinstance(node, ast.Constant) and re.fullmatch(r"\w+\.\w+", str(node.value))}
+    acceptance = (ROOT / "tests" / "test_acceptance.py").read_text(encoding="utf-8")
+    assert unread_names(modules, [acceptance], traced) == []
+
+
+def test_unread_names_finds_a_leftover():
+    module = (
+        "class C:\n    def used(self):\n        pass\n\n    def spare(self):\n        pass\n\n\n"
+        "def spare_fn():\n    return C().used()\n\n\ndef traced_fn():\n    pass\n\n\ndef _private():\n    pass\n"
+    )
+    assert unread_names({"m": module}, ["from m import spare_fn\n"], {"m.traced_fn"}) == ["m.C.spare"]
+    # a docstring is not a read
+    assert unread_names({"m": module}, ['"""spare_fn, traced_fn"""\n'], set()) == [
+        "m.C.spare", "m.spare_fn", "m.traced_fn"]

@@ -17,7 +17,6 @@ from smoothdio.smooth import (
     local_density,
     pplus_sieve,
     psi,
-    rho_table,
     saddle_alpha,
     smooth_decompose,
     smooth_sieve,
@@ -266,25 +265,18 @@ def test_rho_domain_and_tol():
         dickman_rho(501.0)
     with pytest.raises(ValueError):
         dickman_rho(2.0, 1e-13)
-    with pytest.raises(ValueError):
-        rho_table(3.0, 1e-13)
 
 
-def test_rho_table_grid():
-    tab = rho_table(3.0, 1e-9)
-    assert tab.tol <= 1e-9
-    assert tab.values[0] == 1.0
-    g = tab.u_grid()
-    assert len(g) == len(tab.values) == 3 * 512 + 1
-    i2 = int(round(2.0 / tab.step))
-    assert g[i2] == pytest.approx(2.0)
-    assert tab.values[i2] == pytest.approx(1 - log(2), abs=1e-9)
-    # the certified bound over all of [0, RHO_U_MAX] meets the 1e-12 floor
-    for t in (tab, rho_table(RHO_U_MAX, 1e-12)):
-        assert t.tol <= 1e-12
-        per_unit = int(round(1.0 / t.step))
-        for k in range(int(t.u_grid()[-1]) + 1):
-            assert t.values[k * per_unit] == dickman_rho(k), k
+def test_rho_certificate():
+    # ρ decreases, so dickman_rho's absolute error on [k − 1, k] is at most
+    # the series' relative bound err_k times ρ(k − 1), and ρ(k − 1) is at most
+    # dickman_rho(k − 1)/(1 − err_k); the worst k meets the 1e-12 floor
+    bound = 0.0
+    for k in range(2, math.ceil(RHO_U_MAX) + 1):
+        err = smooth._rho_series(k)[2]
+        bound = max(bound, err * dickman_rho(k - 1) / (1 - err))
+    print("certified absolute error of dickman_rho on [0, RHO_U_MAX]:", bound)
+    assert bound <= 1e-12
 
 
 # ---------------------------------------------------------------------------
