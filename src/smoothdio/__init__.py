@@ -18,9 +18,8 @@ _EXPORTS = {
     "dispersion": ("DispersionParams", "SumReport", "bilinear_B", "bump_fourier", "bump_phi", "dispersion_sums",
                    "phi_weight", "phi_weight_poisson", "sigma_qR", "sums_report", "type1_report", "type2_report"),
     "errors": ("BudgetExceededError", "CapacityError", "NonConvergenceError"),
-    "expsums": ("KloostermanParams", "complete_kloosterman", "kl_smooth_average", "kloos_bound_rhs", "optimal_z"),
-    "smooth": ("SaddlePoint", "dickman_rho", "local_density", "psi", "saddle_alpha", "smooth_decompose",
-               "smooth_sieve"),
+    "expsums": ("complete_kloosterman", "kl_smooth_average", "kloos_bound_rhs", "optimal_z"),
+    "smooth": ("dickman_rho", "local_density", "psi", "saddle_alpha", "smooth_decompose", "smooth_sieve"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -330,15 +330,15 @@ def _run_alpha(cfg: RunConfig):
     from .smooth import saddle_alpha
 
     xs, ys = _xy_grid(cfg)
-    sps = list(map(saddle_alpha, xs, ys))
-    return ["x", "y", "alpha", "residual"], [{"x": xs, "y": ys, "alpha": [sp.alpha for sp in sps],
-                                              "residual": [sp.residual for sp in sps]}]
+    roots = list(map(saddle_alpha, xs, ys))
+    return ["x", "y", "alpha", "residual"], [{"x": xs, "y": ys, "alpha": [alpha for alpha, _ in roots],
+                                              "residual": [residual for _, residual in roots]}]
 
 
 def _run_kloosterman(cfg: RunConfig):
     if cfg.M is None or cfg.x is None or cfg.a is None or cfg.q is None or cfg.y is None:
         raise ValueError("kloosterman needs --M, --x, --a, --q, --y")
-    from .expsums import KloostermanParams, kl_members, kl_smooth_average, kloos_bound_rhs, optimal_z
+    from .expsums import _kl_cell, kl_smooth_average, kloos_bound_rhs, optimal_z
 
     cols = ["M", "x", "a", "q", "y", "value", "z", "bound_rhs", "ratio"]
     ys = _float_list(cfg.y)
@@ -347,14 +347,11 @@ def _run_kloosterman(cfg: RunConfig):
     y = ys[0]
     M_list, x_list = _float_list(cfg.M), _float_list(cfg.x)
     Ms, xs = [M for M in M_list for _ in x_list], x_list * len(M_list)
-    zs = [optimal_z(x, y) for x in xs]  # every cell's z and params are checked before any sum runs
-    rhss = [kloos_bound_rhs(KloostermanParams(M, x, cfg.a, cfg.q, y, z, cfg.eta)) for M, x, z in zip(Ms, xs, zs)]
-    members = {}  # each distinct x is sieved once, and every cell's m×n pairs are checked before any sum runs
+    zs = [optimal_z(x, y) for x in xs]  # every cell's z and bound arguments are checked before any sum runs
+    rhss = [kloos_bound_rhs(M, x, cfg.a, y, z, cfg.eta) for M, x, z in zip(Ms, xs, zs)]
+    members = {}  # each distinct x is sieved once, and every cell's moduli and m×n pairs are checked before any sum
     for M, x in zip(Ms, xs):
-        if x not in members:
-            members[x] = kl_members(x, cfg.q, y)
-        if (math.floor(2 * M) - math.floor(M)) * len(members[x][0]) > cfg.budget:
-            raise BudgetExceededError("m x n loop exceeds budget")
+        members[x] = _kl_cell(M, x, cfg.q, y, cfg.budget, members.get(x))[2]
     values = [kl_smooth_average(M, x, cfg.a, cfg.q, y, cfg.budget, members[x]) for M, x in zip(Ms, xs)]
     ratios = [value / rhs if rhs else None for value, rhs in zip(values, rhss)]
     return cols, [{"M": Ms, "x": xs, "a": cfg.a, "q": cfg.q, "y": y, "value": values, "z": zs, "bound_rhs": rhss,

@@ -393,10 +393,11 @@ def _sieve_classes(q: int, offsets, window, Y: float):
 
 def _class_counts(q: int, a: int, window, Y: float):
     """(rs, counts): the r of `window`'s classes (_class_starts) and the n in
-    [lo, hi] with P⁺(n) ≤ Y each holds, from its offset when Y ≥ hi."""
+    [lo, hi] with P⁺(n) ≤ Y each holds, from its offset when Y ≥ hi or when
+    no class is coprime to q."""
     lo, hi, rows = window[:3]
     offsets, rs = _class_starts(q, a, window)
-    if Y >= hi:
+    if Y >= hi or not len(rs):
         return rs, rows - 1 + (offsets <= (hi - lo) % q)
     return rs, sum(np.count_nonzero(members, axis=0) for _, _, members in _sieve_classes(q, offsets, window, Y))
 

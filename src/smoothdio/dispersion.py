@@ -81,7 +81,7 @@ def bump_phi_array(x: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 _GL_CACHE = {}
-_GL_MAX_NODES = 1 << 17
+_GL_MAX_NODES = 1 << 12  # the last doubling: leggauss(n) builds an n×n matrix, 128 MB at 2¹²
 
 
 def _gl_weights(n: int):
@@ -96,7 +96,8 @@ def _gl_weights(n: int):
 
 
 def _transition_transform(mu: np.ndarray, tol: float):
-    """G(μ) = ∫₀¹ g(s) e(−μs) ds for each μ, with a doubling certificate."""
+    """G(μ) = ∫₀¹ g(s) e(−μs) ds for each μ, with a doubling certificate;
+    NonConvergenceError when _GL_MAX_NODES nodes do not meet tol."""
     n = 64
     s, wg = _gl_weights(n)
     prev = np.exp(-2j * pi * np.outer(mu, s)) @ wg
@@ -169,7 +170,7 @@ def phi_weight(n: int, R: float, q: int, a: int) -> float:
     return bump_phi(r / R)
 
 
-def phi_weight_poisson(n: int, R: float, q: int, a: int, Kmax: int, tol: float = 1e-10) -> float:
+def phi_weight_poisson(n: int, R: float, q: int, a: int, Kmax: int) -> float:
     """Poisson-expanded weight (R/q)·Σ_{|k| ≤ Kmax} φ̂(kR/q) e(nak/q).
 
     The caller picks the truncation: the bump's transform still carries ~1e-2
@@ -181,7 +182,7 @@ def phi_weight_poisson(n: int, R: float, q: int, a: int, Kmax: int, tol: float =
 
     ks = np.arange(1, Kmax + 1, dtype=np.int64)
     xis = ks * (R / q)
-    vals, _ = bump_fourier_array(xis, tol) if Kmax >= 1 else (np.zeros(0, np.complex128), 0.0)
+    vals, _ = bump_fourier_array(xis) if Kmax >= 1 else (np.zeros(0, np.complex128), 0.0)
     m0 = (int(n) * int(a)) % q
     phases = np.exp(2j * pi * ((m0 * ks) % q) / q)
     terms = vals * phases

@@ -12,7 +12,6 @@ Each block of moduli is then summed in one flat pass over its unit entries,
 in the narrowest dtype that holds every residue product (arith.product_dtype).
 """
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import ceil, floor, hypot, pi
 
@@ -80,19 +79,23 @@ def kl_smooth_average(M: float, x: float, a: int, q: int, y: float, budget: int 
         raise ValueError("need M, x >= 2")
     if a == 0:
         raise ValueError("a must be nonzero")
-    if q < 1:
-        raise ValueError("q must be >= 1")
-    m_lo = int(floor(M)) + 1
-    m_hi = int(floor(2 * M))
+    m_lo, m_hi, (ns, pplus) = _kl_cell(M, x, q, y, budget, members)
+    return sum(_abs_inverse_sums(a, _member_inverses(ns, pplus, m_lo, m_hi)), 0.0)
+
+
+def _kl_cell(M: float, x: float, q: int, y: float, budget: int, members: tuple = None) -> tuple:
+    """(m_lo, m_hi, members) of the sum Kl_y(M, x; a, q), whose moduli m_lo, …,
+    m_hi run through (M, 2M], once it passes the Kloosterman refusal: a
+    modulus past INVERSE_TABLE_CAPACITY before x is sieved, then m×n pairs
+    past budget.  members is kl_members(x, q, y), sieved here unless given."""
+    m_lo, m_hi = int(floor(M)) + 1, int(floor(2 * M))
     if m_hi > INVERSE_TABLE_CAPACITY:
         raise CapacityError(f"modulus {m_hi} exceeds inverse-table capacity")
-    n_max = int(ceil(x)) - 1  # n < x
-    if n_max < 1 or m_hi < m_lo:
-        return 0.0
-    ns, pplus = kl_members(x, q, y) if members is None else members
-    if (m_hi - m_lo + 1) * len(ns) > budget:
+    if members is None:
+        members = kl_members(x, q, y)
+    if (m_hi - m_lo + 1) * len(members[0]) > budget:
         raise BudgetExceededError("m x n loop exceeds budget")
-    return sum(_abs_inverse_sums(a, _member_inverses(ns, pplus, m_lo, m_hi)), 0.0)
+    return m_lo, m_hi, members
 
 
 def _abs_inverse_sums(a: int, blocks):
@@ -153,40 +156,23 @@ def _member_inverses(ns: np.ndarray, pplus: np.ndarray, m_lo: int, m_hi: int):
         yield ms[:, 0], inv
 
 
-@dataclass
-class KloostermanParams:
-    """Inputs of the smooth-average bound: 2 ≤ y ≤ z < x, M ≥ 2, a ≠ 0."""
-
-    M: float
-    x: float
-    a: int
-    q: int
-    y: float
-    z: float
-    eta: float
-
-    def __post_init__(self):
-        if self.M < 2:
-            raise ValueError("M must be >= 2")
-        if not (2 <= self.y <= self.z < self.x):
-            raise ValueError("need 2 <= y <= z < x")
-        if self.a == 0:
-            raise ValueError("a must be nonzero")
-        if self.q < 1:
-            raise ValueError("q must be >= 1")
-        if self.eta <= 0:
-            raise ValueError("eta must be > 0")
-
-
-def kloos_bound_rhs(params: KloostermanParams) -> float:
-    """The proved comparator with implied constant 1:
+def kloos_bound_rhs(M: float, x: float, a: int, y: float, z: float, eta: float) -> float:
+    """The proved comparator with implied constant 1, for 2 ≤ y ≤ z < x, M ≥ 2,
+    a ≠ 0 and eta > 0:
 
     (|a|xM)^η (1 + |a|/(xM))^{1/2} (M x^{1/2} y^{1/2} z^{1/2}
         + x^{3/2} M^{1/2} z^{-1/4}) + M z.
     """
-    M, x, y, z = params.M, params.x, params.y, params.z
-    amp = (abs(params.a) * x * M) ** params.eta
-    lead = (1.0 + abs(params.a) / (x * M)) ** 0.5
+    if M < 2:
+        raise ValueError("M must be >= 2")
+    if not (2 <= y <= z < x):
+        raise ValueError("need 2 <= y <= z < x")
+    if a == 0:
+        raise ValueError("a must be nonzero")
+    if eta <= 0:
+        raise ValueError("eta must be > 0")
+    amp = (abs(a) * x * M) ** eta
+    lead = (1.0 + abs(a) / (x * M)) ** 0.5
     core = M * x**0.5 * y**0.5 * z**0.5 + x**1.5 * M**0.5 * z**-0.25
     return amp * lead * core + M * z
 

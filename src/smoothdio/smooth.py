@@ -10,7 +10,6 @@ residual-checked accuracy so they can serve as diagnostics against the exact
 counts.
 """
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import ceil, floor, frexp, isqrt, ldexp, log
 
@@ -279,16 +278,6 @@ def dickman_rho(u: float, tol: float = 1e-9) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class SaddlePoint:
-    """Root of Σ_{p ≤ y} log p / (p^α − 1) = log x, with the residual kept."""
-
-    x: float
-    y: float
-    alpha: float
-    residual: float
-
-
 _SADDLE_PRIMES = np.zeros(0)  # every prime <= _SADDLE_LIMIT as float64, read-only
 _SADDLE_LOGS = np.zeros(0)  # their logs, read-only
 _SADDLE_WORK = np.zeros((3, 0))  # three scratch rows as long as the table, for _saddle_sums
@@ -339,8 +328,9 @@ def _saddle_bracket(yi: int) -> tuple:
     return g(0.01), g(1.5)
 
 
-def saddle_alpha(x: float, y: float) -> SaddlePoint:
-    """Solve the saddle-point equation by Newton iteration seeded with
+def saddle_alpha(x: float, y: float) -> tuple:
+    """(alpha, residual): the root of Σ_{p ≤ y} log p / (p^α − 1) = log x and
+    the equation's residual there, by Newton iteration seeded with
     1 − log(u log u)/log y, with bisection fallback on (0.01, 1.5).
 
     The primes and their logs are prefix slices of one float64 table kept
@@ -371,7 +361,7 @@ def saddle_alpha(x: float, y: float) -> SaddlePoint:
     for _ in range(200):
         res = g(a) - target
         if abs(res) <= 1e-11 * target:
-            return SaddlePoint(x, y, a, res)
+            return a, res
         if hi_a - lo_a < 5e-16 * a:  # bracket exhausted at double precision
             break
         if res > 0:

@@ -333,6 +333,8 @@ def test_write_error_exit_code(tmp_path, monkeypatch, capsys):
         ["search", "--alpha", "dec:1.5:-5", "--theta", "1/4", "--qmax", "30"],
         # refused before 10^prec is formed: building it would not end
         ["search", "--alpha", "dec:1.5:99999999999", "--theta", "1/4", "--qmax", "30"],
+        ["kloosterman", "--M", "5", "--x", "20", "--a", "3", "--q", "0", "--y", "7"],  # q must be >= 1
+        ["kloosterman", "--M", "5", "--x", "20", "--a", "3", "--q", "2", "--y", "7,11"],  # a single --y
     ],
 )
 def test_bad_numeric_inputs_rejected(args, capsys):
@@ -408,6 +410,20 @@ def test_kloosterman_checks_every_cells_budget_before_any_sum(monkeypatch, capsy
     assert captured.out == ""
     assert "budget" in captured.err
     assert sieved == [3003.0]  # both cells share one sieve
+
+
+def test_kloosterman_checks_every_cells_modulus_cap_before_any_sum(monkeypatch, capsys):
+    # the first cell's 3000 moduli fit; the second runs m to 3e6 > INVERSE_TABLE_CAPACITY
+    def refuse(*args):
+        raise AssertionError("kl_smooth_average ran before every cell's modulus cap was checked")
+
+    monkeypatch.setattr(expsums, "kl_smooth_average", refuse)
+    code = main(["kloosterman", "--M", "3000,1500000", "--x", "100000", "--a", "5", "--q", "7", "--y", "100",
+                 "--budget", "1e13"])
+    assert code == EXIT_BUDGET
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "modulus 3000000 exceeds inverse-table capacity" in captured.err
 
 
 @pytest.mark.parametrize("report, message", [("all", "sigma needs --theta"), ("foo", "unknown report kind 'foo'")])
@@ -501,6 +517,21 @@ def test_sigma_charges_the_budget_with_its_class_layout(capsys):
     assert main(args + ["--budget", "179"]) == EXIT_OK
     assert main(args + ["--budget", "178"]) == EXIT_BUDGET
     assert "179 residues at q = 17711 exceed budget" in capsys.readouterr().err
+
+
+def test_search_member_floor_refuses_before_any_member_array(monkeypatch, capsys):
+    # q = 2584 with vacuous Y: 1045 classes of at least 20 members each, against a budget of 1000
+    def refuse(*args):
+        raise AssertionError("a member array was built before the member floor was checked")
+
+    monkeypatch.setattr(diophantine, "build_target_set", refuse)
+    monkeypatch.setattr(diophantine, "_class_starts", refuse)
+    code = main(["search", "--alpha", "quad:1,1,5,2", "--theta", "1/4", "--qmin", "2584", "--qmax", "2584",
+                 "--budget", "1000"])
+    assert code == EXIT_BUDGET
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: at least 20900 members at q = 2584 exceed budget\n"
 
 
 @pytest.mark.parametrize("flag, value", [("--Y", "1"), ("--Y", "0.5"), ("--Y", "-3"), ("--C", "0"), ("--C", "-2")],

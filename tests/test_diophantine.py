@@ -166,6 +166,9 @@ def test_decimal_convergents_refuse_past_the_precision():
     assert list(islice(walk, 11)) == certified
     with pytest.raises(CapacityError):
         next(walk)
+    # 8119/19601 lies 5.3e-10 from 0.41421356, but the width 1e-8 spans 1/19601² = 2.6e-9
+    with pytest.raises(CapacityError, match="cannot certify convergent 8119/19601"):
+        cf_convergents(DecimalAlpha(Fraction("0.41421356"), 8), 30)
 
 
 def surd_reference(A, B, d, C):

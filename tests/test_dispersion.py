@@ -25,7 +25,7 @@ from smoothdio.dispersion import (
     type1_report,
     type2_report,
 )
-from smoothdio.errors import BudgetExceededError, CapacityError
+from smoothdio.errors import BudgetExceededError, CapacityError, NonConvergenceError
 from smoothdio.smooth import local_density, smooth_sieve
 
 
@@ -170,6 +170,19 @@ def test_phi_weight_poisson_converges_to_direct():
     assert worst <= 1e-6
 
 
+def test_quadrature_cap_is_reachable_and_refuses_past_it(monkeypatch):
+    # leggauss(n) builds an n×n float64 matrix: the cap's stays within 128 MB,
+    # and the criteria's frequencies converge at 512 nodes
+    assert 512 <= dispersion._GL_MAX_NODES and dispersion._GL_MAX_NODES**2 * 8 <= 1 << 27
+    seen = []
+    real = dispersion._gl_weights
+    monkeypatch.setattr(dispersion, "_gl_weights", lambda n: seen.append(n) or real(n))
+    monkeypatch.setattr(dispersion, "_GL_MAX_NODES", 256)
+    with pytest.raises(NonConvergenceError, match="did not converge"):
+        bump_fourier(1e3)
+    assert seen == [64, 128, 256]  # the doubling stops at the cap
+
+
 # ---------------------------------------------------------------------------
 # sums
 # ---------------------------------------------------------------------------
@@ -224,6 +237,9 @@ def sigma_fsum_oracle(q, a, theta, Y):
         (2310, 13, Fraction(1, 3), float("inf"), "Y >= hi"),
         (1009, 5, Fraction(1, 5), 1e7, "Y >= hi"),
         (31, 12, Fraction(1, 4), None, "Y >= hi"),  # Y = (log X)^10
+        # R = 13.1: every r in [3, 10] shares a prime with 210, so no class is sieved and Σ = 0
+        (210, 1, Fraction(7, 20), 10.0, "Y <= sqrt(hi)"),
+        (210, 1, Fraction(7, 20), float("inf"), "Y >= hi"),
     ],
 )
 def test_sigma_qR_is_the_correctly_rounded_member_sum(q, a, theta, Y, regime):

@@ -24,7 +24,7 @@ def test_every_export_resolves_to_its_module_attribute():
 
 @pytest.mark.parametrize("name", ["SmoothSieve", "Factorization", "no_such_name", "gcd_sum", "euler_phi",
                                   "incomplete_inverse_sum", "psi_q", "psi_q_estimate", "hildebrand_estimate",
-                                  "mod_inverse", "rho_table", "RhoTable"])
+                                  "mod_inverse", "rho_table", "RhoTable", "KloostermanParams", "SaddlePoint"])
 def test_names_off_the_table_raise_attribute_error(name):
     with pytest.raises(AttributeError, match=name):
         getattr(smoothdio, name)

@@ -8,9 +8,8 @@ import pytest
 
 from smoothdio import expsums
 from smoothdio.arith import coprime_count, inverse_mod, largest_prime_factor, product_dtype, sieve_primes
-from smoothdio.errors import BudgetExceededError
+from smoothdio.errors import BudgetExceededError, CapacityError
 from smoothdio.expsums import (
-    KloostermanParams,
     complete_kloosterman,
     kl_smooth_average,
     kloos_bound_rhs,
@@ -129,6 +128,15 @@ def test_kl_budget():
         kl_smooth_average(100, 100, 1, 1, 50, budget=10)
 
 
+def test_kl_refuses_a_modulus_over_capacity_before_the_sieve(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("x was sieved before the modulus cap was checked")
+
+    monkeypatch.setattr(expsums, "kl_members", refuse)
+    with pytest.raises(CapacityError, match="modulus 2000002"):
+        kl_smooth_average(1_000_001, 10**7, 1, 1, 50)
+
+
 @pytest.mark.parametrize(
     "x, y, q",
     [
@@ -215,21 +223,24 @@ def test_splitting_consistency():
 
 
 def test_kloos_bound_rhs_formula():
-    p = KloostermanParams(M=1e3, x=1e3, a=10**6, q=1, y=30, z=1e2, eta=0.01)
     M, x, y, z, a, eta = 1e3, 1e3, 30, 1e2, 10**6, 0.01
     expect = (abs(a) * x * M) ** eta * (1 + abs(a) / (x * M)) ** 0.5 * (
         M * x**0.5 * y**0.5 * z**0.5 + x**1.5 * M**0.5 * z**-0.25
     ) + M * z
-    assert kloos_bound_rhs(p) == pytest.approx(expect, rel=1e-14)
+    assert kloos_bound_rhs(M, x, a, y, z, eta) == pytest.approx(expect, rel=1e-14)
 
 
 def test_kloos_params_validation():
-    with pytest.raises(ValueError):
-        KloostermanParams(1, 10, 1, 1, 2, 3, 0.1)  # M < 2
-    with pytest.raises(ValueError):
-        KloostermanParams(2, 10, 1, 1, 5, 3, 0.1)  # y > z
-    with pytest.raises(ValueError):
-        KloostermanParams(2, 10, 0, 1, 2, 3, 0.1)  # a = 0
+    with pytest.raises(ValueError, match="M must be >= 2"):
+        kloos_bound_rhs(1, 10, 1, 2, 3, 0.1)
+    with pytest.raises(ValueError, match="need 2 <= y <= z < x"):
+        kloos_bound_rhs(2, 10, 1, 5, 3, 0.1)  # y > z
+    with pytest.raises(ValueError, match="need 2 <= y <= z < x"):
+        kloos_bound_rhs(2, 10, 1, 2, 10, 0.1)  # z = x
+    with pytest.raises(ValueError, match="a must be nonzero"):
+        kloos_bound_rhs(2, 10, 0, 2, 3, 0.1)
+    with pytest.raises(ValueError, match="eta must be > 0"):
+        kloos_bound_rhs(2, 10, 1, 2, 3, 0.0)
 
 
 def test_main_terms_balance_at_exponent_choice():
@@ -266,7 +277,7 @@ def test_kl_ratio_diagnostic_report():
     for (M, x, y) in ((10, 40, 5), (20, 80, 10), (30, 120, 20)):
         v = kl_smooth_average(M, x, 3, 2, y)
         z = optimal_z(x, y)
-        rhs = kloos_bound_rhs(KloostermanParams(M, x, 3, 2, y, z, 0.05))
+        rhs = kloos_bound_rhs(M, x, 3, y, z, 0.05)
         rows.append((M, x, y, v / rhs))
     print("Kl/bound ratios (eta=0.05):", rows)
     assert all(r[3] < 10 for r in rows)

@@ -11,7 +11,6 @@ from smoothdio.errors import CapacityError, NonConvergenceError
 from smoothdio.smooth import (
     RHO_U_MAX,
     SADDLE_PRIME_CAPACITY,
-    SaddlePoint,
     dickman_rho,
     largest_prime_factor_array,
     local_density,
@@ -285,9 +284,9 @@ def test_rho_certificate():
 
 
 def test_saddle_single_prime_closed_form():
-    sp = saddle_alpha(4, 2)
-    assert sp.alpha == pytest.approx(math.log2(1.5), abs=1e-12)
-    assert abs(sp.residual) <= 1e-10 * log(4)
+    alpha, residual = saddle_alpha(4, 2)
+    assert alpha == pytest.approx(math.log2(1.5), abs=1e-12)
+    assert abs(residual) <= 1e-10 * log(4)
 
 
 def test_saddle_two_primes_bisection_oracle():
@@ -304,15 +303,15 @@ def test_saddle_two_primes_bisection_oracle():
             lo = mid
         else:
             hi = mid
-    sp = saddle_alpha(6, 3)
-    assert sp.alpha == pytest.approx((lo + hi) / 2, abs=1e-10)
+    alpha, _ = saddle_alpha(6, 3)
+    assert alpha == pytest.approx((lo + hi) / 2, abs=1e-10)
 
 
 def test_saddle_residual_invariant():
     for x, y in ((100, 10), (10**4, 100), (10**6, 1000), (50, 50)):
-        sp = saddle_alpha(x, y)
-        assert abs(sp.residual) <= 1e-10 * log(x)
-        assert 0.01 < sp.alpha < 1.5
+        alpha, residual = saddle_alpha(x, y)
+        assert abs(residual) <= 1e-10 * log(x)
+        assert 0.01 < alpha < 1.5
 
 
 def test_saddle_out_of_bracket():
@@ -320,7 +319,7 @@ def test_saddle_out_of_bracket():
         saddle_alpha(1.05, 2)  # root above 1.5
 
 
-def saddle_alpha_reference(x: float, y: float) -> SaddlePoint:
+def saddle_alpha_reference(x: float, y: float) -> tuple:
     """The solver before the shared prime-log table, as it was: fresh arrays
     every step, both bracket ends for every x, the slope at every step."""
     if y < 2:
@@ -354,7 +353,7 @@ def saddle_alpha_reference(x: float, y: float) -> SaddlePoint:
         g, slope = g_and_slope(a)
         res = g - target
         if abs(res) <= 1e-11 * target:
-            return SaddlePoint(x, y, a, res)
+            return a, res
         if hi_a - lo_a < 5e-16 * a:  # bracket exhausted at double precision
             break
         if res > 0:
@@ -387,8 +386,7 @@ def test_saddle_alpha_equals_the_reference_solver(monkeypatch):
         _reset_saddle_cache(monkeypatch)
         for y in order:
             for u in us:
-                got, ref = saddle_alpha(y**u, y), want[(u, y)]
-                assert (got.alpha, got.residual) == (ref.alpha, ref.residual), (u, y)
+                assert saddle_alpha(y**u, y) == want[(u, y)], (u, y)
 
 
 def test_saddle_out_of_bracket_with_the_bracket_cached(monkeypatch):
@@ -404,11 +402,11 @@ def test_saddle_out_of_bracket_with_the_bracket_cached(monkeypatch):
 
 def test_doubling_factor():
     # the doubling law Ψ(2x, y) ≈ 2^α Ψ(x, y) against exact counts
-    d = 2.0 ** saddle_alpha(1e6, 1e3).alpha
+    d = 2.0 ** saddle_alpha(1e6, 1e3)[0]
     exact = psi(2e6, 1e3) / psi(1e6, 1e3)
     assert 0.9 <= d / exact <= 1.1
     for x, y in ((100, 10), (10**4, 100)):
-        assert 1.0 < 2.0 ** saddle_alpha(x, y).alpha <= 2.0
+        assert 1.0 < 2.0 ** saddle_alpha(x, y)[0] <= 2.0
 
 
 def test_crude_shape_diagnostic():
