@@ -28,11 +28,10 @@ from math import ceil, exp, floor, gcd, log, pi
 import numpy as np
 
 from .arith import product_dtype
-from .diophantine import _LAYOUT_CHUNK, _class_counts, _target_window, derive_params
+from .diophantine import _INT64_TOP, _LAYOUT_CHUNK, _class_counts, _target_window, derive_params
 from .errors import BudgetExceededError, CapacityError, NonConvergenceError
 from .smooth import SIEVE_CAPACITY, smooth_sieve
 
-_TWO_PI = 2.0 * pi
 _WINDOW_CAPACITY = SIEVE_CAPACITY  # smooth_sieve's cap on a window, which the unsieved φ window takes too
 
 
@@ -80,35 +79,31 @@ def bump_phi_array(x: np.ndarray) -> np.ndarray:
 # Fourier transform of the bump
 # ---------------------------------------------------------------------------
 
-_GL_CACHE = {}
-_GL_MAX_NODES = 1 << 12  # the last doubling: leggauss(n) builds an n×n matrix, 128 MB at 2¹²
-
-
-def _gl_weights(n: int):
-    """Gauss–Legendre nodes on [0, 1] with weights premultiplied by g."""
-    cached = _GL_CACHE.get(n)
-    if cached is None:
-        x, w = np.polynomial.legendre.leggauss(n)
-        s = 0.5 * (x + 1.0)
-        cached = (s, 0.5 * w * _g_array(s))
-        _GL_CACHE[n] = cached
-    return cached
+_MAX_PANELS = 1 << 12  # the last doubling, 2¹⁷ nodes: φ̂(3.5e5) converges there, φ̂(4e5) does not
+_PHASE_BLOCK = 1 << 14  # μ × node phase entries formed at once: 256 KB of complex128
 
 
 def _transition_transform(mu: np.ndarray, tol: float):
-    """G(μ) = ∫₀¹ g(s) e(−μs) ds for each μ, with a doubling certificate;
-    NonConvergenceError when _GL_MAX_NODES nodes do not meet tol."""
-    n = 64
-    s, wg = _gl_weights(n)
-    prev = np.exp(-2j * pi * np.outer(mu, s)) @ wg
-    while n < _GL_MAX_NODES:
-        n *= 2
-        s, wg = _gl_weights(n)
-        cur = np.exp(-2j * pi * np.outer(mu, s)) @ wg
-        err = float(np.max(np.abs(cur - prev))) if len(mu) else 0.0
-        if err <= tol:
-            return cur, err
-        prev = cur
+    """G(μ) = ∫₀¹ g(s) e(−μs) ds for each μ by one 32-point Gauss–Legendre
+    rule on 2, 4, 8, … equal panels of [0, 1], with a doubling certificate: the
+    largest change between two levels is ≤ tol.  NonConvergenceError when
+    _MAX_PANELS panels do not meet it."""
+    from numpy.polynomial.legendre import leggauss  # here, so no command imports numpy.polynomial
+
+    x, w = leggauss(32)
+    prev, panels = None, 2
+    while panels <= _MAX_PANELS:
+        s = ((np.arange(panels)[:, None] + 0.5 * (x + 1.0)) / panels).ravel()
+        wg = np.tile(w, panels) * _g_array(s) / (2 * panels)
+        cur = np.empty(len(mu), np.complex128)
+        rows = max(1, _PHASE_BLOCK // len(s))
+        for i in range(0, len(mu), rows):
+            cur[i : i + rows] = np.exp(-2j * pi * np.outer(mu[i : i + rows], s)) @ wg
+        if prev is not None:
+            err = float(np.max(np.abs(cur - prev), initial=0.0))
+            if err <= tol:
+                return cur, err
+        prev, panels = cur, 2 * panels
     raise NonConvergenceError("transition quadrature did not converge")
 
 
@@ -181,10 +176,10 @@ def phi_weight_poisson(n: int, R: float, q: int, a: int, Kmax: int) -> float:
         raise ValueError("Kmax must be >= 0")
 
     ks = np.arange(1, Kmax + 1, dtype=np.int64)
-    xis = ks * (R / q)
-    vals, _ = bump_fourier_array(xis) if Kmax >= 1 else (np.zeros(0, np.complex128), 0.0)
+    vals, _ = bump_fourier_array(ks * (R / q))
     m0 = (int(n) * int(a)) % q
-    phases = np.exp(2j * pi * ((m0 * ks) % q) / q)
+    x = ks if (q - 1) * max(Kmax, 1) < _INT64_TOP else ks.astype(object)  # m0 < q, m0·k: Python ints past int64
+    phases = np.exp(2j * pi * ((m0 * x) % q / q).astype(np.float64))
     terms = vals * phases
     total = phi_hat_zero() + complex(np.sum(terms + np.conj(terms)))
     if abs(total.imag) > 1e-9:

@@ -342,6 +342,34 @@ def test_bad_numeric_inputs_rejected(args, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize("args, message", [
+    (["rho", "--u", "1", "--budget", "0"], "budget must be positive"),
+    (["dispersion", "--q", "101", "--a", "2", "--report", "type1"], "type1/type2/sums need --M, --N, --R, --Y"),
+    (["dispersion", "--q", "101", "--a", "2", "--M", "2,3", "--N", "10", "--R", "20", "--Y", "5", "--report", "type1"],
+     "dispersion takes a single --M"),
+    (["psi", "--x", "-1", "--y", "3"], "x must be >= 0"),
+    (["search", "--alpha", "quad:1,2", "--theta", "1/4", "--qmax", "30"], "bad quad spec 'quad:1,2'"),
+    (["search", "--alpha", "dec:1.5", "--theta", "1/4", "--qmax", "30"], "bad dec spec 'dec:1.5'"),
+])
+def test_bad_config_names_its_cause(args, message, capsys):
+    assert main(args) == EXIT_BAD_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {message}\n"
+
+
+def test_psi_below_y_1_counts_only_n_1(capsys):
+    # Ψ(x, y) = 1 for 1 ≤ y < 2 (n = 1 alone) and 0 for y < 1
+    assert main(["psi", "--x", "100", "--y", "1.5,0.5", "--format", "csv"]) == EXIT_OK
+    assert capsys.readouterr().out.splitlines()[1:] == ["100.0,1.5,1", "100.0,0.5,0"]
+
+
+def test_kloosterman_window_past_sieve_capacity_exits_3_with_nothing_written(capsys):
+    assert main(["kloosterman", "--M", "10", "--x", "3e7", "--a", "1", "--q", "1", "--y", "100"]) == EXIT_BUDGET
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: interval length 29999999 exceeds sieve capacity 20000000\n"
+
+
 def test_float_overflow_exit_code(capsys):
     # finite flags whose derived scales overflow a float are a capacity error
     assert main(["search", "--alpha", "quad:1,1,5,2", "--theta", "1/4", "--qmax", "20", "--C", "1e30"]) == EXIT_BUDGET
@@ -488,21 +516,35 @@ def test_dispersion_refuses_a_residue_weight_table_over_capacity(monkeypatch, ca
     assert captured.err == "error: 75000000002 residue weights at q = 999999999989 exceed sieve capacity\n"
 
 
-def test_rho_imports_only_what_it_runs():
+def _run_importtime(args):
+    """(stdout, modules imported) of one `python -X importtime -m smoothdio.cli` run that exits 0."""
     import os
     import subprocess
     from pathlib import Path
 
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
-    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "smoothdio.cli", "rho", "--u", "1"], env=env,
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "smoothdio.cli", *args], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == EXIT_OK
-    assert json.loads(proc.stdout)["rows"] == [{"rho": 1.0, "tol": 1e-09, "u": 1.0}]
     loaded = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines() if line.startswith("import time:")}
+    return proc.stdout, loaded
+
+
+def test_rho_imports_only_what_it_runs():
+    out, loaded = _run_importtime(["rho", "--u", "1"])
+    assert json.loads(out)["rows"] == [{"rho": 1.0, "tol": 1e-09, "u": 1.0}]
     assert "smoothdio.smooth" in loaded
     unused = {"smoothdio.diophantine", "smoothdio.dispersion", "smoothdio.expsums", "smoothdio.numfmt", "fractions"}
     assert not loaded & unused
+
+
+def test_dispersion_all_never_imports_numpy_polynomial():
+    # φ̂'s Gauss–Legendre rule is built inside the quadrature, which no command calls
+    out, loaded = _run_importtime(["dispersion", "--q", "101", "--a", "2", "--M", "15", "--N", "15", "--R", "20",
+                                   "--Y", "5", "--theta", "1/3", "--report", "all"])
+    assert len(json.loads(out)["rows"]) == 5
+    assert "smoothdio.dispersion" in loaded and "numpy.polynomial" not in loaded
 
 
 def test_sigma_charges_the_budget_with_its_class_layout(capsys):

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 import tracemalloc
 from fractions import Fraction
 from math import ceil, gcd, pi
@@ -171,16 +172,46 @@ def test_phi_weight_poisson_converges_to_direct():
 
 
 def test_quadrature_cap_is_reachable_and_refuses_past_it(monkeypatch):
-    # leggauss(n) builds an n×n float64 matrix: the cap's stays within 128 MB,
-    # and the criteria's frequencies converge at 512 nodes
-    assert 512 <= dispersion._GL_MAX_NODES and dispersion._GL_MAX_NODES**2 * 8 <= 1 << 27
+    # each level weighs g at its nodes once: 2, 4, 8 panels of 32 nodes, then the patched cap refuses
     seen = []
-    real = dispersion._gl_weights
-    monkeypatch.setattr(dispersion, "_gl_weights", lambda n: seen.append(n) or real(n))
-    monkeypatch.setattr(dispersion, "_GL_MAX_NODES", 256)
+    real = dispersion._g_array
+    monkeypatch.setattr(dispersion, "_g_array", lambda s: seen.append(len(s)) or real(s))
+    monkeypatch.setattr(dispersion, "_MAX_PANELS", 8)
     with pytest.raises(NonConvergenceError, match="did not converge"):
         bump_fourier(1e3)
-    assert seen == [64, 128, 256]  # the doubling stops at the cap
+    assert seen == [64, 128, 256]
+
+
+def test_large_frequencies_converge_in_milliseconds():
+    # 1e4 converges at 256 panels (8192 nodes) and 5e4 at 1024, inside the 2¹² panel cap
+    t0 = time.perf_counter()
+    assert abs(bump_fourier(1e4)) < 1e-12
+    assert time.perf_counter() - t0 < 0.1
+    assert abs(bump_fourier(5e4)) < 1e-12
+
+
+def test_poisson_phases_are_formed_a_block_at_a_time():
+    # 32000 frequencies at 128 nodes: as one complex matrix the phases alone take 62 MB
+    tracemalloc.start()
+    try:
+        value = phi_weight_poisson(1, 50.0, 20011, 3, 32000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert abs(value + 8.166815330537136e-06) <= 1e-12
+    assert peak <= 16 << 20
+
+
+@pytest.mark.parametrize("q, n", [(10**17 + 3, 25 * 10**15), (10**17 + 3, 2 * 10**16 + 7), (3 * 10**18 + 37, 10**18 + 9)])
+def test_phi_weight_poisson_phases_are_exact_past_int64(q, n):
+    # (n·a mod q)·k passes 2⁶³ for k ≤ 480: int64 phases would wrap, reading −1.08e-5 for 8.97e-7 in
+    # the first case and 0.057 off in the last
+    R, a, K = q / 3, 1, 480
+    vals, _ = bump_fourier_array(np.arange(1, K + 1) * (R / q))
+    phases = np.exp(2j * pi * np.array([float(Fraction(n * a * k % q, q)) for k in range(1, K + 1)]))
+    terms = vals * phases
+    expect = (R / q) * (phi_hat_zero() + float(np.sum(terms + np.conj(terms)).real))
+    assert abs(phi_weight_poisson(n, R, q, a, K) - expect) <= 1e-15
 
 
 # ---------------------------------------------------------------------------

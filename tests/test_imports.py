@@ -95,3 +95,58 @@ def test_unread_names_finds_a_leftover():
     # a docstring is not a read
     assert unread_names({"m": module}, ['"""spare_fn, traced_fn"""\n'], set()) == [
         "m.C.spare", "m.spare_fn", "m.traced_fn"]
+
+
+def private_names(source: str) -> list:
+    """The private top-level names the module binds by def, class or
+    assignment (dunder names excepted)."""
+    names = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [n.id for target in targets for n in ast.walk(target) if isinstance(n, ast.Name)]
+    return [name for name in names if name.startswith("_") and not name.startswith("__")]
+
+
+def imported_or_attribute_names(source: str) -> set:
+    """The names the source imports, or loads as `obj.name`."""
+    read = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            read.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            read.update(alias.name.split(".")[-1] for alias in node.names)
+    return read
+
+
+def unread_private_names(modules: dict, readers: list) -> list:
+    """The private top-level names of `modules` (module name → source), as
+    `module.name`, that their own module never loads and that no other
+    module and no reader source imports or loads as an attribute."""
+    unread = []
+    for module, source in modules.items():
+        own = {node.id for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Name)
+               and isinstance(node.ctx, ast.Load)}
+        others = [text for name, text in modules.items() if name != module] + readers
+        read = own.union(*(imported_or_attribute_names(text) for text in others))
+        unread += [f"{module}.{name}" for name in private_names(source) if name not in read]
+    return unread
+
+
+def test_every_private_name_is_read():
+    # a test may read a private name (an oracle, a patched cap); src must read the rest itself
+    modules = {path.stem: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
+    tests = [path.read_text(encoding="utf-8") for path in sorted((ROOT / "tests").glob("*.py"))]
+    assert unread_private_names(modules, tests) == []
+
+
+def test_unread_private_names_finds_a_leftover():
+    module = "_USED = 1\n_SPARE = 2.0\n_A, _B = 3, 4\n\n\ndef _helper():\n    return _USED + _A\n\n\nclass _Oracle:\n    pass\n"
+    assert unread_private_names({"m": module}, []) == ["m._SPARE", "m._B", "m._helper", "m._Oracle"]
+    assert unread_private_names({"m": module}, ["from m import _helper\nimport m\nm._Oracle\n"]) == [
+        "m._SPARE", "m._B"]
+    # the module's own attribute loads (self._SPARE) and a reader's docstring are not reads
+    assert unread_private_names({"m": module + "x = object()._SPARE\n"}, ['"""_B"""\n']) == [
+        "m._SPARE", "m._B", "m._helper", "m._Oracle"]
