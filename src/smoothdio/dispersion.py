@@ -21,7 +21,7 @@ from its offset, with finite Y in the layout's sieve.
 """
 
 from dataclasses import asdict, dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 from fractions import Fraction
 from math import ceil, exp, floor, gcd, log, pi
 
@@ -192,12 +192,19 @@ def phi_weight_poisson(n: int, R: float, q: int, a: int, Kmax: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class DispersionParams:
     """Bilinear ranges (M, N) against modulus q, window R, smoothness Y.
 
     Range conditions (the MN ≍ X window and the N-window against R) are
     recorded as flags, not rejections, so off-range diagnostics stay runnable.
+
+    It is also what the Type I, bilinear and Type II reports share: the
+    n-window n_all = (N, 2N] with its 1_{S_q(Y)} flags smooth, the local
+    density K(N, Y) = #{flagged n}/N read from them, and for each m-window the
+    inner sums A_m, B_m.  Each is built on first use, so a report never sieves
+    or sums a window it does not read, and the fields are frozen, so none
+    outlives the fields it was built from.
     """
 
     M: float
@@ -226,6 +233,81 @@ class DispersionParams:
             self.flags.append(f"N = {self.N:g} outside [{n_lo:g}, {n_hi:g}] (range condition)")
         if not (0 < self.eta < self.delta / 20):
             self.flags.append(f"eta = {self.eta:g} not in (0, delta/20)")
+        object.__setattr__(self, "_sums", {})
+
+    @cached_property
+    def n_all(self) -> np.ndarray:
+        return _window_ints(self.N, 2 * self.N)
+
+    @cached_property
+    def smooth(self) -> np.ndarray:
+        return smooth_sieve(int(self.n_all[0]), int(self.n_all[-1]), self.Y, self.q)[0]
+
+    @cached_property
+    def K(self) -> float:
+        return np.count_nonzero(self.smooth) / self.N
+
+    @cached_property
+    def m_smooth(self) -> np.ndarray:
+        """m ∼ M in S_q(Y)."""
+        ms = _window_ints(self.M, 2 * self.M)
+        return ms[smooth_sieve(int(ms[0]), int(ms[-1]), self.Y, self.q)[0]]
+
+    @cached_property
+    def m_phi(self):
+        """The m with φ(m/3M) > 0, and those weights."""
+        ms = _window_ints(3 * self.M / 4 - 1, 9 * self.M / 4 + 1)
+        w = bump_phi_array(ms / (3.0 * self.M))
+        return ms[w > 0.0], w[w > 0.0]
+
+    def check_pairs(self, window: str, budget: int):
+        """(ms, dtype): the m of the m-window "smooth" (m_smooth) or "phi"
+        (m_phi), once its m×n pairs are checked against the budget and its
+        residues against capacity, and the dtype its residue products take:
+        _check_ranges first, then n_all's length, unsieved.  The weight table
+        holds at most SIEVE_CAPACITY entries, and both products, m·(a mod q)
+        and c_m·(n mod q) with c_m < q, are bounded from the windows and q and
+        given to product_dtype, which refuses past int64."""
+        q = self.q
+        _check_ranges(q, self.R, self.N)
+        n_all = self.n_all
+        ms = self.m_smooth if window == "smooth" else self.m_phi[0]
+        if len(ms) * len(n_all) > budget:
+            raise BudgetExceededError(f"{len(ms)} x {len(n_all)} pair loop exceeds budget")
+        n_top = min(int(n_all.max(initial=0)), q - 1)
+        return ms, product_dtype((q - 1) * max(int(ms.max(initial=0)), n_top), "residue products")
+
+    def inner_sums(self, window: str, budget: int):
+        """A_m = Σ_n 1_{S_q(Y)}(n)·Φ_a(mn, R) and B_m = Σ_n Φ_a(mn, R) over
+        an m-window, in blocks of at most _PAIR_BLOCK pairs.  Each block fills
+        one residue buffer, of check_pairs' dtype, in place with
+        min(c_m·(n mod q) mod q, cut), c_m = (m·a) mod q, and reads each Φ
+        from _residue_weights by residue: the smooth columns' weights for A_m,
+        then every weight for B_m.  Both are pairwise sums of C-ordered rows
+        (compress keeps C order, W[:, mask] does not), so their bits depend
+        neither on the block nor on the dtype; check_pairs charges the budget
+        on every call."""
+        ms, dtype = self.check_pairs(window, budget)
+        n_all, q = self.n_all, self.q
+        if window not in self._sums:
+            A, B = np.zeros(len(ms)), np.zeros(len(ms))
+            if len(n_all) and len(ms):
+                n_mod = (n_all % q).astype(dtype)
+                c = ms.astype(dtype)
+                c *= self.a % q
+                c %= q
+                table, cut = _residue_weights(q, self.R)
+                block = min(max(1, _PAIR_BLOCK // len(n_all)), len(ms))
+                res = np.empty((block, len(n_all)), dtype)
+                for i in range(0, len(ms), block):
+                    r = res[: min(block, len(ms) - i)]
+                    np.multiply(c[i : i + block, None], n_mod, out=r)
+                    np.remainder(r, q, out=r)
+                    np.minimum(r, cut, out=r)
+                    A[i : i + block] = table[r.compress(self.smooth, axis=1)].sum(axis=1)
+                    B[i : i + block] = table[r].sum(axis=1)
+            self._sums[window] = A, B
+        return self._sums[window]
 
 
 @dataclass
@@ -278,89 +360,6 @@ def _check_ranges(q: int, R: float, N: float) -> None:
     product_dtype((q - 1) * min(floor(2 * N), q - 1), "residue products")
 
 
-class _Context:
-    """What the Type I, bilinear and Type II reports share for one set of
-    ranges: the n-window (N, 2N] with its 1_{S_q(Y)} flags, the local density
-    K(N, Y) = #{flagged n}/N read from them, and for each m-window the inner
-    sums A_m, B_m.  The m-windows are built on first use, so a report never
-    sieves or sums a window it does not read."""
-
-    def __init__(self, M: float, N: float, q: int, a: int, R: float, Y: float):
-        self.M, self.N, self.q, self.a, self.R, self.Y = M, N, q, a, R, Y
-        self.n_all = _window_ints(N, 2 * N)
-        self.smooth = smooth_sieve(int(self.n_all[0]), int(self.n_all[-1]), Y, q)[0]
-        self.K = np.count_nonzero(self.smooth) / N
-        self._sums = {}
-
-    @cached_property
-    def m_smooth(self) -> np.ndarray:
-        """m ∼ M in S_q(Y)."""
-        ms = _window_ints(self.M, 2 * self.M)
-        return ms[smooth_sieve(int(ms[0]), int(ms[-1]), self.Y, self.q)[0]]
-
-    @cached_property
-    def m_phi(self):
-        """The m with φ(m/3M) > 0, and those weights."""
-        ms = _window_ints(3 * self.M / 4 - 1, 9 * self.M / 4 + 1)
-        w = bump_phi_array(ms / (3.0 * self.M))
-        return ms[w > 0.0], w[w > 0.0]
-
-    def check_pairs(self, window: str, budget: int):
-        """(ms, dtype): the m of the m-window "smooth" (m_smooth) or "phi"
-        (m_phi), once its m×n pairs are checked against the budget and its
-        residues against capacity, and the dtype its residue products take.
-        The weight table holds at most SIEVE_CAPACITY entries, and both
-        products, m·(a mod q) and c_m·(n mod q) with c_m < q, are bounded from
-        the windows and q and given to product_dtype, which refuses past int64."""
-        ms = self.m_smooth if window == "smooth" else self.m_phi[0]
-        if len(ms) * len(self.n_all) > budget:
-            raise BudgetExceededError(f"{len(ms)} x {len(self.n_all)} pair loop exceeds budget")
-        q = self.q
-        _check_ranges(q, self.R, self.N)
-        n_top = min(int(self.n_all.max(initial=0)), q - 1)
-        return ms, product_dtype((q - 1) * max(int(ms.max(initial=0)), n_top), "residue products")
-
-    def inner_sums(self, window: str, budget: int):
-        """A_m = Σ_n 1_{S_q(Y)}(n)·Φ_a(mn, R) and B_m = Σ_n Φ_a(mn, R) over
-        an m-window, in blocks of at most _PAIR_BLOCK pairs.  Each block fills
-        one residue buffer, of check_pairs' dtype, in place with
-        min(c_m·(n mod q) mod q, cut), c_m = (m·a) mod q, and reads each Φ
-        from _residue_weights by residue: the smooth columns' weights for A_m,
-        then every weight for B_m.  Both are pairwise sums of C-ordered rows
-        (compress keeps C order, W[:, mask] does not), so their bits depend
-        neither on the block nor on the dtype; check_pairs charges the budget
-        on every call."""
-        ms, dtype = self.check_pairs(window, budget)
-        n_all, q = self.n_all, self.q
-        if window not in self._sums:
-            A, B = np.zeros(len(ms)), np.zeros(len(ms))
-            if len(n_all) and len(ms):
-                n_mod = (n_all % q).astype(dtype)
-                c = ms.astype(dtype)
-                c *= self.a % q
-                c %= q
-                table, cut = _residue_weights(q, self.R)
-                block = min(max(1, _PAIR_BLOCK // len(n_all)), len(ms))
-                res = np.empty((block, len(n_all)), dtype)
-                for i in range(0, len(ms), block):
-                    r = res[: min(block, len(ms) - i)]
-                    np.multiply(c[i : i + block, None], n_mod, out=r)
-                    np.remainder(r, q, out=r)
-                    np.minimum(r, cut, out=r)
-                    A[i : i + block] = table[r.compress(self.smooth, axis=1)].sum(axis=1)
-                    B[i : i + block] = table[r].sum(axis=1)
-            self._sums[window] = A, B
-        return self._sums[window]
-
-
-# the reports of one run share a context: the last one built is kept
-_shared_context = lru_cache(maxsize=1)(_Context)
-
-
-def _context(params: DispersionParams) -> _Context:
-    return _shared_context(params.M, params.N, params.q, params.a, params.R, params.Y)
-
-
 # the m-windows whose inner sums each report reads
 _REPORT_WINDOWS = {"type1": ("smooth",), "type2": ("smooth", "phi"), "sums": ("phi",), "bilinear": ("smooth",)}
 
@@ -369,10 +368,9 @@ def check_pairs(kind: str, params: DispersionParams, budget: int) -> None:
     """Refuse, before any sum, a type1, type2, sums or bilinear report whose
     m×n pairs exceed the budget, by the count its inner sums charge, or
     whose weight table or residue products exceed capacity: what q, R and N
-    decide alone is checked first, before the n-window is sieved."""
-    _check_ranges(params.q, params.R, params.N)
+    decide alone is checked first, and the n-window is not sieved."""
     for window in _REPORT_WINDOWS[kind]:
-        _context(params).check_pairs(window, budget)
+        params.check_pairs(window, budget)
 
 
 def sigma_window(q: int, a: int, theta, C: float = 10.0, Y: float = None, budget: int = 10**9):
@@ -425,20 +423,18 @@ def bilinear_B(params: DispersionParams, budget: int = 10**9) -> SumReport:
 
     Benchmark main term: φ̂(0)·(R/q)·#{m} ·#{n} (the mean-window heuristic).
     """
-    ctx = _context(params)
-    A, _ = ctx.inner_sums("smooth", budget)
+    A, _ = params.inner_sums("smooth", budget)
     value = float(A.sum())
-    main = phi_hat_zero() * (params.R / params.q) * len(ctx.m_smooth) * float(np.count_nonzero(ctx.smooth))
+    main = phi_hat_zero() * (params.R / params.q) * len(params.m_smooth) * float(np.count_nonzero(params.smooth))
     return _report(value, main, _params_dict(params))
 
 
 def type1_report(params: DispersionParams, budget: int = 10**9) -> SumReport:
     """Σ_{m∼M} 1_{S_q(Y)}(m) Σ_{n∼N} Φ_a(mn, R) against the Type I main term
     φ̂(0)·(NR/q)·Σ_{m∼M} 1_{S_q(Y)}(m)."""
-    ctx = _context(params)
-    _, B = ctx.inner_sums("smooth", budget)
+    _, B = params.inner_sums("smooth", budget)
     value = float(B.sum())
-    main = phi_hat_zero() * params.N * params.R / params.q * len(ctx.m_smooth)
+    main = phi_hat_zero() * params.N * params.R / params.q * len(params.m_smooth)
     return _report(value, main, _params_dict(params))
 
 
@@ -451,9 +447,8 @@ def dispersion_sums(params: DispersionParams, budget: int = 10**9):
     where A_m, B_m are the smooth-restricted and unrestricted inner sums and
     K = K(N, Y) is the local density.
     """
-    ctx = _context(params)
-    A, B = ctx.inner_sums("phi", budget)
-    K, w = ctx.K, ctx.m_phi[1]
+    A, B = params.inner_sums("phi", budget)
+    K, w = params.K, params.m_phi[1]
     S1 = float(np.sum(w * A * A))
     S2 = float(K * np.sum(w * A * B))
     S3 = float(K * K * np.sum(w * B * B))
@@ -471,9 +466,8 @@ def type2_report(params: DispersionParams, budget: int = 10**9) -> SumReport:
     """Discrepancy D = Σ_{m∼M} 1_{S_q(Y)}(m) Σ_{n∼N} (1_{S_q(Y)}(n) − K) Φ_a(mn, R)
     against the benchmark R^{2−η}, with the exact dispersion Cauchy–Schwarz
     check D² ≤ M·S′ attached."""
-    ctx = _context(params)
-    A, B = ctx.inner_sums("smooth", budget)
-    D = float(np.sum(A - ctx.K * B))
+    A, B = params.inner_sums("smooth", budget)
+    D = float(np.sum(A - params.K * B))
     S1, S2, S3, Sp = dispersion_sums(params, budget)
     cs_ok = D * D <= params.M * Sp * (1.0 + 1e-9) + 1e-12
     main = params.R ** (2.0 - params.eta)

@@ -12,7 +12,6 @@ Each block of moduli is then summed in one flat pass over its unit entries,
 in the narrowest dtype that holds every residue product (arith.product_dtype).
 """
 
-from functools import lru_cache
 from math import ceil, floor, hypot, pi
 
 import numpy as np
@@ -26,10 +25,8 @@ _INVERSE_BLOCK = 1 << 15  # (moduli × n) inverse-table entries built at once
 _TWO_PI = 2.0 * pi
 
 
-@lru_cache(maxsize=64)
 def inverse_table(c: int) -> np.ndarray:
-    """inv[n] = n̄ mod c for units, −1 for non-units; read-only, memoized per
-    modulus."""
+    """inv[n] = n̄ mod c for units, −1 for non-units; read-only."""
     if c > INVERSE_TABLE_CAPACITY:
         raise CapacityError(f"modulus {c} exceeds inverse-table capacity")
     tab = inverse_mod(np.arange(c), c)

@@ -210,8 +210,6 @@ def local_density(N: float, Y: float, q: int) -> float:
         raise ValueError("N must be >= 1")
     lo = int(floor(N)) + 1
     hi = int(floor(2 * N))
-    if hi < lo:
-        return 0.0
     return np.count_nonzero(smooth_sieve(lo, hi, Y, q)[0]) / N
 
 

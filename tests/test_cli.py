@@ -196,7 +196,8 @@ def _peak_rss_mb(argv) -> float:
     proc = subprocess.Popen([sys.executable, "-m", "smoothdio.cli", *argv], env=env,
                             stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
     _, status, usage = os.wait4(proc.pid, 0)
-    assert os.waitstatus_to_exitcode(status) == EXIT_OK, argv
+    proc.returncode = os.waitstatus_to_exitcode(status)  # reaped here, so Popen must not think it still runs
+    assert proc.returncode == EXIT_OK, argv
     return usage.ru_maxrss / 1024.0
 
 
@@ -1205,10 +1206,10 @@ def test_integer_flags_refuse_non_integers_by_name(flag, value, tmp_path, capsys
 ])
 def test_dispersion_refuses_from_the_ranges_before_it_sieves(N, R, report, message, monkeypatch, capsys):
     # q, R and N alone decide both refusals, so the 1e7-integer n-window is never sieved
-    def refuse(params):
-        raise AssertionError("the dispersion context was built")
+    def refuse(*args):
+        raise AssertionError("a dispersion window was sieved")
 
-    monkeypatch.setattr(dispersion, "_context", refuse)
+    monkeypatch.setattr(dispersion, "smooth_sieve", refuse)
     code = main(["dispersion", "--q", "999999999989", "--a", "123456789011", "--M", "2", "--N", N, "--R", R,
                  "--Y", "1e9", "--report", report])
     assert code == EXIT_BUDGET

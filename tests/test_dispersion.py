@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 import time
@@ -683,7 +684,7 @@ def test_inner_sums_do_not_depend_on_the_pair_block(monkeypatch):
         bits = []
         for block in (1 << 18, 1 << 12):
             monkeypatch.setattr(dispersion, "_PAIR_BLOCK", block)
-            ctx = dispersion._Context(p.M, p.N, p.q, p.a, p.R, p.Y)
+            ctx = DispersionParams(p.M, p.N, p.q, p.a, p.R, p.Y)
             bits.append([s.tobytes() for window in ("smooth", "phi") for s in ctx.inner_sums(window, 10**9)])
         assert bits[0] == bits[1], p
 
@@ -718,7 +719,7 @@ def test_inner_sums_equal_the_int64_residue_path(monkeypatch, q, M, N, dtype):
     want = None
     # the default block, blocks of 3 rows, and one row per block
     for rows in (None, 3, 1):
-        ctx = dispersion._Context(M, N, q, a, R, Y)
+        ctx = DispersionParams(M, N, q, a, R, Y)
         if rows is not None:
             monkeypatch.setattr(dispersion, "_PAIR_BLOCK", rows * len(ctx.n_all))
         got = []
@@ -735,7 +736,7 @@ def test_inner_sums_exact_below_int64_and_refused_past_it():
     # N = 1000: c_m·(n mod q) < (q − 1)·2000, which is 2⁶³ − 3808 at the first q and 2⁶³ + 192 at the second
     q = 4611686018427387
     a = (q + 1) // 2  # the inverse of 2: m·n·ā ≡ mn/2 for even mn, so φ's window is met
-    ctx = dispersion._Context(2.0, 1000.0, q, a, 3000.0, 50.0)
+    ctx = DispersionParams(2.0, 1000.0, q, a, 3000.0, 50.0)
     for window, ms in (("smooth", ctx.m_smooth), ("phi", ctx.m_phi[0])):
         assert ctx.check_pairs(window, 10**9)[1] == np.int64
         A, B = ctx.inner_sums(window, 10**9)
@@ -768,7 +769,7 @@ def test_inner_sums_peak_bytes_per_pair():
     take no more while at most 2/3 of the n are smooth.  So the peak stays
     below 16 bytes a pair, where fresh int64 products, remainders and
     weights took about 32."""
-    ctx = dispersion._Context(4438.0, 327.0, 10946, 9149, 265.188, 1012.0)
+    ctx = DispersionParams(4438.0, 327.0, 10946, 9149, 265.188, 1012.0)
     pairs = dispersion._PAIR_BLOCK // len(ctx.n_all) * len(ctx.n_all)
     assert ctx.check_pairs("phi", 10**9)[1] == np.int32
     assert len(ctx.m_phi[0]) * len(ctx.n_all) > pairs and np.mean(ctx.smooth) < 2 / 3
@@ -792,13 +793,49 @@ def test_context_sieves_each_window_once_and_reads_K_from_its_flags(monkeypatch)
     monkeypatch.setattr(smooth, "smooth_sieve", counting_sieve)  # local_density's sieve counts too
     for M, N, q, a, R, Y in ((40.0, 30.0, 101, 2, 20.0, 5.0), (9.0, 7.5, 2, 1, 1.5, 2.0), (15.0, 2.0, 13, 5, 6.0, 1.0)):
         sieved.clear()
-        ctx = dispersion._Context(M, N, q, a, R, Y)
+        ctx = DispersionParams(M, N, q, a, R, Y)
         for window in ("smooth", "phi", "smooth", "phi"):
             ctx.inner_sums(window, 10**9)
         K = ctx.K
         # the n-window (N, 2N] and the m-window (M, 2M]; the φ(m/3M) window is not sieved
-        assert sieved == [(math.floor(N) + 1, math.floor(2 * N)), (math.floor(M) + 1, math.floor(2 * M))]
+        assert sorted(sieved) == sorted([(math.floor(N) + 1, math.floor(2 * N)),
+                                         (math.floor(M) + 1, math.floor(2 * M))])
         assert K == local_density(N, Y, q)
+
+
+def _count_sieves(monkeypatch):
+    sieved = []
+
+    def counting_sieve(lo, hi, y, q=1):
+        sieved.append((lo, hi))
+        return smooth_sieve(lo, hi, y, q)
+
+    monkeypatch.setattr(dispersion, "smooth_sieve", counting_sieve)
+    return sieved
+
+
+def test_each_params_object_sieves_its_windows_once(monkeypatch):
+    # two configurations used in turn keep their own windows: 2 sieves each, not 2 per switch
+    sieved = _count_sieves(monkeypatch)
+    A = DispersionParams(40.0, 30.0, 101, 2, 20.0, 5.0, Fraction(1, 3))
+    B = DispersionParams(60.0, 25.0, 103, 5, 30.0, 7.0, Fraction(1, 3))
+    reports = [(type1_report(p).value, type2_report(p).value) for p in (A, B, A, B)]
+    assert len(sieved) == 4
+    assert reports[:2] == reports[2:]
+    assert reports[0] == (_oracle_type1(A, 10**9)[0], _oracle_type2(A, 10**9)[0])
+    with pytest.raises(dataclasses.FrozenInstanceError):  # so no window outlives the fields it was built from
+        A.N = 45.0
+
+
+def test_budget_refusal_sieves_only_the_m_window(monkeypatch):
+    sieved = _count_sieves(monkeypatch)
+    p = DispersionParams(40.0, 30.0, 101, 2, 20.0, 5.0, Fraction(1, 3))
+    pairs = len(_oracle_smooth_members(p.M, 2 * p.M, p.Y, p.q)) * len(_oracle_window_ints(p.N, 2 * p.N))
+    with pytest.raises(BudgetExceededError, match="pair loop exceeds budget"):
+        dispersion.check_pairs("type1", p, pairs - 1)
+    assert sieved == [(41, 80)]
+    dispersion.check_pairs("type1", p, pairs)
+    assert sieved == [(41, 80)]
 
 
 def test_type1_budget_excludes_the_phi_window():
