@@ -23,7 +23,7 @@ from its offset, with finite Y in the layout's sieve.
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from fractions import Fraction
-from math import ceil, exp, floor, gcd, log, pi
+from math import ceil, floor, gcd, log, pi
 
 import numpy as np
 
@@ -46,9 +46,9 @@ def _g(t: float) -> float:
         return 0.0
     if t >= 1.0:
         return 1.0
-    a = exp(-1.0 / t)
-    b = exp(-1.0 / (1.0 - t))
-    return a / (a + b)
+    a = np.exp(-1.0 / t)  # the exp _g_array takes, so the two agree bit for bit
+    b = np.exp(-1.0 / (1.0 - t))
+    return float(a / (a + b))
 
 
 def _g_array(t: np.ndarray) -> np.ndarray:

@@ -10,7 +10,6 @@ residual-checked accuracy so they can serve as diagnostics against the exact
 counts.
 """
 
-from functools import lru_cache
 from math import ceil, floor, frexp, isqrt, ldexp, log
 
 import numpy as np
@@ -276,34 +275,12 @@ def dickman_rho(u: float, tol: float = 1e-9) -> float:
 # ---------------------------------------------------------------------------
 
 
-_SADDLE_PRIMES = np.zeros(0)  # every prime <= _SADDLE_LIMIT as float64, read-only
-_SADDLE_LOGS = np.zeros(0)  # their logs, read-only
-_SADDLE_WORK = np.zeros((3, 0))  # three scratch rows as long as the table, for _saddle_sums
-_SADDLE_LIMIT = 1
-
-
-def _saddle_table(yi: int) -> tuple:
-    """(primes, logs, work) over the primes ≤ yi, as prefix slices of one
-    float64 table and of its three scratch rows, grown together (at least
-    doubling, up to SADDLE_PRIME_CAPACITY) from prime_array when a larger yi
-    is asked for."""
-    global _SADDLE_PRIMES, _SADDLE_LOGS, _SADDLE_WORK, _SADDLE_LIMIT
-    if yi > _SADDLE_LIMIT:
-        top = min(max(yi, 2 * _SADDLE_LIMIT), SADDLE_PRIME_CAPACITY)
-        _SADDLE_PRIMES = prime_array(top).astype(np.float64)
-        _SADDLE_LOGS = np.log(_SADDLE_PRIMES)
-        _SADDLE_PRIMES.flags.writeable = _SADDLE_LOGS.flags.writeable = False
-        _SADDLE_WORK = np.empty((3, len(_SADDLE_PRIMES)))
-        _SADDLE_LIMIT = top
-    k = np.searchsorted(_SADDLE_PRIMES, yi, side="right")
-    return _SADDLE_PRIMES[:k], _SADDLE_LOGS[:k], _SADDLE_WORK[:, :k]
-
-
 def _saddle_sums(yi: int) -> tuple:
     """(g, slope): g(a) = Σ_{p ≤ yi} log p / (p^a − 1), and slope() = g'(a)
-    at the a of the last g call.  Both evaluate into the table's scratch
-    rows, so no call allocates, and the pages are touched once per table."""
-    primes, logs, (pa, gap, t) = _saddle_table(yi)
+    at the a of the last g call, both evaluated into three scratch rows."""
+    primes = prime_array(yi).astype(np.float64)
+    logs = np.log(primes)
+    pa, gap, t = np.empty((3, len(primes)))
 
     def g(a: float) -> float:
         np.power(primes, a, out=pa)
@@ -319,23 +296,16 @@ def _saddle_sums(yi: int) -> tuple:
     return g, slope
 
 
-@lru_cache(maxsize=64)
-def _saddle_bracket(yi: int) -> tuple:
-    """(g(0.01), g(1.5)) for the primes ≤ yi."""
-    g = _saddle_sums(yi)[0]
-    return g(0.01), g(1.5)
-
-
 def saddle_alpha(x: float, y: float) -> tuple:
     """(alpha, residual): the root of Σ_{p ≤ y} log p / (p^α − 1) = log x and
     the equation's residual there, by Newton iteration seeded with
     1 − log(u log u)/log y, with bisection fallback on (0.01, 1.5).
 
-    The primes and their logs are prefix slices of one float64 table kept
-    for the largest y asked.  The bracket values g(0.01) and g(1.5) depend
-    on ⌊y⌋ alone and are kept for the 64 most recent ⌊y⌋, so a sweep over
-    many y holds bounded memory.  The slope is evaluated only when a Newton
-    step is taken."""
+    The left side is convex and decreasing in α, so a bracket end is
+    evaluated only when a Newton step leaves through it before any iterate
+    has moved it, and a root beyond it raises NonConvergenceError.  A root
+    outside (0.01, 1.5) by less than the 1e-11·log x tolerance may thus be
+    returned, with its residual inside that tolerance."""
     if y < 2:
         raise ValueError("y must be >= 2")
     if x <= 1:
@@ -343,13 +313,10 @@ def saddle_alpha(x: float, y: float) -> tuple:
     if y > SADDLE_PRIME_CAPACITY:
         raise CapacityError(f"y = {y} exceeds prime-sum capacity {SADDLE_PRIME_CAPACITY}")
 
-    yi = int(floor(y))
     target = log(x)
     lo_a, hi_a = 0.01, 1.5
-    g_lo, g_hi = _saddle_bracket(yi)
-    if not (g_hi <= target <= g_lo):
-        raise NonConvergenceError(f"saddle point for (x={x}, y={y}) outside (0.01, 1.5)")
-    g, slope = _saddle_sums(yi)
+    unseen = {lo_a, hi_a}  # bracket ends not yet evaluated
+    g, slope = _saddle_sums(int(floor(y)))
 
     u = target / log(y)
     a = 1.0 - log(u * log(u)) / log(y) if u > 1 else 1.0
@@ -368,6 +335,11 @@ def saddle_alpha(x: float, y: float) -> tuple:
             hi_a = a
         nxt = a - res / slope()
         if not (lo_a < nxt < hi_a):
+            end = lo_a if res < 0 else hi_a  # the step left through this end
+            if end in unseen:
+                unseen.remove(end)
+                if (g(end) - target) * res > 0:  # g monotone: the root lies beyond end
+                    raise NonConvergenceError(f"saddle point for (x={x}, y={y}) outside (0.01, 1.5)")
             nxt = 0.5 * (lo_a + hi_a)
         a = nxt
     raise NonConvergenceError(f"saddle iteration failed for (x={x}, y={y})")

@@ -320,8 +320,8 @@ def test_saddle_out_of_bracket():
 
 
 def saddle_alpha_reference(x: float, y: float) -> tuple:
-    """The solver before the shared prime-log table, as it was: fresh arrays
-    every step, both bracket ends for every x, the slope at every step."""
+    """The same iterates, plainly: fresh arrays every step, both bracket ends
+    evaluated up front for every x, the slope at every step."""
     if y < 2:
         raise ValueError("y must be >= 2")
     if x <= 1:
@@ -368,36 +368,46 @@ def saddle_alpha_reference(x: float, y: float) -> tuple:
     raise NonConvergenceError(f"saddle iteration failed for (x={x}, y={y})")
 
 
-def _reset_saddle_cache(monkeypatch):
-    monkeypatch.setattr(smooth, "_SADDLE_PRIMES", np.zeros(0))
-    monkeypatch.setattr(smooth, "_SADDLE_LOGS", np.zeros(0))
-    monkeypatch.setattr(smooth, "_SADDLE_WORK", np.zeros((3, 0)))
-    monkeypatch.setattr(smooth, "_SADDLE_LIMIT", 1)
-    smooth._saddle_bracket.cache_clear()
-
-
-def test_saddle_alpha_equals_the_reference_solver(monkeypatch):
-    # 1_000_000.75 shares ⌊y⌋ and so its bracket with 1_000_000; u = 0.6 and 1 seed at α = 1
-    ys = [9_876_543, 1_000_000, 1_000_000.75, 31_623, 1000, 37.5]
-    us = [0.6, 1.0, 2.5, 4.5]
-    want = {(u, y): saddle_alpha_reference(y**u, y) for y in ys for u in us}
+def test_saddle_alpha_equals_the_reference_solver():
+    # 1_000_000.75 shares ⌊y⌋ with 1_000_000; u = 0.6 and 1 seed at α = 1;
+    # at (10.036385734592889, 2) a Newton step leaves through 0.01, root inside
+    ys = [9_876_543, 1_000_000, 1_000_000.75, 31_623, 1000, 37.5, 2]
+    xs = {y: [y**u for u in (0.6, 1.0, 2.5, 4.5)] for y in ys}
+    xs[2].append(10.036385734592889)
+    want = {(x, y): saddle_alpha_reference(x, y) for y in ys for x in xs[y]}
     ascending = sorted(ys)
-    for order in (ascending, ascending[::-1], [ys[0], ys[5], ys[2], ys[3], ys[1], ys[4]]):
-        _reset_saddle_cache(monkeypatch)
+    for order in (ascending, ascending[::-1], [ys[0], ys[5], ys[2], ys[6], ys[3], ys[1], ys[4]]):
         for y in order:
-            for u in us:
-                assert saddle_alpha(y**u, y) == want[(u, y)], (u, y)
+            for x in xs[y]:
+                assert saddle_alpha(x, y) == want[(x, y)], (x, y)
 
 
-def test_saddle_out_of_bracket_with_the_bracket_cached(monkeypatch):
-    _reset_saddle_cache(monkeypatch)
-    saddle_alpha(30, 2)
-    hits = smooth._saddle_bracket.cache_info().hits
+def test_saddle_out_of_bracket_at_either_end():
     for x in (1.05, math.exp(200)):  # roots above 1.5 and below 0.01
         for impl in (saddle_alpha_reference, saddle_alpha):
             with pytest.raises(NonConvergenceError, match="outside"):
                 impl(x, 2.9)
-    assert smooth._saddle_bracket.cache_info().hits == hits + 2
+
+
+def test_saddle_refusal_evaluates_one_bracket_end(monkeypatch):
+    evaluated = []
+    sums = smooth._saddle_sums
+
+    def recording_sums(yi):
+        g, slope = sums(yi)
+
+        def recording_g(a):
+            evaluated.append(a)
+            return g(a)
+
+        return recording_g, slope
+
+    monkeypatch.setattr(smooth, "_saddle_sums", recording_sums)
+    for x, end in ((1.05, 1.5), (math.exp(200), 0.01)):
+        evaluated.clear()
+        with pytest.raises(NonConvergenceError, match="outside"):
+            saddle_alpha(x, 2.9)
+        assert [a for a in evaluated if a in (0.01, 1.5)] == [end]
 
 
 def test_doubling_factor():

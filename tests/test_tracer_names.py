@@ -37,7 +37,7 @@ def test_kernels_are_reached_through_module_level_aliases():
 
     assert smoothdio.dispersion.smooth_sieve is smoothdio.smooth.smooth_sieve
     assert smoothdio.expsums.smooth_sieve is smoothdio.smooth.smooth_sieve
-    # the saddle table is built through this alias, or arith.prime_array reads 0 on the alpha job
+    # each saddle_alpha call reads its primes through this alias, or arith.prime_array reads 0 on the alpha job
     assert smoothdio.smooth.prime_array is smoothdio.arith.prime_array
     # the one class sieve: the target set and a finite-Y Σ(q, R) both reach P⁺ through this alias
     assert smoothdio.diophantine.largest_prime_factor_array is smoothdio.smooth.largest_prime_factor_array
