@@ -1,7 +1,7 @@
 """Integer-arithmetic substrate: primes, factorization, P⁺, modular inverses.
 
 Everything here is exact.  One cached sieve of Eratosthenes is the only prime
-source, and factorization is plain trial division against it (desk scale).
+source, and factorization is trial division by its primes, read in place.
 """
 
 from dataclasses import dataclass
@@ -11,7 +11,7 @@ import numpy as np
 
 from .errors import CapacityError
 
-# the default factor table's reach: every n < 1e14 factors without CapacityError
+# factorize divides by the primes up to this: every n < 1e14 factors without CapacityError
 FACTOR_PRIME_LIMIT = 10_000_000
 
 
@@ -55,32 +55,23 @@ def prime_array(limit: int) -> np.ndarray:
     return _PRIMES[: np.searchsorted(_PRIMES, limit, side="right")]
 
 
-_FACTOR_TABLE = PrimeTable(1, [])  # the cached primes as a list, for factorize
-
-
 def factorize(n: int) -> list:
     """[(p, e), …] with n = Π pᵉ and the primes strictly increasing, empty
-    for n = 1: trial division of n against the cached table.
-
-    The table is the cached primes, grown (at least doubling, but never past
-    FACTOR_PRIME_LIMIT) to cover min(√n, FACTOR_PRIME_LIMIT), so the answer
-    does not depend on what earlier calls grew it to.  A leftover cofactor
-    with no prime factor ≤ table.limit is prime when it is below
-    (table.limit + 1)²; one the table cannot certify raises CapacityError.
+    for n = 1: trial division of n by the cached primes up to
+    limit = min(√n, FACTOR_PRIME_LIMIT), however far the table has grown, so
+    the answer does not depend on earlier calls.  A leftover cofactor with
+    no prime factor ≤ limit is prime when it is below (limit + 1)²; one the
+    primes cannot certify raises CapacityError.
     """
-    global _FACTOR_TABLE
     if n < 1:
         raise ValueError("n must be >= 1")
     limit = min(isqrt(n), FACTOR_PRIME_LIMIT)
-    if limit > _FACTOR_TABLE.limit:
-        _FACTOR_TABLE = sieve_primes(min(max(limit, 2 * _FACTOR_TABLE.limit), FACTOR_PRIME_LIMIT))
-    table = _FACTOR_TABLE
+    if limit > _PRIMES_LIMIT:
+        prime_array(limit)
     factors = []
     rem = n
-    exhausted = True
-    for p in table.primes:
-        if p * p > rem:
-            exhausted = False
+    for p in memoryview(_PRIMES):  # Python ints, with no list built
+        if p > limit or p * p > rem:
             break
         if rem % p == 0:
             e = 0
@@ -88,12 +79,11 @@ def factorize(n: int) -> list:
                 rem //= p
                 e += 1
             factors.append((p, e))
+    # a break on p² > rem leaves a prime rem < limit²; otherwise rem has no
+    # factor <= limit and is prime only when rem < (limit + 1)²
+    if rem > limit * (limit + 2):
+        raise CapacityError(f"prime table (limit {limit}) cannot certify cofactor {rem}")
     if rem > 1:
-        # If the loop broke on p² > rem the cofactor is certified prime;
-        # otherwise it has no factor <= table.limit and is prime only when
-        # rem < (table.limit + 1)².
-        if exhausted and rem > table.limit * (table.limit + 2):
-            raise CapacityError(f"prime table (limit {table.limit}) cannot certify cofactor {rem}")
         factors.append((rem, 1))
     return factors
 

@@ -216,7 +216,7 @@ class DispersionParams:
     theta: Fraction = None
     delta: float = 0.1
     eta: float = 0.05
-    flags: list = field(default_factory=list)
+    flags: list = field(default_factory=list, init=False)  # range notes, set by __post_init__
 
     def __post_init__(self):
         if self.M < 2 or self.N < 2:

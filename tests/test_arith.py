@@ -86,9 +86,8 @@ def test_prime_array_growth(monkeypatch):
 
 
 def _small_factor_table(monkeypatch, limit):
-    # the cached factor table, capped at `limit` and empty until factorize grows it
+    # factorize divides by the cached primes up to `limit` only, however far the table has grown
     monkeypatch.setattr(arith, "FACTOR_PRIME_LIMIT", limit)
-    monkeypatch.setattr(arith, "_FACTOR_TABLE", arith.PrimeTable(1, []))
 
 
 def test_factorize_examples(monkeypatch):
@@ -107,12 +106,11 @@ def test_factorize_insufficient_table(monkeypatch):
 @pytest.mark.parametrize("grow_first", [False, True])
 def test_factorize_answer_does_not_depend_on_earlier_calls(monkeypatch, grow_first):
     # two primes above the 1e7 cap: refused from a fresh table, and still refused
-    # after 6e6² + 1 and then 7e6² + 3 have asked the default table to double to 1.2e7
-    monkeypatch.setattr(arith, "_FACTOR_TABLE", arith.PrimeTable(1, []))
+    # after the table has grown past the cap to 2e7, as psi may grow it
+    _reset_prime_cache(monkeypatch)
     if grow_first:
-        factorize(6_000_000**2 + 1)
-        factorize(7_000_000**2 + 3)
-        assert arith._FACTOR_TABLE.limit == arith.FACTOR_PRIME_LIMIT
+        prime_array(20_000_000)
+        assert arith._PRIMES_LIMIT > arith.FACTOR_PRIME_LIMIT
     n = 10000019 * 10000079
     with pytest.raises(CapacityError):
         factorize(n)

@@ -34,7 +34,7 @@ from smoothdio.diophantine import (
     dist_nearest,
     parse_alpha,
 )
-from smoothdio import diophantine, dispersion, expsums
+from smoothdio import diophantine, dispersion, expsums, smooth
 from smoothdio.dispersion import bump_phi_array, sigma_qR
 from smoothdio.errors import CapacityError
 from smoothdio.expsums import _inverse_sum, kl_members
@@ -183,6 +183,43 @@ def test_psi_refusals_write_nothing(tmp_path, capsys):
     assert main(["psi", "--x", "1e30", "--y", "5", "--out", str(out)]) == EXIT_BUDGET  # beyond int64
     assert not out.exists()
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("command", ["psi", "alpha"])
+@pytest.mark.parametrize("half", [["--x", "100"], ["--y", "5"], []])
+def test_grid_commands_need_x_and_y(command, half, capsys):
+    assert main([command, *half]) == EXIT_BAD_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {command} needs --x and --y (comma lists)\n"
+
+
+def test_alpha_saddle_iteration_failure_exits_4(monkeypatch, capsys):
+    # a step-shaped g never comes within 1e-11·log x of log x, so the
+    # bisection runs out of bracket at double precision
+    target = math.log(1e6)
+    monkeypatch.setattr(smooth, "_saddle_sums", lambda yi: (lambda a: target + (1.0 if a < 0.7 else -1.0),
+                                                           lambda: -1.0))
+    assert main(["alpha", "--x", "1e6", "--y", "100"]) == EXIT_BAD_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: saddle iteration failed for (x=1000000.0, y=100.0)\n"
+
+
+@pytest.mark.parametrize("fmt, nbytes", [("csv", 1), ("json", 5000)])
+def test_search_into_a_reader_that_closes_early_exits_0(fmt, nbytes):
+    # about 1 MB (csv) or 2.6 MB (json) of rows, so writes go on after the
+    # reader has closed and the pipe's buffer has filled
+    import os
+    import subprocess
+    from pathlib import Path
+
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    argv = ["search", "--alpha", "quad:1,1,5,2", "--theta", "1/4", "--qmax", "400", "--format", fmt]
+    with subprocess.Popen([sys.executable, "-m", "smoothdio.cli", *argv], env=env,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        head = proc.stdout.read(nbytes)
+        proc.stdout.close()
+        err = proc.stderr.read()
+    assert proc.returncode == EXIT_OK and err == b"" and len(head) == nbytes
 
 
 def _peak_rss_mb(argv) -> float:

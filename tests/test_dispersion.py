@@ -473,6 +473,17 @@ def test_type2_brute_and_cauchy_schwarz():
     assert cs["ok"] and cs["D_sq"] <= cs["M_Sprime"] * (1 + 1e-9) + 1e-12
 
 
+def test_dispersion_params_flags_are_computed_not_passed():
+    # the range notes are the object's own list, never a caller's
+    with pytest.raises(TypeError):
+        DispersionParams(15.0, 15.0, 101, 2, 20.0, 5.0, None, 0.1, 0.05, [])
+    with pytest.raises(TypeError):
+        DispersionParams(15.0, 15.0, 101, 2, 20.0, 5.0, flags=[])
+    p, p2 = DispersionParams(15.0, 15.0, 101, 2, 20.0, 5.0), DispersionParams(15.0, 15.0, 101, 2, 20.0, 5.0)
+    assert p.flags == p2.flags and p.flags is not p2.flags
+    assert dataclasses.asdict(p)["flags"] == p.flags
+
+
 def test_type2_benchmark_main_term():
     params = DispersionParams(15.0, 15.0, 101, 2, 20.0, 5.0, eta=0.07)
     rep = type2_report(params)

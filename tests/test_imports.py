@@ -97,11 +97,11 @@ def test_unread_names_finds_a_leftover():
         "m.C.spare", "m.spare_fn", "m.traced_fn"]
 
 
-def private_names(source: str) -> list:
-    """The private top-level names the module binds by def, class or
+def private_names(tree: ast.Module) -> list:
+    """The private top-level names the parsed module binds by def, class or
     assignment (dunder names excepted)."""
     names = []
-    for node in ast.parse(source).body:
+    for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             names.append(node.name)
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
@@ -110,10 +110,10 @@ def private_names(source: str) -> list:
     return [name for name in names if name.startswith("_") and not name.startswith("__")]
 
 
-def imported_or_attribute_names(source: str) -> set:
-    """The names the source imports, or loads as `obj.name`."""
+def imported_or_attribute_names(tree: ast.Module) -> set:
+    """The names the parsed source imports, or loads as `obj.name`."""
     read = set()
-    for node in ast.walk(ast.parse(source)):
+    for node in ast.walk(tree):
         if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
             read.add(node.attr)
         elif isinstance(node, (ast.Import, ast.ImportFrom)):
@@ -124,14 +124,16 @@ def imported_or_attribute_names(source: str) -> set:
 def unread_private_names(modules: dict, readers: list) -> list:
     """The private top-level names of `modules` (module name → source), as
     `module.name`, that their own module never loads and that no other
-    module and no reader source imports or loads as an attribute."""
+    module and no reader source imports or loads as an attribute.  Each
+    source is parsed once."""
+    trees = {module: ast.parse(source) for module, source in modules.items()}
+    attrs = {module: imported_or_attribute_names(tree) for module, tree in trees.items()}
+    from_readers = set().union(*(imported_or_attribute_names(ast.parse(text)) for text in readers))
     unread = []
-    for module, source in modules.items():
-        own = {node.id for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Name)
-               and isinstance(node.ctx, ast.Load)}
-        others = [text for name, text in modules.items() if name != module] + readers
-        read = own.union(*(imported_or_attribute_names(text) for text in others))
-        unread += [f"{module}.{name}" for name in private_names(source) if name not in read]
+    for module, tree in trees.items():
+        own = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        read = own.union(from_readers, *(names for name, names in attrs.items() if name != module))
+        unread += [f"{module}.{name}" for name in private_names(tree) if name not in read]
     return unread
 
 
