@@ -10,6 +10,7 @@ Exit codes: 0 success, 2 empty result, 3 budget/capacity exceeded,
 """
 
 import argparse
+import gc
 import json
 import math
 import os
@@ -578,5 +579,15 @@ def main(argv=None) -> int:
     return EXIT_OK if rows else EXIT_EMPTY
 
 
+def entry() -> None:
+    """The process entry (`python -m smoothdio.cli` and the `smoothdio`
+    script): main, then gc.freeze(), so the interpreter's final collection
+    skips every object still alive, then exit with main's code.  main itself
+    never freezes, since tests and library callers run it in process."""
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

@@ -10,7 +10,7 @@ residual-checked accuracy so they can serve as diagnostics against the exact
 counts.
 """
 
-from math import ceil, floor, frexp, isqrt, ldexp, log
+from math import ceil, exp, expm1, floor, frexp, isqrt, ldexp, log
 
 import numpy as np
 
@@ -275,31 +275,75 @@ def dickman_rho(u: float, tol: float = 1e-9) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _saddle_sums(yi: int) -> tuple:
-    """(g, slope): g(a) = Σ_{p ≤ yi} log p / (p^a − 1), and slope() = g'(a)
-    at the a of the last g call, both evaluated into three scratch rows."""
-    primes = prime_array(yi).astype(np.float64)
-    logs = np.log(primes)
-    pa, gap, t = np.empty((3, len(primes)))
+_SEED_EXACT = 1 << 14  # T: the seed model sums the primes ≤ T exactly and integrates past T
+_SEED_EDGE = 1e-9  # the seed keeps this far inside the bracket, so a refusal evaluates one end
+
+
+def _prime_sums(logs: np.ndarray) -> tuple:
+    """(g, slope): g(a) = Σ log p / (p^a − 1) over the given log p, and
+    slope() = g'(a) at the a of the last g call.  Each g call is one
+    elementwise pass into two scratch rows, and slope reads the rows it left."""
+    gap, t = np.empty((2, len(logs)))
 
     def g(a: float) -> float:
-        np.power(primes, a, out=pa)
-        np.subtract(pa, 1.0, out=gap)
+        np.expm1(np.multiply(logs, a, out=gap), out=gap)  # p^a − 1
         return float(np.sum(np.divide(logs, gap, out=t)))
 
-    def slope() -> float:  # −Σ (log p)² p^a / (p^a − 1)²
-        np.multiply(logs, logs, out=t)
-        np.multiply(t, pa, out=t)
-        np.divide(t, np.multiply(gap, gap, out=gap), out=t)
-        return float(-np.sum(t))
+    def slope() -> float:  # −Σ (log p)² p^a / (p^a − 1)² = −Σ t (log p + t), t = log p / (p^a − 1)
+        return -float(np.sum(np.multiply(t, np.add(logs, t, out=gap), out=gap)))
 
     return g, slope
 
 
+def _saddle_sums(yi: int) -> tuple:
+    """_prime_sums over the primes ≤ yi: the full-table passes of saddle_alpha."""
+    return _prime_sums(np.log(prime_array(yi), dtype=np.float64))
+
+
+def _saddle_seed(yi: int, target: float, lo_a: float, hi_a: float) -> float:
+    """The root, kept inside (lo_a, hi_a) by _SEED_EDGE, of the model
+    M(a) = Σ_{p ≤ min(yi, T)} log p / (p^a − 1) + ∫_T^yi t^(−a) dt = target,
+    by Newton steps on the convex, decreasing log M from 1 − log(u log u)/log yi.
+    For yi ≤ T the integral is empty and M is g itself, summed the same way."""
+    exact, exact_slope = _prime_sums(np.log(prime_array(min(yi, _SEED_EXACT)), dtype=np.float64))
+    lt = log(_SEED_EXACT)
+    span = log(yi) - lt if yi > _SEED_EXACT else 0.0  # the integral runs over t = T·e^s, 0 ≤ s ≤ span
+    lo, hi = lo_a + _SEED_EDGE, hi_a - _SEED_EDGE
+    u = target / log(yi)
+    a = min(max(1.0 - log(u * log(u)) / log(yi) if u > 1 else 1.0, lo), hi)
+    for _ in range(100):
+        m = exact(a)
+        dm = exact_slope()
+        if span:  # (e1, e2) = ∫_0^span (1, s) e^(bs) ds, b = 1 − a: the integral is T^b·e1,
+            # its slope in a is −T^b·(e1 log T + e2)
+            b = 1.0 - a
+            z = b * span
+            if abs(z) < 1e-4:  # the closed forms cancel: their series
+                e1, e2 = span * (1.0 + z / 2), span * span * (0.5 + z / 3)
+            else:
+                e1 = expm1(z) / b
+                e2 = (span * exp(z) - e1) / b
+            scale = exp(b * lt)
+            m += scale * e1
+            dm -= scale * (lt * e1 + e2)
+        f = log(m / target)
+        if abs(f) <= 1e-12:  # a tenth of saddle_alpha's tolerance, so for yi ≤ T one pass confirms the seed
+            break
+        nxt = min(max(a - f * m / dm, lo), hi)
+        if nxt == a:
+            break
+        a = nxt
+    return a
+
+
 def saddle_alpha(x: float, y: float) -> tuple:
     """(alpha, residual): the root of Σ_{p ≤ y} log p / (p^α − 1) = log x and
-    the equation's residual there, by Newton iteration seeded with
-    1 − log(u log u)/log y, with bisection fallback on (0.01, 1.5).
+    the equation's residual there, by Newton iteration with bisection
+    fallback on (0.01, 1.5).  The iteration starts at the root of a model
+    (_saddle_seed: the exact sum over the primes ≤ 2¹⁴ plus ∫_{2¹⁴}^y t^(−α) dt),
+    and each step is one elementwise pass over the primes ≤ y, the slope
+    taken from the same rows.  A cell whose root lies in the bracket thus
+    costs 1–3 passes: one when y ≤ 2¹⁴, where the model is the sum itself.
 
     The left side is convex and decreasing in α, so a bracket end is
     evaluated only when a Newton step leaves through it before any iterate
@@ -316,12 +360,9 @@ def saddle_alpha(x: float, y: float) -> tuple:
     target = log(x)
     lo_a, hi_a = 0.01, 1.5
     unseen = {lo_a, hi_a}  # bracket ends not yet evaluated
-    g, slope = _saddle_sums(int(floor(y)))
-
-    u = target / log(y)
-    a = 1.0 - log(u * log(u)) / log(y) if u > 1 else 1.0
-    if not (lo_a < a < hi_a):
-        a = 0.5 * (lo_a + hi_a)
+    yi = int(floor(y))
+    g, slope = _saddle_sums(yi)
+    a = _saddle_seed(yi, target, lo_a, hi_a)
 
     for _ in range(200):
         res = g(a) - target

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import gc
 import io
 import json
 import math
@@ -202,6 +203,35 @@ def test_alpha_saddle_iteration_failure_exits_4(monkeypatch, capsys):
     assert main(["alpha", "--x", "1e6", "--y", "100"]) == EXIT_BAD_CONFIG
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == "error: saddle iteration failed for (x=1000000.0, y=100.0)\n"
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["rho", "--u", "1"], EXIT_OK),
+    (["search", "--alpha", "quad:1,1,5,2", "--theta", "1/4", "--qmin", "90", "--qmax", "100"], EXIT_EMPTY),
+    (["psi", "--x", "100,1e8", "--y", "100", "--budget", "1000"], EXIT_BUDGET),
+    (["psi", "--x", "100"], EXIT_BAD_CONFIG),
+], ids=["ok", "empty", "budget", "bad-config"])
+def test_process_entry_freezes_after_main_and_exits_with_its_code(monkeypatch, capsys, argv, code):
+    events = []
+    real_main = cli.main
+
+    def recording_main(*args):
+        events.append(("main", args))
+        events.append(("returned", real_main(*args)))
+        return events[-1][1]
+
+    monkeypatch.setattr(cli, "main", recording_main)
+    monkeypatch.setattr(sys, "argv", ["smoothdio", *argv])
+    monkeypatch.setattr(gc, "freeze", lambda: events.append(("freeze",)))
+    monkeypatch.setattr(sys, "exit", lambda status=None: events.append(("exit", status)))
+    cli.entry()
+    assert events == [("main", ()), ("returned", code), ("freeze",), ("exit", code)]
+
+
+def test_main_in_process_never_freezes(capsys):
+    before = gc.get_freeze_count()
+    assert main(["rho", "--u", "1"]) == EXIT_OK
+    assert gc.get_freeze_count() == before
 
 
 @pytest.mark.parametrize("fmt, nbytes", [("csv", 1), ("json", 5000)])

@@ -319,9 +319,23 @@ def test_saddle_out_of_bracket():
         saddle_alpha(1.05, 2)  # root above 1.5
 
 
+def reference_sums(y: float):
+    """g_and_slope(a) = (g(a), g'(a)) for g(a) = Σ_{p ≤ y} log p / (p^a − 1),
+    from fresh power-based arrays at every call."""
+    primes = prime_array(int(floor(y))).astype(np.float64)
+    logs = np.log(primes)
+
+    def g_and_slope(a: float):
+        pa = primes**a
+        gap = pa - 1.0
+        return float(np.sum(logs / gap)), float(-np.sum(logs * logs * pa / (gap * gap)))
+
+    return g_and_slope
+
+
 def saddle_alpha_reference(x: float, y: float) -> tuple:
-    """The same iterates, plainly: fresh arrays every step, both bracket ends
-    evaluated up front for every x, the slope at every step."""
+    """Newton iteration plainly: seeded with 1 − log(u log u)/log y, both
+    bracket ends evaluated up front for every x, the slope at every step."""
     if y < 2:
         raise ValueError("y must be >= 2")
     if x <= 1:
@@ -329,14 +343,8 @@ def saddle_alpha_reference(x: float, y: float) -> tuple:
     if y > SADDLE_PRIME_CAPACITY:
         raise CapacityError(f"y = {y} exceeds prime-sum capacity {SADDLE_PRIME_CAPACITY}")
 
-    primes = prime_array(int(floor(y))).astype(np.float64)
-    logs = np.log(primes)
+    g_and_slope = reference_sums(y)
     target = log(x)
-
-    def g_and_slope(a: float):
-        pa = primes**a
-        gap = pa - 1.0
-        return float(np.sum(logs / gap)), float(-np.sum(logs * logs * pa / (gap * gap)))
 
     lo_a, hi_a = 0.01, 1.5
     g_lo, _ = g_and_slope(lo_a)
@@ -368,18 +376,52 @@ def saddle_alpha_reference(x: float, y: float) -> tuple:
     raise NonConvergenceError(f"saddle iteration failed for (x={x}, y={y})")
 
 
-def test_saddle_alpha_equals_the_reference_solver():
-    # 1_000_000.75 shares ⌊y⌋ with 1_000_000; u = 0.6 and 1 seed at α = 1;
-    # at (10.036385734592889, 2) a Newton step leaves through 0.01, root inside
-    ys = [9_876_543, 1_000_000, 1_000_000.75, 31_623, 1000, 37.5, 2]
-    xs = {y: [y**u for u in (0.6, 1.0, 2.5, 4.5)] for y in ys}
-    xs[2].append(10.036385734592889)
-    want = {(x, y): saddle_alpha_reference(x, y) for y in ys for x in xs[y]}
-    ascending = sorted(ys)
-    for order in (ascending, ascending[::-1], [ys[0], ys[5], ys[2], ys[6], ys[3], ys[1], ys[4]]):
+# 1_000_000.75 shares ⌊y⌋ with 1_000_000; u = 0.6 and 1 seed the reference at
+# α = 1; at (10.036385734592889, 2) a reference Newton step leaves through 0.01
+SADDLE_YS = [9_876_543, 1_000_000, 1_000_000.75, 31_623, 1000, 37.5, 2]
+SADDLE_XS = {y: [y**u for u in (0.6, 1.0, 2.5, 4.5)] for y in SADDLE_YS}
+SADDLE_XS[2].append(10.036385734592889)
+
+
+def test_saddle_alpha_agrees_with_the_reference_solver():
+    want = {(x, y): saddle_alpha_reference(x, y) for y in SADDLE_YS for x in SADDLE_XS[y]}
+    ascending = sorted(SADDLE_YS)
+    for order in (ascending, ascending[::-1], [SADDLE_YS[i] for i in (0, 5, 2, 6, 3, 1, 4)]):
         for y in order:
-            for x in xs[y]:
-                assert saddle_alpha(x, y) == want[(x, y)], (x, y)
+            g_and_slope = reference_sums(y)
+            for x in SADDLE_XS[y]:
+                alpha, _ = saddle_alpha(x, y)
+                alpha_ref, res_ref = want[(x, y)]
+                res = g_and_slope(alpha)[0] - log(x)
+                # 0.1e-11·log x of slack: these power-based sums round unlike the solver's expm1-based ones
+                assert abs(res) <= 1.1e-11 * log(x), (x, y)
+                # g is convex and decreasing, so |g'| is least at the right end of [α, α_ref];
+                # each evaluated residual may itself be off by its sum's rounding, allowed 1e-14·log x
+                slope = g_and_slope(max(alpha, alpha_ref))[1]
+                rounding = 2e-14 * log(x)
+                assert abs(alpha - alpha_ref) <= (abs(res) + abs(res_ref) + rounding) / abs(slope), (x, y)
+
+
+def test_saddle_alpha_takes_at_most_three_prime_passes(monkeypatch):
+    # the seed model is g itself for y ≤ 2¹⁴, so one pass confirms its root there
+    passes = []
+    sums = smooth._saddle_sums
+
+    def counting_sums(yi):
+        g, slope = sums(yi)
+
+        def counting_g(a):
+            passes[-1] += 1
+            return g(a)
+
+        return counting_g, slope
+
+    monkeypatch.setattr(smooth, "_saddle_sums", counting_sums)
+    for y in [*SADDLE_YS, 16_384, 16_385, 9_800_000]:
+        for x in SADDLE_XS.get(y, [y**u for u in (0.6, 1.0, 2.5, 4.5)]):
+            passes.append(0)
+            saddle_alpha(x, y)
+            assert (passes[-1] == 1) if y <= 16_384 else (passes[-1] <= 3), (x, y, passes[-1])
 
 
 def test_saddle_out_of_bracket_at_either_end():
