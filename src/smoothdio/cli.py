@@ -46,10 +46,9 @@ class SearchResult:
 
     Member columns are parallel arrays: n, ‖nα‖, n^{−θ}, P⁺(n), plus the
     connection-bound and strict-power flags for each member.  ‖nα‖ comes
-    from diophantine.dist_from_convergent with the bits of dist_nearest: its
-    nearest integer is decided exactly, for a quadratic α from the certified
-    error slots of a/q and of later convergents, for a decimal α by rational
-    rounding of the stored value.  The fields, in this order, are the columns
+    from diophantine.dist_from_convergent with the bits of dist_nearest, and
+    the flags from α's kind, which for a decimal α certifies them against
+    its stored precision first.  The fields, in this order, are the columns
     `search` writes.
     """
 
@@ -87,38 +86,20 @@ def _convergents_in_range(alpha, qmin: int, qmax: int):
     return out
 
 
-# relative margin for the float rounding of ‖nα‖, n^{−θ}, the bound and the slack
-_ROUNDING = 1e-12
-
-
-def _certify_decimal_flags(alpha, q: int, ns, dist, refs) -> None:
-    """For a DecimalAlpha: raise CapacityError unless every comparison of
-    dist with each ref comes out the same for every α within the stored
-    width: ‖·‖ is 1-Lipschitz, so the true ‖nα‖ lies within n·10^(−prec) of
-    the emitted dist."""
-    slack = ns * float(alpha.width)
-    for ref in refs:
-        if np.any(np.abs(dist - ref) <= slack + _ROUNDING * (slack + dist + ref)):
-            raise CapacityError(f"decimal precision 1e-{alpha.prec} cannot certify the flags at q = {q}")
-
-
 # the most members whose ‖nα‖ is evaluated at once: bounds the kernel's temporaries
 _DIST_CHUNK = 1 << 14
 
 
 def search_results(alpha, theta, qmin: int, qmax: int, C: float = 10.0, Y: float = None, budget: int = 10**9):
     """Yield one SearchResult per continued-fraction convergent a/q with
-    q in [qmin, qmax]: derive scales, build the target set, and compute
-    every member's ‖nα‖ by dist_from_convergent, _DIST_CHUNK members at a
-    time.  For a QuadIrr the nearest integer to nα is certified per member
-    from a/q and its exact error slot, or from a later convergent's, and the
-    residual is wrap-exact in int64, or exact in Python ints past that.  Every
-    convergent is checked against capacity and budget before the first
-    target set is built.  For a decimal α, a flag its precision cannot decide
-    raises CapacityError."""
+    q in [qmin, qmax]: derive scales, build the target set, compute every
+    member's ‖nα‖ by dist_from_convergent, _DIST_CHUNK members at a time, and
+    take the two flag columns from α's kind.  Every convergent is checked
+    against capacity and budget before the first target set is built.  A
+    flag that a decimal α's precision cannot decide raises CapacityError."""
     from fractions import Fraction
 
-    from .diophantine import (DecimalAlpha, build_target_set, check_target_set, connection_bound, derive_params,
+    from .diophantine import (build_target_set, check_target_set, connection_bound, derive_params,
                               dist_from_convergent)
 
     theta = Fraction(theta)
@@ -135,11 +116,8 @@ def search_results(alpha, theta, qmin: int, qmax: int, C: float = 10.0, Y: float
         for lo in range(0, len(ns), _DIST_CHUNK):
             dist[lo:lo + _DIST_CHUNK] = dist_from_convergent(ns[lo:lo + _DIST_CHUNK], alpha, conv)
         n_power = ns.astype(np.float64) ** (-tf)
-        bound = connection_bound(params)
-        if isinstance(alpha, DecimalAlpha):
-            _certify_decimal_flags(alpha, conv.q, ns, dist, (bound, n_power))
-        yield SearchResult(conv.q, conv.a, params.X, params.R, params.Y, ns, dist, n_power, pplus,
-                           dist <= bound, dist < n_power)
+        flags = alpha.flags(conv.q, ns, dist, connection_bound(params), n_power)
+        yield SearchResult(conv.q, conv.a, params.X, params.R, params.Y, ns, dist, n_power, pplus, *flags)
 
 
 # ---------------------------------------------------------------------------

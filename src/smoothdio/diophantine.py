@@ -1,20 +1,18 @@
-"""Exact quadratic-irrational arithmetic and the smooth approximant target set.
+"""Exact arithmetic for each kind of α, and the smooth approximant target set.
 
-The irrational being approximated is carried as α = (p + s√d)/r with integer
-entries and d a positive nonsquare, so continued-fraction convergents, the
-nearest integer to nα, and the distance ‖nα‖ can all be decided by integer
-comparisons — no floating point in any decision path.  A decimal literal with
-an explicit precision exponent is accepted as a fallback representation; its
-error interval is propagated instead of ignored.  The target set and
-dispersion's Σ(q, R) share one residue-class layout, checked from counts,
-built in one place, and sieved by one class sieve for P⁺ ≤ Y.
+Each kind of α carries what depends on it: its partial quotients, its
+convergents' exact error slots, ‖nα‖ of one n and of a member array, and a
+search's two flag columns.  QuadIrr, α = (p + s√d)/r with integer entries
+and d a positive nonsquare, decides its convergents and each nearest integer
+to nα by integer comparisons — no floating point in those decisions.  DecimalAlpha, a decimal literal with an explicit
+precision exponent, propagates its error interval instead of ignoring it.
+The module functions check their arguments and call the kind; none tests
+which kind it holds.  ‖nα‖ of a member array has the bits of the scalar
+dist_nearest, the exact oracle that the tests compare it with.
 
-‖nα‖ of a whole member array comes from one kernel for both kinds of α,
-dist_from_convergent, with the bits of the scalar dist_nearest, which stays
-as the exact oracle that the tests compare it with.  For a quadratic α the
-convergent that built the array certifies each member's nearest integer, a
-later convergent the few it cannot, and the residual is evaluated in int64,
-or in Python ints where int64 cannot hold it.
+The target set and dispersion's Σ(q, R) share one residue-class layout,
+checked from counts, built in one place, and sieved by one class sieve for
+P⁺ ≤ Y.
 """
 
 from dataclasses import dataclass
@@ -33,6 +31,9 @@ THETA_MAX = Fraction(6, 17)
 # Denominator scale for the exact error interval attached to a convergent:
 # the slot [err_num − 1, err_num + 1] / (2^64 q²) containing α − a/q.
 _ERR_SCALE = 1 << 64
+_INT64_TOP = 1 << 63
+# relative margin for the float rounding of ‖nα‖, n^{−θ}, the bound and the slack
+_ROUNDING = 1e-12
 
 
 def floor_surd(A: int, B: int, d: int, C: int) -> int:
@@ -48,6 +49,20 @@ def floor_surd(A: int, B: int, d: int, C: int) -> int:
         A, B, C = -A, -B, -C
     m = isqrt(B * B * d)
     return (A + (m if B >= 0 else -m - 1)) // C
+
+
+@dataclass
+class Convergent:
+    """a/q with gcd(a, q) = 1 and |α − a/q| ≤ 1/q².
+
+    The exact interval [err_num − 1, err_num + 1] / err_den contains
+    α − a/q (a centered slot: representable around any point, including 0).
+    """
+
+    a: int
+    q: int
+    err_num: int
+    err_den: int
 
 
 @dataclass
@@ -72,6 +87,99 @@ class QuadIrr:
             self.s //= g
             self.r //= g
 
+    def partial_quotients(self):
+        """The partial quotients of α, endless: the integer surd recurrence
+        on α = (P + √D)/Q, normalized so that Q | D − P²."""
+        sign = 1 if self.s > 0 else -1
+        P, Q, D = sign * self.p, sign * self.r, self.s * self.s * self.d
+        if (D - P * P) % Q != 0:
+            P, D, Q = P * abs(Q), D * Q * Q, Q * abs(Q)
+        while True:
+            term = floor_surd(P, 1, D, Q)
+            P = term * Q - P
+            Q = (D - P * P) // Q
+            yield term
+
+    def convergent(self, a: int, q: int) -> Convergent:
+        """a/q with its exact slot: α − a/q = (E + F√d)/G, times err_den,
+        rounded to the nearest integer, so the slot half-width 1/(2^64 q²)
+        sits far below the 1/q² margin."""
+        E, F, G = q * self.p - a * self.r, q * self.s, self.r * q
+        err_den = _ERR_SCALE * q * q
+        return Convergent(a, q, floor_surd(2 * E * err_den + G, 2 * F * err_den, self.d, 2 * G), err_den)
+
+    def dist(self, n: int) -> float:
+        """‖nα‖ for n ≥ 1: the nearest integer j decided exactly, then the
+        residual (A + B√d)/C, |value| ≤ 1/2, by its conjugate."""
+        A, B, C = n * self.p, n * self.s, self.r
+        # nearest integer to (A + B√d)/C is ⌊(2A + C + 2B√d)/(2C)⌋ (ties cannot
+        # occur: the value is irrational)
+        j = floor_surd(2 * A + C, 2 * B, self.d, 2 * C)
+        A -= j * C
+        # (A + B√d)/C evaluated via (A² − B²d)/(C(A − B√d))
+        num = A * A - B * B * self.d
+        den = C * (A - B * sqrt(self.d))
+        return abs(num / den)
+
+    def dists(self, ns: np.ndarray, conv: Convergent) -> np.ndarray:
+        """‖nα‖ for the members n ≥ 1 of the int64 array `ns`, bit for bit
+        as dist gives it.  The convergent a/q certifies, member by member,
+        that the nearest integer j to na/q is the nearest integer to nα
+        (_certified_dists).  A member it cannot certify is retried against
+        the next convergents of the same convergents(α) walk: their slots are
+        narrower, and the walk ends because nα is never a half-integer."""
+        dist, ok = self._certified_dists(ns, conv)
+        if ok.all():
+            return dist
+        out = np.empty(len(ns))
+        out[ok] = dist
+        rest = np.flatnonzero(~ok)
+        walk = (c for c in convergents(self) if c.q > conv.q)
+        while len(rest):
+            dist, ok = self._certified_dists(ns[rest], next(walk))
+            out[rest[ok]] = dist
+            rest = rest[~ok]
+        return out
+
+    def _certified_dists(self, ns: np.ndarray, conv: Convergent):
+        """(dist, ok): ok marks the members n of `ns` whose nearest integer to
+        nα the convergent a/q certifies, and dist is ‖nα‖ of those members,
+        in order.
+
+        With t = na − jq, |t| ≤ q/2, and |α − a/q| ≤ |ε|₊ = (|err_num| + 1)/err_den,
+        j is the nearest integer to nα when |t|/q + n·|ε|₊ < 1/2.  That is
+        checked as |t| ≤ t_lim, one exact threshold from the largest n.  Then
+        A = np − jr and B = ns give nα − j = (A + B√d)/r with |A + B√d| ≤ r/2
+        and |A − B√d| ≤ r/2 + 2|B|√d, so |A² − B²d| < r(r + 4|B|(⌊√d⌋ + 1))/4.
+        When that bound, n·|a| + q, |p| and d are below 2⁶³, the lines run in
+        int64, where the wrapping A² − B²d is exact even where A² or B²d are
+        not.  Otherwise the same lines run on Python ints.  The floats are
+        formed as in dist, in its order.
+        """
+        n_top = int(ns.max())
+        a, q, p, s, d, r = conv.a, conv.q, self.p, self.s, self.d, self.r
+        wide = (n_top * abs(a) + q >= _INT64_TOP or abs(p) >= _INT64_TOP or d >= _INT64_TOP
+                or r * (r + 4 * n_top * abs(s) * (isqrt(d) + 1)) >= _INT64_TOP)
+        x = ns.astype(object) if wide else ns
+        na = x * a
+        t = na % q
+        t[2 * t > q] -= q
+        # the largest |t| with 2(|t|·err_den + n_top·(|err_num| + 1)·q) < q·err_den, or −1
+        t_lim = max((q * conv.err_den - 2 * n_top * (abs(conv.err_num) + 1) * q - 1) // (2 * conv.err_den), -1)
+        ok = np.abs(t) <= t_lim
+        if not ok.all():
+            x, na, t = x[ok], na[ok], t[ok]
+        j = (na - t) // q
+        A = x * p - j * r  # n·p and j·r may wrap in int64; A itself fits
+        B = x * s
+        num = A * A - B * B * d
+        den = r * (A - B * sqrt(d))
+        return np.abs(num / den).astype(np.float64, copy=False), ok
+
+    def flags(self, q: int, ns: np.ndarray, dist: np.ndarray, bound: float, n_power: np.ndarray):
+        """(dist ≤ bound, dist < n_power): float comparisons, not decided exactly."""
+        return dist <= bound, dist < n_power
+
 
 @dataclass
 class DecimalAlpha:
@@ -83,6 +191,62 @@ class DecimalAlpha:
     @property
     def width(self) -> Fraction:
         return Fraction(1, 10**self.prec)
+
+    def partial_quotients(self):
+        """The partial quotients of the stored value: they end with its
+        expansion."""
+        v = self.value
+        while True:
+            term = floor(v)
+            yield term
+            if v == term:
+                return
+            v = 1 / (v - term)
+
+    def convergent(self, a: int, q: int) -> Convergent:
+        """a/q with the exact slot of value − a/q at the largest dyadic scale
+        whose half-width 1/err_den covers the width (width·err_den ≤ 1/2),
+        or a CapacityError when the width leaves |α − a/q| ≤ 1/q² uncertain."""
+        mid = self.value - Fraction(a, q)
+        if abs(mid) + self.width > Fraction(1, q * q):
+            raise CapacityError(f"decimal precision 1e-{self.prec} cannot certify convergent {a}/{q}")
+        err_den = _ERR_SCALE * q * q
+        while err_den > 1 and self.width * err_den > Fraction(1, 2):
+            err_den //= 2
+        return Convergent(a, q, floor(mid * err_den + Fraction(1, 2)), err_den)
+
+    def dist(self, n: int) -> float:
+        """‖n·value‖ for n ≥ 1, rounded once from the exact rational."""
+        t = n * self.value
+        return abs(float(t - floor(t + Fraction(1, 2))))
+
+    def dists(self, ns: np.ndarray, conv: Convergent) -> np.ndarray:
+        """‖n·value‖ for the members n ≥ 1 of the int64 array `ns`; the
+        convergent is not needed.  With value N/D, t = nN and
+        j = ⌊(2t + D)/(2D)⌋, ‖n·value‖ = |t − jD|/D, divided as Python ints.
+        That division is correctly rounded, as float(Fraction) is, so the
+        bits are those of dist, ties at 1/2 included."""
+        N, D = self.value.numerator, self.value.denominator
+        t = ns.astype(object) * N
+        j = (2 * t + D) // (2 * D)
+        return (np.abs(t - j * D) / D).astype(np.float64)
+
+    def flags(self, q: int, ns: np.ndarray, dist: np.ndarray, bound: float, n_power: np.ndarray):
+        """(dist ≤ bound, dist < n_power) for the members `ns` of the target
+        set at q, or a CapacityError unless each comparison comes out the
+        same for every α within the stored width: ‖·‖ is 1-Lipschitz, so the
+        true ‖nα‖ lies within n·10^(−prec) of the emitted dist."""
+        slack = ns * float(self.width)
+        for ref in (bound, n_power):
+            if np.any(np.abs(dist - ref) <= slack + _ROUNDING * (slack + dist + ref)):
+                raise CapacityError(f"decimal precision 1e-{self.prec} cannot certify the flags at q = {q}")
+        return dist <= bound, dist < n_power
+
+
+def _check_alpha(alpha) -> None:
+    """The one input guard of the public entries: α must be one of its kinds."""
+    if not isinstance(alpha, (QuadIrr, DecimalAlpha)):
+        raise TypeError("alpha must be QuadIrr or DecimalAlpha")
 
 
 def parse_alpha(text: str):
@@ -104,61 +268,19 @@ def parse_alpha(text: str):
     raise ValueError(f"unrecognized alpha spec {text!r}")
 
 
-@dataclass
-class Convergent:
-    """a/q with gcd(a, q) = 1 and |α − a/q| ≤ 1/q².
-
-    The exact interval [err_num − 1, err_num + 1] / err_den contains
-    α − a/q (a centered slot: representable around any point, including 0).
-    """
-
-    a: int
-    q: int
-    err_num: int
-    err_den: int
-
-
 def convergents(alpha):
-    """The continued-fraction convergents of α, in order.
-
-    For QuadIrr the walk is exact and endless (the integer surd recurrence).
-    For DecimalAlpha it ends with the expansion of the stored value, and a
-    CapacityError is raised at the first convergent whose |α − a/q| ≤ 1/q²
-    the stored precision cannot certify.
-    """
-    exact = isinstance(alpha, QuadIrr)
-    if exact:
-        # normalize to (P + √D)/Q with Q | D − P²
-        if alpha.s > 0:
-            P, Q, D = alpha.p, alpha.r, alpha.s * alpha.s * alpha.d
-        else:
-            P, Q, D = -alpha.p, -alpha.r, alpha.s * alpha.s * alpha.d
-        if (D - P * P) % Q != 0:
-            P, D, Q = P * abs(Q), D * Q * Q, Q * abs(Q)
-    elif isinstance(alpha, DecimalAlpha):
-        v = alpha.value
-    else:
-        raise TypeError("alpha must be QuadIrr or DecimalAlpha")
+    """The continued-fraction convergents of α, in order: one h/k recurrence
+    over α's partial quotients, each convergent with the exact slot its kind
+    gives it.  Endless for a QuadIrr.  For a DecimalAlpha the walk ends with
+    the expansion of the stored value, and a CapacityError is raised at the
+    first convergent whose |α − a/q| ≤ 1/q² the stored precision cannot
+    certify."""
+    _check_alpha(alpha)
     h_prev, h, k_prev, k = 0, 1, 1, 0
-    while True:
-        if exact:
-            term = floor_surd(P, 1, D, Q)
-            P = term * Q - P
-            Q = (D - P * P) // Q
-        else:
-            term = floor(v)
+    for term in alpha.partial_quotients():
         h_prev, h = h, term * h + h_prev
         k_prev, k = k, term * k + k_prev
-        if exact:
-            yield _make_convergent_quad(alpha, h, k)
-            continue
-        conv = _make_convergent_dec(alpha.value, alpha.width, h, k)
-        if conv is None:
-            raise CapacityError(f"decimal precision 1e-{alpha.prec} cannot certify convergent {h}/{k}")
-        yield conv
-        if v == term:
-            return  # the expansion of the stored value ends here
-        v = 1 / (v - term)
+        yield alpha.convergent(h, k)
 
 
 def cf_convergents(alpha, count: int):
@@ -169,129 +291,26 @@ def cf_convergents(alpha, count: int):
     return list(islice(convergents(alpha), count))
 
 
-def _make_convergent_quad(alpha: QuadIrr, a: int, q: int) -> Convergent:
-    # α − a/q = (E + F√d)/G; round (α − a/q)·err_den to the nearest integer,
-    # so the slot half-width 1/(2^64 q²) sits far below the 1/q² margin.
-    E = q * alpha.p - a * alpha.r
-    F = q * alpha.s
-    G = alpha.r * q
-    err_den = _ERR_SCALE * q * q
-    err_num = floor_surd(2 * E * err_den + G, 2 * F * err_den, alpha.d, 2 * G)
-    return Convergent(a, q, err_num, err_den)
-
-
-def _make_convergent_dec(value: Fraction, width: Fraction, a: int, q: int):
-    mid = value - Fraction(a, q)
-    if abs(mid) + width > Fraction(1, q * q):
-        return None
-    # largest dyadic scale whose slot half-width 1/err_den covers the
-    # rational uncertainty: width * err_den <= 1/2
-    err_den = _ERR_SCALE * q * q
-    while err_den > 1 and width * err_den > Fraction(1, 2):
-        err_den //= 2
-    err_num = floor(mid * err_den + Fraction(1, 2))
-    return Convergent(a, q, err_num, err_den)
-
-
 def dist_nearest(n: int, alpha) -> float:
-    """‖nα‖: the nearest integer is decided exactly, then the residual is
-    emitted as a float with ~1e-15 relative accuracy (conjugate evaluation,
-    no catastrophic cancellation)."""
+    """‖nα‖ from α's kind: the nearest integer is decided exactly, then the
+    residual is emitted as a float with ~1e-15 relative accuracy (for a
+    QuadIrr by conjugate evaluation, no catastrophic cancellation)."""
+    _check_alpha(alpha)
     if n < 0:
         raise ValueError("n must be >= 0")
-    if n == 0:
-        return 0.0
-
-    if isinstance(alpha, DecimalAlpha):
-        t = n * alpha.value
-        j = floor(t + Fraction(1, 2))
-        return abs(float(t - j))
-
-    A, B, C = n * alpha.p, n * alpha.s, alpha.r
-    # nearest integer to (A + B√d)/C is ⌊(2A + C + 2B√d)/(2C)⌋ (ties cannot
-    # occur: the value is irrational)
-    j = floor_surd(2 * A + C, 2 * B, alpha.d, 2 * C)
-    A -= j * C
-    # (A + B√d)/C with |value| ≤ 1/2: evaluate via (A² − B²d)/(C(A − B√d))
-    num = A * A - B * B * alpha.d
-    den = C * (A - B * sqrt(alpha.d))
-    return abs(num / den)
-
-
-_INT64_TOP = 1 << 63
+    return alpha.dist(n) if n else 0.0
 
 
 def dist_from_convergent(ns: np.ndarray, alpha, conv: Convergent) -> np.ndarray:
-    """‖nα‖ for every n ≥ 1 of the int64 array `ns`, bit for bit as
-    dist_nearest gives it; a ValueError for n < 1.
-
-    For a QuadIrr, the convergent a/q certifies, member by member, that the
-    nearest integer j to na/q is the nearest integer to nα
-    (_certified_dists).  A member it cannot certify is retried against the
-    next convergents of the same convergents(alpha) walk: their slots are
-    narrower, and the walk ends because nα is never a half-integer.
-
-    For a DecimalAlpha with value N/D, the convergent is not needed: with
-    t = nN and j = ⌊(2t + D)/(2D)⌋, ‖n·value‖ = |t − jD|/D, divided as
-    Python ints.  That division is correctly rounded, as float(Fraction) is,
-    so the bits are those of dist_nearest, ties at 1/2 included.
-    """
+    """‖nα‖ for every n ≥ 1 of the int64 array `ns` from α's kind (a QuadIrr
+    certifies it from the slot of `conv` or of a later convergent), bit for
+    bit as dist_nearest gives it; a ValueError for n < 1."""
+    _check_alpha(alpha)
     if len(ns) == 0:
         return np.zeros(0)
     if int(ns.min()) < 1:
         raise ValueError("n must be >= 1")
-    if isinstance(alpha, DecimalAlpha):
-        N, D = alpha.value.numerator, alpha.value.denominator
-        t = ns.astype(object) * N
-        j = (2 * t + D) // (2 * D)
-        return (np.abs(t - j * D) / D).astype(np.float64)
-    dist, ok = _certified_dists(ns, alpha, conv)
-    if ok.all():
-        return dist
-    out = np.empty(len(ns))
-    out[ok] = dist
-    rest = np.flatnonzero(~ok)
-    walk = (c for c in convergents(alpha) if c.q > conv.q)
-    while len(rest):
-        dist, ok = _certified_dists(ns[rest], alpha, next(walk))
-        out[rest[ok]] = dist
-        rest = rest[~ok]
-    return out
-
-
-def _certified_dists(ns: np.ndarray, alpha: QuadIrr, conv: Convergent):
-    """(dist, ok): ok marks the members n of `ns` whose nearest integer to nα
-    the convergent a/q certifies, and dist is ‖nα‖ of those members, in order.
-
-    With t = na − jq, |t| ≤ q/2, and |α − a/q| ≤ |ε|₊ = (|err_num| + 1)/err_den,
-    j is the nearest integer to nα when |t|/q + n·|ε|₊ < 1/2.  That is
-    checked as |t| ≤ t_lim, one exact threshold from the largest n.  Then
-    A = np − jr and B = ns give nα − j = (A + B√d)/r with |A + B√d| ≤ r/2
-    and |A − B√d| ≤ r/2 + 2|B|√d, so |A² − B²d| < r(r + 4|B|(⌊√d⌋ + 1))/4.
-    When that bound, n·|a| + q, |p| and d are below 2⁶³, the lines run in
-    int64, where the wrapping A² − B²d is exact even where A² or B²d are not.
-    Otherwise the same lines run on Python ints.  The floats are formed as in
-    dist_nearest, in its order.
-    """
-    n_top = int(ns.max())
-    a, q, p, s, d, r = conv.a, conv.q, alpha.p, alpha.s, alpha.d, alpha.r
-    wide = (n_top * abs(a) + q >= _INT64_TOP or abs(p) >= _INT64_TOP or d >= _INT64_TOP
-            or r * (r + 4 * n_top * abs(s) * (isqrt(d) + 1)) >= _INT64_TOP)
-    x = ns.astype(object) if wide else ns
-    na = x * a
-    t = na % q
-    t[2 * t > q] -= q
-    # the largest |t| with 2(|t|·err_den + n_top·(|err_num| + 1)·q) < q·err_den, or −1
-    t_lim = max((q * conv.err_den - 2 * n_top * (abs(conv.err_num) + 1) * q - 1) // (2 * conv.err_den), -1)
-    ok = np.abs(t) <= t_lim
-    if not ok.all():
-        x, na, t = x[ok], na[ok], t[ok]
-    j = (na - t) // q
-    A = x * p - j * r  # n·p and j·r may wrap in int64; A itself fits
-    B = x * s
-    num = A * A - B * B * d
-    den = r * (A - B * sqrt(d))
-    return np.abs(num / den).astype(np.float64, copy=False), ok
+    return alpha.dists(ns, conv)
 
 
 @dataclass

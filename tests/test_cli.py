@@ -797,8 +797,9 @@ def _scalar_search_text(alpha_spec, theta, qmin, qmax):
 
 
 def test_search_bytes_match_the_scalar_path(monkeypatch, capsys):
-    """`search` never calls the scalar dist_nearest, and its bytes are those
-    of the path that takes every ‖nα‖ from it."""
+    """`search` never calls the scalar dist_nearest, nor the scalar `dist` of
+    either kind of α behind it, and its bytes are those of the path that
+    takes every ‖nα‖ from it."""
     cases = [
         # θ = 1/5 from q = 2: the golden convergents up to q = 144 cannot
         # certify every nearest integer and retry later convergents
@@ -808,12 +809,14 @@ def test_search_bytes_match_the_scalar_path(monkeypatch, capsys):
         ("quad:1000000000000000,7,13,3", Fraction(1, 4), 2, 1000),  # n·a past int64
     ]
 
-    def forbidden(n, alpha):
-        raise AssertionError("search called dist_nearest")
+    def forbidden(*args):
+        raise AssertionError("search called a scalar ‖nα‖")
 
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] == "smoothdio" and getattr(module, "dist_nearest", None) is dist_nearest:
             monkeypatch.setattr(module, "dist_nearest", forbidden)
+    for kind in (diophantine.QuadIrr, diophantine.DecimalAlpha):
+        monkeypatch.setattr(kind, "dist", forbidden)
     texts = []
     for spec, theta, qmin, qmax in cases:
         argv = ["search", "--alpha", spec, "--theta", str(theta), "--qmin", str(qmin), "--qmax", str(qmax)]

@@ -7,7 +7,7 @@ import pytest
 
 from smoothdio.arith import factorize, sieve_primes
 from smoothdio.diophantine import (ApproxParams, QuadIrr, build_target_set, cf_convergents, convergents,
-                                   derive_params, dist_nearest, parse_alpha)
+                                   derive_params, dist_from_convergent, dist_nearest, parse_alpha)
 from smoothdio.dispersion import bump_fourier, phi_weight, phi_weight_poisson
 from smoothdio.errors import CapacityError
 from smoothdio.expsums import kl_smooth_average
@@ -23,6 +23,11 @@ GOLDEN = QuadIrr(1, 1, 5, 2)
     (lambda: cf_convergents(GOLDEN, 0), ValueError, "count must be >= 1"),
     (lambda: dist_nearest(-1, GOLDEN), ValueError, "n must be >= 0"),
     (lambda: next(convergents(1.5)), TypeError, "alpha must be QuadIrr or DecimalAlpha"),
+    # the same guard refuses a float α at every public entry (own ids: the message repeats)
+    pytest.param(lambda: dist_nearest(3, 1.5), TypeError, "alpha must be QuadIrr or DecimalAlpha",
+                 id="dist_nearest-float-alpha"),
+    pytest.param(lambda: dist_from_convergent(np.array([3]), 1.5, next(convergents(GOLDEN))), TypeError,
+                 "alpha must be QuadIrr or DecimalAlpha", id="dist_from_convergent-float-alpha"),
     (lambda: build_target_set(derive_params(10, Fraction(1, 4)), 4), ValueError, "a must be coprime to q"),
     (lambda: smooth_sieve(0, 5, 3), ValueError, "need 1 <= lo <= hi"),
     (lambda: smooth_sieve(2**62, 2**62 + 5, 3), CapacityError, "interval top beyond int64"),
